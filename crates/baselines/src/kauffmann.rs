@@ -13,13 +13,14 @@
 //! measurements show to be harmful on poor links and in dense deployments.
 
 use acorn_core::association::{choose_ap_selfish, Candidate};
+use acorn_core::NullSink;
 use acorn_topology::{ApId, ChannelAssignment, ChannelPlan, InterferenceGraph, Wlan};
 
 /// \[17\]-style association: the client minimizes its own transmission
 /// delay (equivalently maximizes its own per-client throughput) — the
 /// "selfish" rule, blind to collateral anomaly damage in other cells.
 pub fn associate(candidates: &[Candidate]) -> Option<usize> {
-    choose_ap_selfish(candidates)
+    choose_ap_selfish(candidates, &NullSink)
 }
 
 /// Greedy aggressive-CB channel selection: every AP takes the legal
@@ -157,7 +158,10 @@ mod tests {
             },
         ];
         assert_eq!(associate(&cands), Some(0));
-        assert_eq!(acorn_core::association::choose_ap(&cands), Some(1));
+        assert_eq!(
+            acorn_core::association::choose_ap(&cands, &NullSink),
+            Some(1)
+        );
     }
 
     #[test]

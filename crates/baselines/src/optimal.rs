@@ -76,8 +76,9 @@ pub fn optimal_allocation<M: ThroughputModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acorn_core::allocation::{allocate_with_restarts, AllocationConfig};
+    use acorn_core::allocation::{allocate, AllocSpec, AllocationConfig};
     use acorn_core::model::{ClientSnr, NetworkModel};
+    use acorn_core::NullSink;
     use acorn_topology::InterferenceGraph;
 
     fn model(snrs_per_ap: &[&[f64]], graph: InterferenceGraph) -> NetworkModel {
@@ -117,7 +118,12 @@ mod tests {
                 epsilon: 1.0,
                 max_rounds: 64,
             };
-            let greedy = allocate_with_restarts(&m, &plan, &cfg, 8, 3);
+            let spec = AllocSpec {
+                restarts: 8,
+                seed: 3,
+                ..AllocSpec::default()
+            };
+            let greedy = allocate(&m, &plan, &cfg, &spec, &NullSink);
             assert!(
                 greedy.total_bps >= 0.97 * opt.total_bps,
                 "{ch} channels: greedy {:.4e} vs optimal {:.4e}",

@@ -2,8 +2,9 @@
 //! and Table 3 — including its scaling in network size and channel count,
 //! and the ε-stopping-rule ablation.
 
-use acorn_core::allocation::{allocate_from_random, AllocationConfig};
+use acorn_core::allocation::{allocate, AllocSpec, AllocationConfig, AllocationResult};
 use acorn_core::model::{ClientSnr, NetworkModel};
+use acorn_core::NullSink;
 use acorn_topology::{ChannelPlan, InterferenceGraph};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -21,13 +22,22 @@ fn model(n_aps: usize, clients_per_ap: usize) -> NetworkModel {
     NetworkModel::new(InterferenceGraph::complete(n_aps), cells)
 }
 
+/// Algorithm 2 from one random start at seed 1.
+fn from_random(m: &NetworkModel, plan: &ChannelPlan, cfg: &AllocationConfig) -> AllocationResult {
+    let spec = AllocSpec {
+        seed: 1,
+        ..AllocSpec::default()
+    };
+    allocate(black_box(m), plan, cfg, &spec, &NullSink)
+}
+
 fn bench_scaling_in_aps(c: &mut Criterion) {
     let mut group = c.benchmark_group("allocation/scaling_n_aps");
     for n in [2usize, 4, 8, 12] {
         let m = model(n, 3);
         let plan = ChannelPlan::full_5ghz();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| allocate_from_random(black_box(&m), &plan, &AllocationConfig::default(), 1))
+            b.iter(|| from_random(&m, &plan, &AllocationConfig::default()))
         });
     }
     group.finish();
@@ -39,7 +49,7 @@ fn bench_scaling_in_channels(c: &mut Criterion) {
     for ch in [2u8, 4, 6, 12] {
         let plan = ChannelPlan::restricted(ch);
         group.bench_with_input(BenchmarkId::from_parameter(ch), &ch, |b, _| {
-            b.iter(|| allocate_from_random(black_box(&m), &plan, &AllocationConfig::default(), 1))
+            b.iter(|| from_random(&m, &plan, &AllocationConfig::default()))
         });
     }
     group.finish();
@@ -55,7 +65,7 @@ fn bench_epsilon_ablation(c: &mut Criterion) {
             max_rounds: 64,
         };
         group.bench_with_input(BenchmarkId::from_parameter(eps), &eps, |b, _| {
-            b.iter(|| allocate_from_random(black_box(&m), &plan, &cfg, 1))
+            b.iter(|| from_random(&m, &plan, &cfg))
         });
     }
     group.finish();

@@ -2,6 +2,7 @@
 //! the association half of Figs. 10 and Table 3.
 
 use acorn_core::association::{choose_ap, choose_ap_selfish, Candidate};
+use acorn_core::NullSink;
 use acorn_core::{AcornConfig, AcornController};
 use acorn_sim::enterprise_grid;
 use acorn_topology::{ApId, ClientId};
@@ -22,10 +23,10 @@ fn candidates(n: usize) -> Vec<Candidate> {
 fn bench_choose(c: &mut Criterion) {
     let cands = candidates(8);
     c.bench_function("association/choose_ap_eq4_8cands", |b| {
-        b.iter(|| choose_ap(black_box(&cands)))
+        b.iter(|| choose_ap(black_box(&cands), &NullSink))
     });
     c.bench_function("association/choose_ap_selfish_8cands", |b| {
-        b.iter(|| choose_ap_selfish(black_box(&cands)))
+        b.iter(|| choose_ap_selfish(black_box(&cands), &NullSink))
     });
 }
 
@@ -35,14 +36,14 @@ fn bench_full_association(c: &mut Criterion) {
     let state = {
         let mut s = ctl.new_state(&wlan, 5);
         for cl in 0..10 {
-            ctl.associate(&wlan, &mut s, ClientId(cl));
+            ctl.associate(&wlan, &mut s, ClientId(cl), &NullSink);
         }
         s
     };
     c.bench_function("association/probe_and_choose_9ap_grid", |b| {
         b.iter(|| {
             let cands = ctl.candidates_for(&wlan, black_box(&state), ClientId(11));
-            choose_ap(&cands)
+            choose_ap(&cands, &NullSink)
         })
     });
     c.bench_function("association/beacons_9ap_grid", |b| {

@@ -5,11 +5,8 @@
 use acorn_baseband::convcode::Codec;
 use acorn_baseband::cplx::Cplx;
 use acorn_baseband::fft::fft;
-use acorn_baseband::frame::{
-    mix_seed, run_trial, run_trial_with, Equalization, FrameConfig, FrameWorkspace,
-};
+use acorn_baseband::frame::{mix_seed, run_trial, Equalization, FrameConfig, FrameWorkspace};
 use acorn_baseband::psd::welch_psd;
-use acorn_bench::baseline_frame::run_trial_baseline;
 use acorn_phy::{ChannelWidth, CodeRate};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -86,26 +83,6 @@ fn bench_workspace_packet(c: &mut Criterion) {
     });
 }
 
-/// Workspace engine vs the pre-workspace baseline pipeline, same config —
-/// the criterion view of the BENCH_baseband.json speedup.
-fn bench_engine_vs_baseline(c: &mut Criterion) {
-    let cfg = FrameConfig {
-        packet_bytes: 1500,
-        code_rate: Some(CodeRate::R12),
-        equalization: Equalization::Genie,
-        ..FrameConfig::baseline(ChannelWidth::Ht20)
-    }
-    .with_target_snr(7.0);
-    const PACKETS: usize = 4;
-    let mut ws = FrameWorkspace::new();
-    c.bench_function("baseband/engine_4pkt_1500B_qpsk_r12", |b| {
-        b.iter(|| run_trial_with(black_box(&cfg), PACKETS, 7, &mut ws).unwrap())
-    });
-    c.bench_function("baseband/baseline_4pkt_1500B_qpsk_r12", |b| {
-        b.iter(|| run_trial_baseline(black_box(&cfg), PACKETS, 7))
-    });
-}
-
 fn bench_psd(c: &mut Criterion) {
     let signal: Vec<Cplx> = (0..16384).map(|i| Cplx::cis(0.1 * i as f64)).collect();
     c.bench_function("baseband/welch_psd_16k", |b| {
@@ -119,7 +96,6 @@ criterion_group!(
     bench_viterbi,
     bench_frame_pipeline,
     bench_workspace_packet,
-    bench_engine_vs_baseline,
     bench_psd
 );
 criterion_main!(benches);

@@ -1,10 +1,11 @@
 //! Criterion benches for the extension modules: IAPP rounds, scanning-
 //! aware allocation, the Bianchi fixed point, and the closed churn loop.
 
-use acorn_core::allocation::{allocate_from_random, AllocationConfig};
+use acorn_core::allocation::{allocate, AllocSpec, AllocationConfig};
 use acorn_core::iapp::{IappAgent, IappBus};
 use acorn_core::model::{ClientSnr, NetworkModel};
 use acorn_core::scanning::{HashSounding, ScanningModel};
+use acorn_core::NullSink;
 use acorn_core::{AcornConfig, AcornController};
 use acorn_mac::bianchi::solve;
 use acorn_sim::churn::{run_churn, ChurnConfig};
@@ -56,7 +57,16 @@ fn bench_scanning_allocation(c: &mut Criterion) {
                     seed: 3,
                 },
             );
-            allocate_from_random(black_box(&truth), &plan, &AllocationConfig::default(), 1)
+            allocate(
+                black_box(&truth),
+                &plan,
+                &AllocationConfig::default(),
+                &AllocSpec {
+                    seed: 1,
+                    ..AllocSpec::default()
+                },
+                &NullSink,
+            )
         })
     });
 }

@@ -10,9 +10,12 @@
 
 use acorn_baselines::simple::associate_rssi;
 use acorn_bench::{header, mbps, print_table, save_json};
-use acorn_core::allocation::{allocate, random_initial, AllocationConfig};
+use acorn_core::allocation::{
+    allocate, random_initial, AllocSpec, AllocationConfig, AllocationResult,
+};
 use acorn_core::association::choose_ap_selfish;
 use acorn_core::model::{ClientSnr, NetworkModel, ThroughputModel};
+use acorn_core::NullSink;
 use acorn_core::{AcornConfig, AcornController};
 use acorn_mac::airtime::{CellAirtime, ClientLink};
 use acorn_mac::contention::access_share;
@@ -31,6 +34,20 @@ struct Ablations {
     association: Vec<(String, f64)>,
     calibration: Vec<(String, f64)>,
     rank_order: Vec<(String, f64)>,
+}
+
+/// Algorithm 2 from the random start `seed` draws.
+fn from_random<M: ThroughputModel + Sync>(
+    m: &M,
+    plan: &ChannelPlan,
+    cfg: &AllocationConfig,
+    seed: u64,
+) -> AllocationResult {
+    let spec = AllocSpec {
+        seed,
+        ..AllocSpec::default()
+    };
+    allocate(m, plan, cfg, &spec, &NullSink)
 }
 
 fn grid_model(seed: u64) -> NetworkModel {
@@ -63,7 +80,7 @@ fn ablate_epsilon(out: &mut Ablations) {
         let trials = 12;
         for seed in 0..trials {
             let m = grid_model(seed);
-            let r = allocate(&m, &plan, random_initial(&plan, 6, seed), &cfg);
+            let r = from_random(&m, &plan, &cfg, seed);
             y += r.total_bps / trials as f64;
             iters += r.iterations as f64 / trials as f64;
         }
@@ -87,11 +104,11 @@ fn ablate_association(out: &mut Ablations) {
         for c in 0..wlan.clients.len() {
             match rule {
                 0 => {
-                    ctl.associate(&wlan, &mut state, ClientId(c));
+                    ctl.associate(&wlan, &mut state, ClientId(c), &NullSink);
                 }
                 1 => {
                     let cands = ctl.candidates_for(&wlan, &state, ClientId(c));
-                    if let Some(ix) = choose_ap_selfish(&cands) {
+                    if let Some(ix) = choose_ap_selfish(&cands, &NullSink) {
                         state.assoc[c] = Some(cands[ix].ap);
                     }
                 }
@@ -100,7 +117,8 @@ fn ablate_association(out: &mut Ablations) {
                 }
             }
         }
-        ctl.reallocate_with_restarts(&wlan, &mut state, 8, 5);
+        let model = ctl.build_model(&wlan, &state);
+        ctl.reallocate(&model, &mut state, 8, 5, false, &NullSink);
         let y = evaluate_analytic(
             &wlan,
             &state.assignments,
@@ -162,10 +180,10 @@ fn ablate_calibration(out: &mut Ablations) {
     for seed in 100..100 + trials {
         let m = grid_model(seed);
         // Plan with the calibrated model (the real ACORN).
-        let r_cal = allocate(&m, &plan, random_initial(&plan, 6, seed), &cfg);
+        let r_cal = from_random(&m, &plan, &cfg, seed);
         // Plan with the uncalibrated model, then score with the TRUE model.
         let uncal = Uncalibrated(&m);
-        let r_uncal = allocate(&uncal, &plan, random_initial(&plan, 6, seed), &cfg);
+        let r_uncal = from_random(&uncal, &plan, &cfg, seed);
         let y_true_uncal = m.total_bps(&r_uncal.assignments);
         y_cal += r_cal.total_bps / trials as f64;
         y_uncal += y_true_uncal / trials as f64;
@@ -230,8 +248,7 @@ fn ablate_rank_order(out: &mut Ablations) {
     let mut y_rand = 0.0;
     for seed in 200..200 + trials {
         let m = grid_model(seed);
-        y_rank +=
-            allocate(&m, &plan, random_initial(&plan, 6, seed), &cfg).total_bps / trials as f64;
+        y_rank += from_random(&m, &plan, &cfg, seed).total_bps / trials as f64;
         y_rand += allocate_random_order(&m, &plan, seed) / trials as f64;
     }
     print_table(

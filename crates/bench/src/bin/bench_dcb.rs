@@ -15,8 +15,9 @@
 //!   kings-move grid where bonds and contention coexist.
 
 use acorn_bench::header;
-use acorn_core::allocation::{allocate_with_restarts, AllocationConfig};
+use acorn_core::allocation::{allocate, AllocSpec, AllocationConfig};
 use acorn_core::model::ThroughputModel;
+use acorn_core::NullSink;
 use acorn_dcb::{
     allocate_exact, ctmc, greedy_vs_exact_gap, CtmcParams, ExactConfig, MarkovPolicy, PolicyKind,
 };
@@ -142,7 +143,17 @@ fn bench_gap() -> Vec<GapRow> {
         let model = grid.model();
         let plan = grid.plan();
         let exact = allocate_exact(&model, &plan, &ExactConfig::default());
-        let greedy = allocate_with_restarts(&model, &plan, &AllocationConfig::default(), 8, 0xD0CB);
+        let greedy = allocate(
+            &model,
+            &plan,
+            &AllocationConfig::default(),
+            &AllocSpec {
+                restarts: 8,
+                seed: 0xD0CB,
+                ..AllocSpec::default()
+            },
+            &NullSink,
+        );
         let greedy_bps = model.total_bps(&greedy.assignments);
         let gap = greedy_vs_exact_gap(greedy_bps, exact.total_bps);
         println!(

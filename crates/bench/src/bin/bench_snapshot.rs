@@ -2,15 +2,15 @@
 //! directory (the repo root when launched via `scripts/bench_snapshot.sh`):
 //!
 //! * `BENCH_allocation.json` — the evaluation engine on a 25-AP
-//!   deployment: the pre-engine sequential full-recompute allocator
-//!   (reimplemented here as the reference) vs the O(Δ)-delta path at
-//!   1 thread and at full parallelism.
+//!   deployment: the O(Δ)-delta path at 1 thread and at full
+//!   parallelism, plus a city grid solved whole and per component.
 //! * `BENCH_baseband.json` — the baseband Monte-Carlo engine on the
 //!   Fig. 3 configs (1500-byte QPSK frames, 20 MHz, coded and uncoded):
-//!   the seed's allocating sequential pipeline
-//!   (`acorn_bench::baseline_frame`) vs the workspace engine, plus the
-//!   1/2/8-thread bit-identity check and the measured steady-state
-//!   allocations per packet.
+//!   packets per second, the 1/2/8-thread bit-identity check and the
+//!   measured steady-state allocations per packet.
+//!
+//! The repository benchmark (`perfbench/`) measures each change against
+//! its parent commit; its README keeps the recorded baseline.
 
 use acorn_baseband::frame::{
     mix_seed, run_trial_with, try_run_trial, Equalization, FrameConfig, FrameWorkspace, SyncMode,
@@ -18,16 +18,13 @@ use acorn_baseband::frame::{
 use acorn_baseband::ChannelModel;
 use acorn_baseband::PACKET_CHUNK;
 use acorn_bench::alloc_counter::allocations_during;
-use acorn_bench::baseline_frame::run_trial_baseline;
 use acorn_bench::header;
-use acorn_core::allocation::{
-    allocate_sharded_with_restarts, allocate_with_restarts, random_initial, AllocationConfig,
-};
+use acorn_core::allocation::{allocate, random_initial, AllocSpec, AllocationConfig};
 use acorn_core::model::{ClientSnr, NetworkModel, ThroughputModel};
-use acorn_core::{AcornConfig, AcornController};
+use acorn_core::{AcornConfig, AcornController, NetworkState, NullSink};
 use acorn_phy::{ChannelWidth, CodeRate, GoodputTable, LinkQualityEstimator, Modulation};
 use acorn_sim::scenario::{city_grid, enterprise_grid};
-use acorn_topology::{ApId, ChannelAssignment, ChannelPlan, ClientId};
+use acorn_topology::{ApId, ChannelPlan, ClientId};
 use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
@@ -43,16 +40,11 @@ struct BenchAllocation {
     restarts: usize,
     reps: usize,
     threads_parallel: usize,
-    /// Best-of-reps wall-clock (s): sequential full-recompute reference.
-    baseline_full_recompute_s: f64,
     /// Best-of-reps wall-clock (s): delta engine, ACORN_THREADS=1.
     delta_sequential_s: f64,
     /// Best-of-reps wall-clock (s): delta engine, all threads.
     delta_parallel_s: f64,
-    speedup_parallel_vs_baseline: f64,
-    speedup_sequential_vs_baseline: f64,
     speedup_parallel_vs_sequential: f64,
-    baseline_total_bps: f64,
     delta_total_bps: f64,
     /// Sequential and parallel delta runs are bit-identical.
     delta_bit_identical: bool,
@@ -72,74 +64,6 @@ struct BenchAllocation {
     city_sharded_bit_identical: bool,
 }
 
-/// The pre-engine allocator: every candidate colour is scored by a full
-/// `total_bps` recompute of the patched assignment, sequentially — the
-/// seed's Algorithm 2 evaluation path, kept as the timing reference.
-fn allocate_full_recompute(
-    model: &NetworkModel,
-    plan: &ChannelPlan,
-    initial: Vec<ChannelAssignment>,
-    config: &AllocationConfig,
-) -> (Vec<ChannelAssignment>, f64) {
-    let n = model.n_aps();
-    let colours = plan.all_assignments();
-    let mut assignments = initial;
-    let mut y = model.total_bps(&assignments);
-    for _round in 0..config.max_rounds {
-        let y_round_start = y;
-        let mut eligible = vec![true; n];
-        loop {
-            let mut best: Option<(usize, ChannelAssignment, f64)> = None;
-            for i in (0..n).filter(|&i| eligible[i]) {
-                let mut ap_best: Option<(ChannelAssignment, f64)> = None;
-                for &c in &colours {
-                    let mut patched = assignments.clone();
-                    patched[i] = c;
-                    let gain = model.total_bps(&patched) - y;
-                    match ap_best {
-                        Some((_, g)) if g >= gain => {}
-                        _ => ap_best = Some((c, gain)),
-                    }
-                }
-                let (c, rank) = ap_best.expect("plan has colours");
-                match best {
-                    Some((_, _, r)) if r >= rank => {}
-                    _ => best = Some((i, c, rank)),
-                }
-            }
-            match best {
-                Some((winner, c_star, rank)) if rank > 0.0 => {
-                    assignments[winner] = c_star;
-                    eligible[winner] = false;
-                    y += rank;
-                }
-                _ => break,
-            }
-        }
-        if y <= config.epsilon * y_round_start {
-            break;
-        }
-    }
-    let total = model.total_bps(&assignments);
-    (assignments, total)
-}
-
-fn allocate_full_recompute_with_restarts(
-    model: &NetworkModel,
-    plan: &ChannelPlan,
-    config: &AllocationConfig,
-    restarts: usize,
-    seed: u64,
-) -> (Vec<ChannelAssignment>, f64) {
-    (0..restarts)
-        .map(|i| {
-            let initial = random_initial(plan, model.n_aps(), seed.wrapping_add(i as u64));
-            allocate_full_recompute(model, plan, initial, config)
-        })
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("restarts >= 1")
-}
-
 /// Best-of-`REPS` wall-clock seconds for `f`.
 fn time_best<R>(mut f: impl FnMut() -> R) -> (f64, R) {
     let mut best = f64::INFINITY;
@@ -157,15 +81,11 @@ fn time_best<R>(mut f: impl FnMut() -> R) -> (f64, R) {
 struct BasebandConfigBench {
     label: String,
     packets: usize,
-    /// Seed pipeline (sequential, allocating): packets/sec.
-    baseline_pkt_per_s: f64,
     /// Workspace engine at ACORN_THREADS=1: packets/sec.
     engine_pkt_per_s: f64,
-    speedup: f64,
     /// Heap allocation events per packet in the engine's steady state
     /// (workspace warm, single-threaded — exact count, not an estimate).
     engine_allocs_per_packet: f64,
-    baseline_allocs_per_packet: f64,
     /// try_run_trial reports are bit-identical at 1, 2 and 8 threads.
     parallel_bit_identical: bool,
     /// Per-worker packet batch handed to `run_packets` (PACKET_CHUNK).
@@ -217,14 +137,8 @@ fn bench_baseband_config(label: &str, cfg: &FrameConfig, packets: usize) -> Base
                 .expect("valid config");
         }
     });
-    let (baseline_allocs, _) = allocations_during(|| run_trial_baseline(cfg, 2, seed));
-
-    let (t_base, r_base) = time_best(|| run_trial_baseline(cfg, packets, seed));
-    let (t_engine, r_engine) =
+    let (t_engine, _) =
         time_best(|| run_trial_with(cfg, packets, seed, &mut ws).expect("valid config"));
-    // Same physics on both paths: the BERs must land in the same regime
-    // (different RNG schemes, so not bit-equal).
-    assert_eq!(r_base.bits, r_engine.bits);
 
     // Determinism across thread counts, on the exact snapshot config.
     let mut reports = Vec::new();
@@ -239,11 +153,8 @@ fn bench_baseband_config(label: &str, cfg: &FrameConfig, packets: usize) -> Base
     BasebandConfigBench {
         label: label.to_string(),
         packets,
-        baseline_pkt_per_s: packets as f64 / t_base,
         engine_pkt_per_s: packets as f64 / t_engine,
-        speedup: t_base / t_engine,
         engine_allocs_per_packet: engine_allocs as f64 / packets as f64,
-        baseline_allocs_per_packet: baseline_allocs as f64 / 2.0,
         parallel_bit_identical: identical,
         batch_packets: PACKET_CHUNK,
         target_cpu: effective_target_cpu(),
@@ -267,7 +178,7 @@ fn effective_target_cpu() -> String {
 }
 
 fn bench_baseband() -> BenchBaseband {
-    header("Baseband-engine snapshot: Fig. 3 QPSK frames, seed pipeline vs workspace engine");
+    header("Baseband-engine snapshot: Fig. 3 QPSK frames");
     let configs = vec![
         bench_baseband_config(
             "qpsk-r12-20mhz-1500B",
@@ -278,15 +189,8 @@ fn bench_baseband() -> BenchBaseband {
     ];
     for c in &configs {
         println!(
-            "{}: baseline {:.0} pkt/s -> engine {:.0} pkt/s ({:.2}x), \
-             {:.2} allocs/pkt steady state (baseline {:.0}), parallel identical: {}",
-            c.label,
-            c.baseline_pkt_per_s,
-            c.engine_pkt_per_s,
-            c.speedup,
-            c.engine_allocs_per_packet,
-            c.baseline_allocs_per_packet,
-            c.parallel_bit_identical,
+            "{}: engine {:.0} pkt/s, {:.2} allocs/pkt steady state, parallel identical: {}",
+            c.label, c.engine_pkt_per_s, c.engine_allocs_per_packet, c.parallel_bit_identical,
         );
     }
     BenchBaseband {
@@ -305,7 +209,7 @@ fn main() {
         Err(e) => eprintln!("warning: serialization failed: {e}"),
     }
 
-    header("Evaluation-engine snapshot: 25-AP allocate_with_restarts");
+    header("Evaluation-engine snapshot: 25-AP allocate with restarts");
     let n_clients = 60;
     let wlan = enterprise_grid(N_AP_SIDE, N_AP_SIDE, 45.0, n_clients, 77);
     let plan = ChannelPlan::full_5ghz();
@@ -315,22 +219,20 @@ fn main() {
     });
     let mut state = ctl.new_state(&wlan, 1);
     for c in 0..wlan.clients.len() {
-        ctl.associate(&wlan, &mut state, ClientId(c));
+        ctl.associate(&wlan, &mut state, ClientId(c), &NullSink);
     }
     let model = ctl.build_model(&wlan, &state);
     assert_eq!(model.n_aps(), N_AP_SIDE * N_AP_SIDE);
     let cfg = AllocationConfig::default();
     let seed = 2010u64;
-
-    let (t_base, (_, base_total)) =
-        time_best(|| allocate_full_recompute_with_restarts(&model, &plan, &cfg, RESTARTS, seed));
-    println!(
-        "baseline full-recompute (sequential): {t_base:.3} s  (Y = {:.1} Mb/s)",
-        base_total / 1e6
-    );
+    let hedge = AllocSpec {
+        restarts: RESTARTS,
+        seed,
+        ..AllocSpec::default()
+    };
 
     std::env::set_var("ACORN_THREADS", "1");
-    let (t_seq, r_seq) = time_best(|| allocate_with_restarts(&model, &plan, &cfg, RESTARTS, seed));
+    let (t_seq, r_seq) = time_best(|| allocate(&model, &plan, &cfg, &hedge, &NullSink));
     println!(
         "delta engine, 1 thread:               {t_seq:.3} s  (Y = {:.1} Mb/s)",
         r_seq.total_bps / 1e6
@@ -341,7 +243,7 @@ fn main() {
     std::env::remove_var("ACORN_THREADS");
     let threads = acorn_core::par::max_threads().max(4);
     std::env::set_var("ACORN_THREADS", threads.to_string());
-    let (t_par, r_par) = time_best(|| allocate_with_restarts(&model, &plan, &cfg, RESTARTS, seed));
+    let (t_par, r_par) = time_best(|| allocate(&model, &plan, &cfg, &hedge, &NullSink));
     std::env::remove_var("ACORN_THREADS");
     println!(
         "delta engine, {threads} threads:              {t_par:.3} s  (Y = {:.1} Mb/s)",
@@ -399,49 +301,33 @@ fn main() {
     let table = Arc::new(GoodputTable::new(LinkQualityEstimator::default()));
     let city_table = NetworkModel::with_table(city_graph, cells, table, payload);
     let city_initial = random_initial(&plan, city_n_aps, seed);
+    // The per-component path reallocates a state in place; every run
+    // starts from the same one.
+    let city_state = NetworkState {
+        operating_width: city_initial.iter().map(|a| a.width()).collect(),
+        assignments: city_initial,
+        assoc,
+    };
+    let per_component = |model: &NetworkModel| {
+        let mut state = city_state.clone();
+        ctl.reallocate(model, &mut state, RESTARTS, seed, true, &NullSink)
+    };
 
     let (t_city_unsharded, r_unsharded) =
-        time_best(|| allocate_with_restarts(&city_exact, &plan, &cfg, RESTARTS, seed));
+        time_best(|| allocate(&city_exact, &plan, &cfg, &hedge, &NullSink));
     println!(
         "unsharded delta engine, exact model:  {t_city_unsharded:.3} s  (Y = {:.1} Mb/s)",
         r_unsharded.total_bps / 1e6
     );
-    let (t_city_sharded, r_sharded) = time_best(|| {
-        allocate_sharded_with_restarts(
-            &city_exact,
-            &plan,
-            city_initial.clone(),
-            &cfg,
-            RESTARTS,
-            seed,
-        )
-    });
+    let (t_city_sharded, r_sharded) = time_best(|| per_component(&city_exact));
     println!(
         "sharded ({city_shards} shards), exact model:      {t_city_sharded:.3} s  (Y = {:.1} Mb/s)",
         r_sharded.total_bps / 1e6
     );
     std::env::set_var("ACORN_THREADS", "1");
-    let (t_city_table, r_table_seq) = time_best(|| {
-        allocate_sharded_with_restarts(
-            &city_table,
-            &plan,
-            city_initial.clone(),
-            &cfg,
-            RESTARTS,
-            seed,
-        )
-    });
+    let (t_city_table, r_table_seq) = time_best(|| per_component(&city_table));
     std::env::set_var("ACORN_THREADS", threads.to_string());
-    let (t_city_table_par, r_table_par) = time_best(|| {
-        allocate_sharded_with_restarts(
-            &city_table,
-            &plan,
-            city_initial.clone(),
-            &cfg,
-            RESTARTS,
-            seed,
-        )
-    });
+    let (t_city_table_par, r_table_par) = time_best(|| per_component(&city_table));
     std::env::remove_var("ACORN_THREADS");
     let city_t_table_best = t_city_table.min(t_city_table_par);
     println!(
@@ -465,13 +351,9 @@ fn main() {
         restarts: RESTARTS,
         reps: REPS,
         threads_parallel: threads,
-        baseline_full_recompute_s: t_base,
         delta_sequential_s: t_seq,
         delta_parallel_s: t_par,
-        speedup_parallel_vs_baseline: t_base / t_par,
-        speedup_sequential_vs_baseline: t_base / t_seq,
         speedup_parallel_vs_sequential: t_seq / t_par,
-        baseline_total_bps: base_total,
         delta_total_bps: r_par.total_bps,
         delta_bit_identical: identical,
         city_n_aps,
@@ -485,8 +367,8 @@ fn main() {
     };
     println!();
     println!(
-        "speedups vs baseline: {:.2}x sequential, {:.2}x parallel ({} threads)",
-        record.speedup_sequential_vs_baseline, record.speedup_parallel_vs_baseline, threads
+        "parallel vs sequential: {:.2}x ({} threads)",
+        record.speedup_parallel_vs_sequential, threads
     );
     match serde_json::to_string_pretty(&record) {
         Ok(s) => {

@@ -11,6 +11,7 @@
 
 use acorn_baselines::kauffmann::{allocate_aggressive_cb, associate as kauffmann_choice};
 use acorn_bench::{header, mbps, print_table, save_json};
+use acorn_core::NullSink;
 use acorn_core::{AcornConfig, AcornController};
 use acorn_sim::runner::evaluate_analytic;
 use acorn_sim::scenario::{topology1, topology2};
@@ -36,16 +37,18 @@ fn run_acorn(wlan: &Wlan, plan: ChannelPlan) -> (Vec<f64>, f64, Vec<String>) {
     });
     let mut state = ctl.new_state(wlan, 7);
     for c in 0..wlan.clients.len() {
-        ctl.associate(wlan, &mut state, ClientId(c));
+        ctl.associate(wlan, &mut state, ClientId(c), &NullSink);
     }
-    ctl.reallocate_with_restarts(wlan, &mut state, 8, 11);
+    let model = ctl.build_model(wlan, &state);
+    ctl.reallocate(&model, &mut state, 8, 11, false, &NullSink);
     // Association can now be revisited under the final channels (the paper
     // interleaves the two modules); one more pass settles it.
     for c in 0..wlan.clients.len() {
         ctl.deassociate(&mut state, ClientId(c));
-        ctl.associate(wlan, &mut state, ClientId(c));
+        ctl.associate(wlan, &mut state, ClientId(c), &NullSink);
     }
-    ctl.reallocate_with_restarts(wlan, &mut state, 8, 13);
+    let model = ctl.build_model(wlan, &state);
+    ctl.reallocate(&model, &mut state, 8, 13, false, &NullSink);
     let eval = evaluate_analytic(
         wlan,
         &state.assignments,

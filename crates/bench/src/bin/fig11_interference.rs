@@ -12,9 +12,10 @@
 //! it lands on the best one.
 
 use acorn_bench::{header, mbps, print_table, save_json};
-use acorn_core::allocation::{allocate_with_restarts, AllocationConfig};
+use acorn_core::allocation::{allocate, AllocSpec, AllocationConfig};
 use acorn_core::controller::{AcornConfig, AcornController};
 use acorn_core::model::ThroughputModel;
+use acorn_core::NullSink;
 use acorn_phy::ChannelWidth;
 use acorn_sim::runner::evaluate_analytic;
 use acorn_sim::scenario::fig11;
@@ -54,7 +55,7 @@ fn main() {
     // Natural association: each AP has exactly one in-range client.
     let mut state = ctl.new_state(&wlan, 1);
     for c in 0..wlan.clients.len() {
-        ctl.associate(&wlan, &mut state, ClientId(c));
+        ctl.associate(&wlan, &mut state, ClientId(c), &NullSink);
     }
     assert_eq!(
         state.assoc,
@@ -89,7 +90,17 @@ fn main() {
 
     // ACORN's own allocation.
     let model = ctl.build_model(&wlan, &state);
-    let r = allocate_with_restarts(&model, &ctl.config.plan, &AllocationConfig::default(), 8, 5);
+    let r = allocate(
+        &model,
+        &ctl.config.plan,
+        &AllocationConfig::default(),
+        &AllocSpec {
+            restarts: 8,
+            seed: 5,
+            ..AllocSpec::default()
+        },
+        &NullSink,
+    );
     let acorn_widths: Vec<&str> = r
         .assignments
         .iter()

@@ -11,9 +11,10 @@
 //! channel, leaving 3 channels for utilization to the other two APs."
 
 use acorn_bench::{header, mbps, print_table, save_json};
-use acorn_core::allocation::{allocate_with_restarts, AllocationConfig};
+use acorn_core::allocation::{allocate, AllocSpec, AllocationConfig};
 use acorn_core::model::{ClientSnr, NetworkModel};
 use acorn_core::theory::{approximation_ratio, worst_case_bound_bps, y_star_bps};
+use acorn_core::NullSink;
 use acorn_topology::{ChannelPlan, InterferenceGraph};
 use serde::Serialize;
 
@@ -73,7 +74,17 @@ fn main() {
             .into_iter()
             .map(|n_channels| {
                 let plan = ChannelPlan::restricted(n_channels);
-                let r = allocate_with_restarts(&model, &plan, &cfg, 8, 100 + si as u64);
+                let r = allocate(
+                    &model,
+                    &plan,
+                    &cfg,
+                    &AllocSpec {
+                        restarts: 8,
+                        seed: 100 + si as u64,
+                        ..AllocSpec::default()
+                    },
+                    &NullSink,
+                );
                 let ratio = approximation_ratio(r.total_bps, ystar);
                 assert!(
                     r.total_bps + 1.0 >= bound,

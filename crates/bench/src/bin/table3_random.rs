@@ -7,6 +7,7 @@
 
 use acorn_baselines::simple::random_config;
 use acorn_bench::{header, mbps, print_table, save_json};
+use acorn_core::NullSink;
 use acorn_core::{AcornConfig, AcornController};
 use acorn_sim::runner::evaluate_analytic;
 use acorn_sim::scenario::enterprise_grid;
@@ -39,14 +40,16 @@ fn main() {
     // then settle association under the final channels.
     let mut state = ctl.new_state(&wlan, 3);
     for c in 0..wlan.clients.len() {
-        ctl.associate(&wlan, &mut state, ClientId(c));
+        ctl.associate(&wlan, &mut state, ClientId(c), &NullSink);
     }
-    ctl.reallocate_with_restarts(&wlan, &mut state, 10, 17);
+    let model = ctl.build_model(&wlan, &state);
+    ctl.reallocate(&model, &mut state, 10, 17, false, &NullSink);
     for c in 0..wlan.clients.len() {
         ctl.deassociate(&mut state, ClientId(c));
-        ctl.associate(&wlan, &mut state, ClientId(c));
+        ctl.associate(&wlan, &mut state, ClientId(c), &NullSink);
     }
-    ctl.reallocate_with_restarts(&wlan, &mut state, 10, 19);
+    let model = ctl.build_model(&wlan, &state);
+    ctl.reallocate(&model, &mut state, 10, 19, false, &NullSink);
     let eval = |assignments: &[acorn_topology::ChannelAssignment],
                 assoc: &[Option<acorn_topology::ApId>],
                 traffic| {

@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod alloc_counter;
-pub mod baseline_frame;
 
 use serde::Serialize;
 use std::fs;

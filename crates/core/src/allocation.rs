@@ -31,10 +31,16 @@
 //! out over [`crate::par::par_map`]. Restarts parallelize across seeds
 //! the same way. Both reductions are order-stable, so results are
 //! bit-identical for every thread count (`ACORN_THREADS=1` included).
+//!
+//! [`allocate`] is the one entry point: the greedy under its restart
+//! hedge, on one model. A deployment whose conflict graph falls apart
+//! into components is split by
+//! [`AcornController::reallocate`](crate::controller::AcornController::reallocate),
+//! which calls it once per component.
 
-use crate::model::{NetworkModel, ThroughputModel};
+use crate::model::ThroughputModel;
 use crate::par;
-use acorn_obs::{names, NullSink, Sink};
+use acorn_obs::{names, Sink};
 use acorn_topology::{ApId, ChannelAssignment, ChannelPlan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -85,34 +91,105 @@ pub fn random_initial(plan: &ChannelPlan, n_aps: usize, seed: u64) -> Vec<Channe
         .collect()
 }
 
-/// Runs Algorithm 2 from a given initial assignment.
-pub fn allocate<M: ThroughputModel + Sync>(
-    model: &M,
-    plan: &ChannelPlan,
-    initial: Vec<ChannelAssignment>,
-    config: &AllocationConfig,
-) -> AllocationResult {
-    allocate_obs(model, plan, initial, config, &NullSink)
+/// Where one [`allocate`] call starts and how it hedges.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct AllocSpec<'a> {
+    /// The deployed assignment to continue from (attempt 0), or `None` to
+    /// start from random assignments only.
+    pub initial: Option<&'a [ChannelAssignment]>,
+    /// Random restarts hedging the start (attempts `1..=restarts`).
+    pub restarts: usize,
+    /// Base seed of the restart schedule.
+    pub seed: u64,
+    /// The model's position in the canonical component order (0 for a
+    /// whole network): component `s` draws attempt `k` from seed
+    /// `seed + s·restarts + k − 1`, so the components of one network
+    /// never share a restart seed.
+    pub component: usize,
 }
 
-/// [`allocate`] reporting into a metric sink: `alloc.runs`,
-/// `alloc.rounds`, `alloc.iterations`, and `alloc.switches` counters,
-/// emitted once per run as commutative adds — safe to share one sink
-/// across the restart fan-out.
-pub fn allocate_obs<M: ThroughputModel + Sync, S: Sink>(
+/// Algorithm 2 with its restart hedge: the greedy from `spec.initial`
+/// (attempt 0) and from `spec.restarts` random assignments (attempts
+/// `1..=restarts`), keeping the best outcome. A standard hedge for
+/// gradient-style local search — the greedy has an O(1/(Δ+1)) worst case
+/// precisely because single runs can stall in local optima (e.g. a bond
+/// parked on the wrong AP with no improving unilateral move).
+///
+/// With `restarts = 0` this runs the given start only, or one random start
+/// at `spec.seed` when there is none. The fold keeps the last of equally
+/// good random attempts, and a given start is replaced only on a strict
+/// gain, so a converged deployment is never churned by a tie.
+///
+/// Attempts are independent, so they fan out through the order-stable
+/// [`par::par_map_n`] and the fold runs in attempt order: the result is
+/// bit-identical at any `ACORN_THREADS`. The sink is shared across the
+/// fan-out (hence `S: Sync`) and receives only commutative counter adds:
+/// per run `alloc.runs`, `alloc.rounds`, `alloc.iterations` and
+/// `alloc.switches`, and one `alloc.restarts` per random attempt when
+/// `restarts > 0`.
+pub fn allocate<M: ThroughputModel + Sync, S: Sink + Sync>(
     model: &M,
     plan: &ChannelPlan,
-    initial: Vec<ChannelAssignment>,
+    config: &AllocationConfig,
+    spec: &AllocSpec<'_>,
+    sink: &S,
+) -> AllocationResult {
+    let n = model.n_aps();
+    if let Some(initial) = spec.initial {
+        assert_eq!(initial.len(), n, "one initial assignment per AP");
+        for a in initial {
+            assert!(plan.contains(*a), "initial assignment {a:?} outside plan");
+        }
+    }
+    // Attempt 0 is the given start and attempts 1..=restarts are random;
+    // without a given start, attempt 1 always runs.
+    let ks = match spec.initial {
+        Some(_) => 0..spec.restarts + 1,
+        None => 1..spec.restarts.max(1) + 1,
+    };
+    let attempts = par::par_map_n(ks.len(), |i| {
+        let k = ks.start + i;
+        let start = match spec.initial {
+            Some(initial) if k == 0 => initial.to_vec(),
+            _ => {
+                if spec.restarts > 0 && sink.enabled() {
+                    sink.inc(names::ALLOC_RESTARTS);
+                }
+                let offset = spec.component * spec.restarts + k - 1;
+                random_initial(plan, n, spec.seed.wrapping_add(offset as u64))
+            }
+        };
+        greedy(model, plan, start, config, sink)
+    });
+    best_attempt(attempts, spec.initial.is_some())
+}
+
+/// The hedge's fold over attempts in attempt order: among random attempts
+/// a later one wins exact ties, while the given start (attempt 0, when
+/// `has_start`) keeps them. Allocation totals are finite by construction,
+/// so plain comparisons are NaN-free.
+fn best_attempt(mut attempts: Vec<AllocationResult>, has_start: bool) -> AllocationResult {
+    let mut best = 0;
+    for (k, attempt) in attempts.iter().enumerate().skip(1) {
+        let (y, y_best) = (attempt.total_bps, attempts[best].total_bps);
+        if y > y_best || (y == y_best && !(has_start && best == 0)) {
+            best = k;
+        }
+    }
+    attempts.swap_remove(best)
+}
+
+/// One greedy run of Algorithm 2 from `assignments`, reporting its
+/// `alloc.*` counters as commutative adds.
+fn greedy<M: ThroughputModel + Sync, S: Sink>(
+    model: &M,
+    plan: &ChannelPlan,
+    mut assignments: Vec<ChannelAssignment>,
     config: &AllocationConfig,
     sink: &S,
 ) -> AllocationResult {
     let n = model.n_aps();
-    assert_eq!(initial.len(), n, "one initial assignment per AP");
-    for a in &initial {
-        assert!(plan.contains(*a), "initial assignment {a:?} outside plan");
-    }
     let colours = plan.all_assignments();
-    let mut assignments = initial;
     let mut y = model.total_bps(&assignments);
     let mut iterations = 0usize;
     let mut switches = 0usize;
@@ -185,271 +262,11 @@ pub fn allocate_obs<M: ThroughputModel + Sync, S: Sink>(
     }
 }
 
-/// Convenience: random initialization + allocation.
-pub fn allocate_from_random<M: ThroughputModel + Sync>(
-    model: &M,
-    plan: &ChannelPlan,
-    config: &AllocationConfig,
-    seed: u64,
-) -> AllocationResult {
-    allocate_from_random_obs(model, plan, config, seed, &NullSink)
-}
-
-/// [`allocate_from_random`] reporting into a metric sink.
-pub fn allocate_from_random_obs<M: ThroughputModel + Sync, S: Sink>(
-    model: &M,
-    plan: &ChannelPlan,
-    config: &AllocationConfig,
-    seed: u64,
-    sink: &S,
-) -> AllocationResult {
-    let initial = random_initial(plan, model.n_aps(), seed);
-    allocate_obs(model, plan, initial, config, sink)
-}
-
-/// Multi-restart allocation: runs Algorithm 2 from `restarts` random
-/// initial assignments and keeps the best outcome. A standard hedge for
-/// gradient-style local search — the greedy has an O(1/(Δ+1)) worst case
-/// precisely because single runs can stall in local optima (e.g. a bond
-/// parked on the wrong AP with no improving unilateral move).
-pub fn allocate_with_restarts<M: ThroughputModel + Sync>(
-    model: &M,
-    plan: &ChannelPlan,
-    config: &AllocationConfig,
-    restarts: usize,
-    seed: u64,
-) -> AllocationResult {
-    allocate_with_restarts_obs(model, plan, config, restarts, seed, &NullSink)
-}
-
-/// [`allocate_with_restarts`] reporting into a metric sink shared across
-/// the restart fan-out (hence `S: Sync`). Each restart emits its own
-/// per-run counters plus one `alloc.restarts` increment; all of them are
-/// commutative adds, so the recorded totals are identical at any
-/// `ACORN_THREADS`.
-pub fn allocate_with_restarts_obs<M: ThroughputModel + Sync, S: Sink + Sync>(
-    model: &M,
-    plan: &ChannelPlan,
-    config: &AllocationConfig,
-    restarts: usize,
-    seed: u64,
-    sink: &S,
-) -> AllocationResult {
-    // Restarts are fully independent (each derives its own seed from its
-    // index), so they fan out; the max-fold runs in seed order with last
-    // max winning on exact ties, matching the sequential `max_by`.
-    // `restarts = 0` degrades to a single run rather than aborting —
-    // allocation totals are finite by construction, so the fold is
-    // NaN-free and needs no fallible comparator.
-    par::par_map_n(restarts, |i| {
-        if sink.enabled() {
-            sink.inc(names::ALLOC_RESTARTS);
-        }
-        allocate_from_random_obs(model, plan, config, seed.wrapping_add(i as u64), sink)
-    })
-    .into_iter()
-    .reduce(|best, r| {
-        if r.total_bps >= best.total_bps {
-            r
-        } else {
-            best
-        }
-    })
-    .unwrap_or_else(|| allocate_from_random_obs(model, plan, config, seed, sink))
-}
-
-/// One shard's slice of [`allocate_sharded_with_restarts_obs`]: the
-/// current-start attempt plus that shard's restart hedge, folded under
-/// the exact same tie rules (later random attempt wins exact ties among
-/// the hedge; the hedge replaces the current-start winner only on a
-/// strict improvement) and the exact same seed schedule
-/// (`seed + shard_index·restarts + attempt - 1`).
-///
-/// This is the distributed control plane's zone-view entry point: a zone
-/// controller that holds only its own component's submodel
-/// ([`NetworkModel::restrict`](crate::model::NetworkModel::restrict))
-/// and knows its index in the canonical component ordering reproduces
-/// the centralized sharded allocator's decision for that component
-/// bit-for-bit — the golden-twin property the benign distributed path is
-/// gated on. On a single-component graph, `shard_index = 0` makes the
-/// schedule coincide with the centralized single-shard fast path.
-pub fn allocate_shard_slice_obs<M: ThroughputModel + Sync, S: Sink + Sync>(
-    sub: &M,
-    plan: &ChannelPlan,
-    init: Vec<ChannelAssignment>,
-    config: &AllocationConfig,
-    restarts: usize,
-    seed: u64,
-    shard_index: usize,
-    sink: &S,
-) -> AllocationResult {
-    let per_shard = restarts + 1;
-    let attempts: Vec<AllocationResult> = par::par_map_n(per_shard, |k| {
-        if k == 0 {
-            allocate_obs(sub, plan, init.clone(), config, sink)
-        } else {
-            if sink.enabled() {
-                sink.inc(names::ALLOC_RESTARTS);
-            }
-            let attempt_seed = seed.wrapping_add((shard_index * restarts + k - 1) as u64);
-            allocate_from_random_obs(sub, plan, config, attempt_seed, sink)
-        }
-    });
-    let mut attempts = attempts.into_iter();
-    let best = attempts
-        .next()
-        .unwrap_or_else(|| allocate_obs(sub, plan, init, config, sink));
-    let hedged = attempts.reduce(|b, r| if r.total_bps >= b.total_bps { r } else { b });
-    match hedged {
-        Some(h) if h.total_bps > best.total_bps => h,
-        _ => best,
-    }
-}
-
-/// Sharded Algorithm 2: decompose the conflict graph into connected
-/// components and solve each independently — a current-assignment run
-/// plus a `restarts`-way random hedge per shard — merging the per-shard
-/// winners into one assignment.
-///
-/// Correctness rests on the objective being separable across components:
-/// an AP's access share depends only on its graph neighbours, so
-/// `Y = Σ_shards Y_shard` and no switch inside one shard can change
-/// another shard's throughput. Each shard keeping its own better of
-/// (current-start, hedge) can therefore only improve on hedging the
-/// whole network with a single winner.
-///
-/// Determinism: components come ordered by smallest vertex, the
-/// `(shard, attempt)` tasks fan out through the order-stable
-/// [`par::par_map_n`], restart seeds are a pure function of the shard and
-/// attempt indices, and every fold runs sequentially in task order — the
-/// merged result is bit-identical at any `ACORN_THREADS`. On a connected
-/// graph this degrades to exactly the current-start + restart-hedge
-/// composition on the full model (same seeds, same tie rules).
-pub fn allocate_sharded_with_restarts(
-    model: &NetworkModel,
-    plan: &ChannelPlan,
-    initial: Vec<ChannelAssignment>,
-    config: &AllocationConfig,
-    restarts: usize,
-    seed: u64,
-) -> AllocationResult {
-    allocate_sharded_with_restarts_obs(model, plan, initial, config, restarts, seed, &NullSink)
-}
-
-/// [`allocate_sharded_with_restarts`] reporting into a metric sink: the
-/// per-run `alloc.*` counters of every attempt, one `alloc.restarts`
-/// increment per random attempt, and `alloc.shards` += the component
-/// count. All adds commute, so totals are thread-count invariant.
-pub fn allocate_sharded_with_restarts_obs<S: Sink + Sync>(
-    model: &NetworkModel,
-    plan: &ChannelPlan,
-    initial: Vec<ChannelAssignment>,
-    config: &AllocationConfig,
-    restarts: usize,
-    seed: u64,
-    sink: &S,
-) -> AllocationResult {
-    let n = model.n_aps();
-    assert_eq!(initial.len(), n, "one initial assignment per AP");
-    let components = model.graph.connected_components();
-    if sink.enabled() {
-        sink.add(names::ALLOC_SHARDS, components.len().max(1) as u64);
-    }
-
-    // Pick the better of a current-start run and the restart hedge; the
-    // current assignment wins exact ties (strict `>`), matching the
-    // controller's historical composition.
-    let pick = |best: AllocationResult, hedged: Option<AllocationResult>| match hedged {
-        Some(h) if h.total_bps > best.total_bps => h,
-        _ => best,
-    };
-
-    if components.len() <= 1 {
-        // Connected (or empty) graph: run on the full model directly so
-        // the result is exactly the unsharded composition.
-        let attempts: Vec<AllocationResult> = par::par_map_n(restarts + 1, |k| {
-            if k == 0 {
-                allocate_obs(model, plan, initial.clone(), config, sink)
-            } else {
-                if sink.enabled() {
-                    sink.inc(names::ALLOC_RESTARTS);
-                }
-                allocate_from_random_obs(model, plan, config, seed.wrapping_add(k as u64 - 1), sink)
-            }
-        });
-        let mut attempts = attempts.into_iter();
-        let best = attempts
-            .next()
-            .unwrap_or_else(|| allocate_obs(model, plan, initial, config, sink));
-        let hedged = attempts.reduce(|b, r| if r.total_bps >= b.total_bps { r } else { b });
-        return pick(best, hedged);
-    }
-
-    // Build the per-shard submodels (cheap: cell-base rows are copied,
-    // not re-estimated) and shard-local initial assignments.
-    let shards: Vec<(Vec<usize>, NetworkModel, Vec<ChannelAssignment>)> = components
-        .into_iter()
-        .map(|nodes| {
-            let sub = model.restrict(&nodes);
-            let init: Vec<ChannelAssignment> = nodes.iter().map(|&i| initial[i]).collect();
-            (nodes, sub, init)
-        })
-        .collect();
-
-    // Fan every (shard, attempt) pair out flat: attempt 0 is the
-    // current-start run, attempts 1..=restarts are the random hedge.
-    let per_shard = restarts + 1;
-    let results: Vec<AllocationResult> = par::par_map_n(shards.len() * per_shard, |t| {
-        let (s, k) = (t / per_shard, t % per_shard);
-        let (_, sub, init) = &shards[s];
-        if k == 0 {
-            allocate_obs(sub, plan, init.clone(), config, sink)
-        } else {
-            if sink.enabled() {
-                sink.inc(names::ALLOC_RESTARTS);
-            }
-            let attempt_seed = seed.wrapping_add((s * restarts + k - 1) as u64);
-            allocate_from_random_obs(sub, plan, config, attempt_seed, sink)
-        }
-    });
-
-    // Deterministic merge in shard order: scatter each shard winner back
-    // to global AP indices, sum the work counters, and concatenate the
-    // per-shard convergence histories.
-    let mut merged = initial;
-    let mut iterations = 0usize;
-    let mut switches = 0usize;
-    let mut history = Vec::new();
-    for (s, (nodes, _, _)) in shards.iter().enumerate() {
-        let mut chunk = results[s * per_shard..(s + 1) * per_shard].iter().cloned();
-        let Some(best) = chunk.next() else {
-            continue; // unreachable: every shard ran `per_shard >= 1` attempts
-        };
-        let hedged = chunk.reduce(|b, r| if r.total_bps >= b.total_bps { r } else { b });
-        let winner = pick(best, hedged);
-        for (local, &global) in nodes.iter().enumerate() {
-            merged[global] = winner.assignments[local];
-        }
-        iterations += winner.iterations;
-        switches += winner.switches;
-        history.extend(winner.history_bps);
-    }
-    // One full evaluation re-anchors the headline number, exactly as the
-    // unsharded path does.
-    let total_bps = model.total_bps(&merged);
-    AllocationResult {
-        assignments: merged,
-        total_bps,
-        iterations,
-        switches,
-        history_bps: history,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{ClientSnr, NetworkModel};
+    use acorn_obs::{NullSink, RecordingSink};
     use acorn_topology::{Channel20, InterferenceGraph};
 
     fn model(snrs_per_ap: &[&[f64]], graph: InterferenceGraph) -> NetworkModel {
@@ -472,6 +289,27 @@ mod tests {
         ChannelAssignment::Single(Channel20(c))
     }
 
+    /// The greedy from `initial` alone.
+    fn from(initial: &[ChannelAssignment]) -> AllocSpec<'_> {
+        AllocSpec {
+            initial: Some(initial),
+            ..AllocSpec::default()
+        }
+    }
+
+    /// Random starts only.
+    fn hedge(restarts: usize, seed: u64) -> AllocSpec<'static> {
+        AllocSpec {
+            restarts,
+            seed,
+            ..AllocSpec::default()
+        }
+    }
+
+    fn run(m: &NetworkModel, plan: &ChannelPlan, spec: &AllocSpec<'_>) -> AllocationResult {
+        allocate(m, plan, &AllocationConfig::default(), spec, &NullSink)
+    }
+
     #[test]
     fn never_decreases_throughput() {
         let m = model(
@@ -482,7 +320,7 @@ mod tests {
         for seed in 0..10 {
             let initial = random_initial(&plan, 3, seed);
             let y0 = m.total_bps(&initial);
-            let r = allocate(&m, &plan, initial, &AllocationConfig::default());
+            let r = run(&m, &plan, &from(&initial));
             assert!(r.total_bps + 1e-6 >= y0, "seed {seed}");
             // History is monotone.
             for w in r.history_bps.windows(2) {
@@ -497,7 +335,7 @@ mod tests {
         // a 40 MHz channel.
         let m = model(&[&[30.0, 28.0]], InterferenceGraph::new(1));
         let plan = ChannelPlan::full_5ghz();
-        let r = allocate(&m, &plan, vec![single(0)], &AllocationConfig::default());
+        let r = run(&m, &plan, &from(&[single(0)]));
         assert_eq!(
             r.assignments[0].width(),
             acorn_phy::ChannelWidth::Ht40,
@@ -511,7 +349,7 @@ mod tests {
         let m = model(&[&[2.0, 1.0]], InterferenceGraph::new(1));
         let plan = ChannelPlan::full_5ghz();
         let bonded0 = ChannelAssignment::bonded(Channel20(0)).unwrap();
-        let r = allocate(&m, &plan, vec![bonded0], &AllocationConfig::default());
+        let r = run(&m, &plan, &from(&[bonded0]));
         assert_eq!(r.assignments[0].width(), acorn_phy::ChannelWidth::Ht20);
     }
 
@@ -521,12 +359,7 @@ mod tests {
         // optimum is two disjoint bonds; at minimum they must not overlap.
         let m = model(&[&[30.0], &[30.0]], InterferenceGraph::complete(2));
         let plan = ChannelPlan::restricted(4);
-        let r = allocate(
-            &m,
-            &plan,
-            vec![single(0), single(0)],
-            &AllocationConfig::default(),
-        );
+        let r = run(&m, &plan, &from(&[single(0), single(0)]));
         assert!(
             !r.assignments[0].conflicts(r.assignments[1]),
             "{:?}",
@@ -543,7 +376,7 @@ mod tests {
         // so run with restarts, as the evaluation harness does.
         let m = model(&[&[28.0], &[0.0], &[0.0]], InterferenceGraph::complete(3));
         let plan = ChannelPlan::restricted(4);
-        let r = allocate_with_restarts(&m, &plan, &AllocationConfig::default(), 8, 7);
+        let r = run(&m, &plan, &hedge(8, 7));
         use acorn_phy::ChannelWidth::*;
         let widths: Vec<_> = r.assignments.iter().map(|a| a.width()).collect();
         assert_eq!(widths, vec![Ht40, Ht20, Ht20], "{:?}", r.assignments);
@@ -565,7 +398,7 @@ mod tests {
             epsilon: 1.0,
             max_rounds: 64,
         };
-        let r = allocate_from_random(&m, &plan, &cfg, 3);
+        let r = allocate(&m, &plan, &cfg, &hedge(0, 3), &NullSink);
         // No single AP can improve the total by moving.
         for i in 0..3 {
             let mut alt = r.assignments.clone();
@@ -594,12 +427,52 @@ mod tests {
     fn illegal_initial_panics() {
         let m = model(&[&[20.0]], InterferenceGraph::new(1));
         let plan = ChannelPlan::restricted(2);
-        allocate(&m, &plan, vec![single(7)], &AllocationConfig::default());
+        run(&m, &plan, &from(&[single(7)]));
+    }
+
+    #[test]
+    fn zero_restarts_run_the_given_start_or_one_random_start_at_the_seed() {
+        let m = model(
+            &[&[30.0, 28.0], &[5.0, 4.0], &[20.0]],
+            InterferenceGraph::complete(3),
+        );
+        let plan = ChannelPlan::restricted(4);
+        let cfg = AllocationConfig::default();
+        let initial = random_initial(&plan, 3, 5);
+        for component in [0, 3] {
+            // A given start: exactly one greedy run from it, no restart.
+            let sink = RecordingSink::new();
+            let spec = AllocSpec {
+                initial: Some(&initial),
+                seed: 41,
+                component,
+                ..AllocSpec::default()
+            };
+            let r = allocate(&m, &plan, &cfg, &spec, &sink);
+            assert_eq!(r, greedy(&m, &plan, initial.clone(), &cfg, &NullSink));
+            sink.with_telemetry(|t| {
+                assert_eq!(t.counter(names::ALLOC_RUNS), 1);
+                assert_eq!(t.counter(names::ALLOC_RESTARTS), 0);
+            });
+            // No start: one random start drawn at the seed itself, which
+            // counts as a run but not as a restart.
+            let sink = RecordingSink::new();
+            let spec = AllocSpec {
+                initial: None,
+                ..spec
+            };
+            let r = allocate(&m, &plan, &cfg, &spec, &sink);
+            let expect = greedy(&m, &plan, random_initial(&plan, 3, 41), &cfg, &NullSink);
+            assert_eq!(r, expect);
+            sink.with_telemetry(|t| {
+                assert_eq!(t.counter(names::ALLOC_RUNS), 1);
+                assert_eq!(t.counter(names::ALLOC_RESTARTS), 0);
+            });
+        }
     }
 
     #[test]
     fn obs_counters_match_the_result_and_the_plain_path() {
-        use acorn_obs::{names, RecordingSink};
         let m = model(
             &[&[30.0, 28.0], &[5.0, 4.0], &[20.0]],
             InterferenceGraph::complete(3),
@@ -607,8 +480,8 @@ mod tests {
         let plan = ChannelPlan::restricted(4);
         let cfg = AllocationConfig::default();
         let sink = RecordingSink::new();
-        let r_obs = allocate_with_restarts_obs(&m, &plan, &cfg, 4, 11, &sink);
-        let r_plain = allocate_with_restarts(&m, &plan, &cfg, 4, 11);
+        let r_obs = allocate(&m, &plan, &cfg, &hedge(4, 11), &sink);
+        let r_plain = allocate(&m, &plan, &cfg, &hedge(4, 11), &NullSink);
         assert_eq!(r_obs, r_plain, "instrumentation must not change results");
         sink.with_telemetry(|t| {
             assert_eq!(t.counter(names::ALLOC_RESTARTS), 4);
@@ -619,87 +492,24 @@ mod tests {
     }
 
     #[test]
-    fn sharded_on_connected_graph_matches_the_unsharded_composition() {
-        let m = model(
-            &[&[30.0, 28.0], &[5.0, 4.0], &[20.0]],
-            InterferenceGraph::complete(3),
-        );
-        let plan = ChannelPlan::restricted(4);
-        let cfg = AllocationConfig::default();
-        let initial = random_initial(&plan, 3, 5);
-        let sharded = allocate_sharded_with_restarts(&m, &plan, initial.clone(), &cfg, 4, 11);
-        let best = allocate(&m, &plan, initial, &cfg);
-        let hedged = allocate_with_restarts(&m, &plan, &cfg, 4, 11);
-        let expect = if hedged.total_bps > best.total_bps {
-            hedged
-        } else {
-            best
+    fn ties_keep_the_given_start_and_the_last_random_attempt() {
+        let result = |total_bps: f64, switches: usize| AllocationResult {
+            assignments: Vec::new(),
+            total_bps,
+            iterations: 0,
+            switches,
+            history_bps: Vec::new(),
         };
-        assert_eq!(sharded.assignments, expect.assignments);
-        assert_eq!(sharded.total_bps.to_bits(), expect.total_bps.to_bits());
-    }
-
-    #[test]
-    fn sharded_multi_component_solves_each_shard_independently() {
-        // Two components: a triangle {0,1,2} and an edge {3,4}.
-        let g = InterferenceGraph::from_edges(5, &[(0, 1), (1, 2), (0, 2), (3, 4)]);
-        let m = model(&[&[30.0], &[5.0, 4.0], &[20.0], &[28.0], &[12.0]], g);
-        let plan = ChannelPlan::restricted(4);
-        let cfg = AllocationConfig::default();
-        let (restarts, seed) = (3usize, 17u64);
-        let initial = random_initial(&plan, 5, 2);
-        let sharded =
-            allocate_sharded_with_restarts(&m, &plan, initial.clone(), &cfg, restarts, seed);
-
-        // Every shard's slice of the merged assignment must equal solving
-        // that shard's restricted model directly with the same seeds.
-        for (s, nodes) in m.graph.connected_components().iter().enumerate() {
-            let sub = m.restrict(nodes);
-            let init: Vec<_> = nodes.iter().map(|&i| initial[i]).collect();
-            let best = allocate(&sub, &plan, init, &cfg);
-            let hedged = allocate_with_restarts(
-                &sub,
-                &plan,
-                &cfg,
-                restarts,
-                seed.wrapping_add((s * restarts) as u64),
-            );
-            let expect = if hedged.total_bps > best.total_bps {
-                hedged
-            } else {
-                best
-            };
-            for (local, &global) in nodes.iter().enumerate() {
-                assert_eq!(
-                    sharded.assignments[global], expect.assignments[local],
-                    "shard {s}, AP {global}"
-                );
-            }
-        }
-        // The merged headline number is one full-model evaluation.
-        assert_eq!(
-            sharded.total_bps.to_bits(),
-            m.total_bps(&sharded.assignments).to_bits()
-        );
-    }
-
-    #[test]
-    fn sharded_never_decreases_throughput_and_records_shards() {
-        use acorn_obs::RecordingSink;
-        let g = InterferenceGraph::from_edges(6, &[(0, 1), (2, 3), (4, 5)]);
-        let m = model(&[&[30.0], &[5.0], &[20.0], &[28.0], &[12.0], &[7.0]], g);
-        let plan = ChannelPlan::restricted(4);
-        let cfg = AllocationConfig::default();
-        let initial = random_initial(&plan, 6, 9);
-        let y0 = m.total_bps(&initial);
-        let sink = RecordingSink::new();
-        let r = allocate_sharded_with_restarts_obs(&m, &plan, initial, &cfg, 2, 3, &sink);
-        assert!(r.total_bps + 1e-6 >= y0);
-        sink.with_telemetry(|t| {
-            assert_eq!(t.counter(names::ALLOC_SHARDS), 3);
-            assert_eq!(t.counter(names::ALLOC_RESTARTS), 3 * 2);
-            assert_eq!(t.counter(names::ALLOC_RUNS), 3 * 3);
-        });
+        let attempts = || vec![result(1.0, 0), result(1.0, 1), result(1.0, 2)];
+        assert_eq!(best_attempt(attempts(), true).switches, 0);
+        assert_eq!(best_attempt(attempts(), false).switches, 2);
+        let gain = vec![
+            result(1.0, 0),
+            result(2.0, 1),
+            result(2.0, 2),
+            result(1.5, 3),
+        ];
+        assert_eq!(best_attempt(gain, true).switches, 2);
     }
 
     #[test]
@@ -710,8 +520,8 @@ mod tests {
             &[&[20.0], &[18.0], &[16.0], &[14.0]],
             InterferenceGraph::complete(4),
         );
-        let rs = allocate_from_random(&small, &plan, &AllocationConfig::default(), 1);
-        let rl = allocate_from_random(&large, &plan, &AllocationConfig::default(), 1);
+        let rs = run(&small, &plan, &hedge(0, 1));
+        let rl = run(&large, &plan, &hedge(0, 1));
         assert!(rl.iterations > rs.iterations);
     }
 }

@@ -34,7 +34,7 @@
 //! candidate-order-dependent, which is what the old
 //! `partial_cmp(..).unwrap_or(Equal)` comparator silently was.
 
-use acorn_obs::{names, NullSink, Sink};
+use acorn_obs::{names, Sink};
 use acorn_topology::ApId;
 use std::cmp::Ordering;
 
@@ -140,33 +140,24 @@ fn choose_by_score<S: Sink>(
 /// Algorithm 1: returns the index of the utility-maximizing candidate, or
 /// `None` for an empty candidate set. Ties break toward the earlier
 /// candidate (stable); NaN utilities follow the module-level NaN policy.
-pub fn choose_ap(candidates: &[Candidate]) -> Option<usize> {
-    choose_ap_obs(candidates, &NullSink)
-}
-
-/// [`choose_ap`] reporting into a metric sink: `assoc.choices`,
-/// `assoc.candidates`, and `assoc.nan_utilities` counters.
-pub fn choose_ap_obs<S: Sink>(candidates: &[Candidate], sink: &S) -> Option<usize> {
+/// Reports `assoc.choices`, `assoc.candidates` and `assoc.nan_utilities`
+/// counters into `sink`.
+pub fn choose_ap<S: Sink>(candidates: &[Candidate], sink: &S) -> Option<usize> {
     choose_by_score(candidates.len(), sink, |i| utility(candidates, i))
 }
 
 /// Greedy/selfish baseline for comparison and ablations: pick the AP
 /// maximizing only u's own throughput `X_{w,u}` — ignoring collateral
-/// damage to neighbouring cells. Same tie-break and NaN policy as
-/// [`choose_ap`].
-pub fn choose_ap_selfish(candidates: &[Candidate]) -> Option<usize> {
-    choose_ap_selfish_obs(candidates, &NullSink)
-}
-
-/// [`choose_ap_selfish`] reporting into a metric sink.
-pub fn choose_ap_selfish_obs<S: Sink>(candidates: &[Candidate], sink: &S) -> Option<usize> {
+/// damage to neighbouring cells. Same tie-break, NaN policy and counters
+/// as [`choose_ap`].
+pub fn choose_ap_selfish<S: Sink>(candidates: &[Candidate], sink: &S) -> Option<usize> {
     choose_by_score(candidates.len(), sink, |i| candidates[i].x_with())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acorn_obs::RecordingSink;
+    use acorn_obs::{NullSink, RecordingSink};
 
     fn cand(ap: usize, k: usize, m: f64, atd: f64, du: f64) -> Candidate {
         Candidate {
@@ -180,14 +171,14 @@ mod tests {
 
     #[test]
     fn empty_candidates_yield_none() {
-        assert_eq!(choose_ap(&[]), None);
-        assert_eq!(choose_ap_selfish(&[]), None);
+        assert_eq!(choose_ap(&[], &NullSink), None);
+        assert_eq!(choose_ap_selfish(&[], &NullSink), None);
     }
 
     #[test]
     fn single_candidate_is_chosen() {
         let c = [cand(0, 1, 1.0, 0.01, 0.01)];
-        assert_eq!(choose_ap(&c), Some(0));
+        assert_eq!(choose_ap(&c, &NullSink), Some(0));
     }
 
     #[test]
@@ -221,10 +212,10 @@ mod tests {
             cand(0, 3, 1.0, 2.0 * d_good + d_poor, d_poor),
             cand(1, 3, 1.0, 2.0 * d_poor + d_poor, d_poor),
         ];
-        assert_eq!(choose_ap(&c), Some(1));
+        assert_eq!(choose_ap(&c, &NullSink), Some(1));
         // The selfish rule picks AP 0 (better personal throughput) —
         // exactly the failure mode ACORN's utility avoids.
-        assert_eq!(choose_ap_selfish(&c), Some(0));
+        assert_eq!(choose_ap_selfish(&c, &NullSink), Some(0));
     }
 
     #[test]
@@ -236,7 +227,7 @@ mod tests {
             cand(0, 2, 1.0, 0.004 + d_u, d_u), // one good client + u
             cand(1, 2, 1.0, 0.020 + d_u, d_u), // one poor client + u
         ];
-        assert_eq!(choose_ap(&c), Some(0));
+        assert_eq!(choose_ap(&c, &NullSink), Some(0));
     }
 
     #[test]
@@ -246,7 +237,7 @@ mod tests {
         let d = 0.004;
         let c = [cand(0, 1, 1.0, d, d), cand(1, 1, 0.5, d, d)];
         assert!(utility(&c, 0) > utility(&c, 1));
-        assert_eq!(choose_ap(&c), Some(0));
+        assert_eq!(choose_ap(&c, &NullSink), Some(0));
     }
 
     #[test]
@@ -263,7 +254,7 @@ mod tests {
     fn ties_break_stably() {
         let d = 0.005;
         let c = [cand(7, 2, 1.0, 2.0 * d, d), cand(9, 2, 1.0, 2.0 * d, d)];
-        assert_eq!(choose_ap(&c), Some(0));
+        assert_eq!(choose_ap(&c, &NullSink), Some(0));
     }
 
     #[test]
@@ -277,8 +268,8 @@ mod tests {
         let ok = cand(5, 2, 1.0, 0.02, 0.01);
         assert!(utility(&[nan, ok], 0).is_nan());
         assert!(utility(&[nan, ok], 1).is_nan());
-        assert_eq!(choose_ap(&[nan, ok]), Some(0));
-        assert_eq!(choose_ap(&[ok, nan]), Some(0));
+        assert_eq!(choose_ap(&[nan, ok], &NullSink), Some(0));
+        assert_eq!(choose_ap(&[ok, nan], &NullSink), Some(0));
     }
 
     #[test]
@@ -287,8 +278,8 @@ mod tests {
         // it must lose to any real score, whatever the candidate order.
         let nan = cand(3, 1, f64::NAN, 0.01, 0.01);
         let ok = cand(5, 1, 1.0, 0.01, 0.01);
-        assert_eq!(choose_ap_selfish(&[nan, ok]), Some(1));
-        assert_eq!(choose_ap_selfish(&[ok, nan]), Some(0));
+        assert_eq!(choose_ap_selfish(&[nan, ok], &NullSink), Some(1));
+        assert_eq!(choose_ap_selfish(&[ok, nan], &NullSink), Some(0));
     }
 
     #[test]
@@ -299,12 +290,12 @@ mod tests {
     }
 
     #[test]
-    fn obs_variant_counts_choices_candidates_and_nans() {
+    fn sink_counts_choices_candidates_and_nans() {
         let sink = RecordingSink::new();
         let nan = cand(3, 1, f64::NAN, 0.01, 0.01);
         let ok = cand(5, 1, 1.0, 0.01, 0.01);
-        choose_ap_selfish_obs(&[nan, ok], &sink);
-        choose_ap_obs(&[ok], &sink);
+        choose_ap_selfish(&[nan, ok], &sink);
+        choose_ap(&[ok], &sink);
         sink.with_telemetry(|t| {
             assert_eq!(t.counter(names::ASSOC_CHOICES), 2);
             assert_eq!(t.counter(names::ASSOC_CANDIDATES), 3);
@@ -313,7 +304,7 @@ mod tests {
     }
 
     #[test]
-    fn obs_variant_matches_plain_variant() {
+    fn recording_does_not_change_the_choice() {
         let sink = RecordingSink::new();
         let cases = [
             vec![],
@@ -325,8 +316,8 @@ mod tests {
             ],
         ];
         for c in &cases {
-            assert_eq!(choose_ap(c), choose_ap_obs(c, &sink));
-            assert_eq!(choose_ap_selfish(c), choose_ap_selfish_obs(c, &sink));
+            assert_eq!(choose_ap(c, &NullSink), choose_ap(c, &sink));
+            assert_eq!(choose_ap_selfish(c, &NullSink), choose_ap_selfish(c, &sink));
         }
     }
 }

@@ -17,16 +17,14 @@
 //!   interference on the neighboring APs"
 //!   ([`AcornController::adapt_widths`]).
 
-use crate::allocation::{
-    allocate_obs, allocate_shard_slice_obs, allocate_sharded_with_restarts_obs,
-    allocate_with_restarts_obs, random_initial, AllocationConfig, AllocationResult,
-};
-use crate::association::{choose_ap_obs, Candidate};
+use crate::allocation::{allocate, random_initial, AllocSpec, AllocationConfig, AllocationResult};
+use crate::association::{choose_ap, Candidate};
 use crate::beacon::Beacon;
-use crate::model::{ClientSnr, NetworkModel};
+use crate::model::{ClientSnr, NetworkModel, ThroughputModel};
+use crate::par;
 use acorn_mac::contention::access_share;
 use acorn_mac::timing::delivery_delay_s;
-use acorn_obs::{names, NullSink, Sink};
+use acorn_obs::{names, Sink};
 use acorn_phy::estimator::LinkQualityEstimator;
 use acorn_phy::{ChannelWidth, GoodputTable};
 use acorn_topology::{ApId, ChannelAssignment, ChannelPlan, ClientId, Wlan};
@@ -277,20 +275,10 @@ impl AcornController {
         out
     }
 
-    /// Algorithm 1: associates `client`, mutating the state. Returns the
-    /// chosen AP, or `None` if no AP is in range.
-    pub fn associate(
-        &self,
-        wlan: &Wlan,
-        state: &mut NetworkState,
-        client: ClientId,
-    ) -> Option<ApId> {
-        self.associate_obs(wlan, state, client, &NullSink)
-    }
-
-    /// [`AcornController::associate`] reporting candidate-ranking metrics
-    /// (`assoc.*`) into a sink.
-    pub fn associate_obs<S: Sink>(
+    /// Algorithm 1: associates `client`, mutating the state, and reports
+    /// the candidate ranking (`assoc.*`) into `sink`. Returns the chosen
+    /// AP, or `None` if no AP is in range.
+    pub fn associate<S: Sink>(
         &self,
         wlan: &Wlan,
         state: &mut NetworkState,
@@ -298,7 +286,7 @@ impl AcornController {
         sink: &S,
     ) -> Option<ApId> {
         let candidates = self.candidates_for(wlan, state, client);
-        let choice = choose_ap_obs(&candidates, sink)?;
+        let choice = choose_ap(&candidates, sink)?;
         let ap = candidates[choice].ap;
         state.assoc[client.0] = Some(ap);
         Some(ap)
@@ -310,191 +298,103 @@ impl AcornController {
     }
 
     /// Algorithm 2: re-allocates channels from the current assignment,
-    /// mutating the state (and resetting opportunistic widths to the new
-    /// assignments' full widths).
-    pub fn reallocate(&self, wlan: &Wlan, state: &mut NetworkState) -> AllocationResult {
-        self.reallocate_obs(wlan, state, &NullSink)
-    }
-
-    /// [`AcornController::reallocate`] reporting into a metric sink: the
-    /// `alloc.*` run counters, the model's `model.*` evaluation counters
-    /// (flushed sequentially after the run), a `controller.obs_epochs`
-    /// counter, and a `controller.total_bps` gauge.
-    pub fn reallocate_obs<S: Sink + Sync>(
+    /// hedged with `restarts` random starts drawn from `seed` (see
+    /// [`allocate`]). `model` must describe `state`'s association — it is
+    /// [`AcornController::build_model`] of it, or an equivalently built
+    /// model.
+    ///
+    /// With `per_component` the conflict graph is split into its
+    /// connected components ([`AcornController::zones`] order) and each
+    /// is solved on its own [`NetworkModel::restrict`]ed submodel as
+    /// component `s`, which keeps the restart seeds of different
+    /// components apart; `alloc.shards` counts the components. The split
+    /// is exact — an AP's access share depends only on its graph
+    /// neighbours, so `Y = Σ_components Y_component` — and each component
+    /// keeping its own better of start and hedge can only improve on one
+    /// network-wide hedge winner. Without it the whole network is one
+    /// greedy (the paper's Algorithm 2). On a connected graph the two are
+    /// the same call.
+    ///
+    /// The winner is written back into `state`, every AP returns to its
+    /// assignment's full width, and the model's `model.*` and
+    /// `phy.table.*` counters are flushed into `sink` after the fan-out
+    /// has joined. Submodels' own evaluation counters are not flushed.
+    pub fn reallocate<S: Sink + Sync>(
         &self,
-        wlan: &Wlan,
-        state: &mut NetworkState,
-        sink: &S,
-    ) -> AllocationResult {
-        let model = self.build_model(wlan, state);
-        let result = allocate_obs(
-            &model,
-            &self.config.plan,
-            state.assignments.clone(),
-            &self.config.allocation,
-            sink,
-        );
-        state.assignments = result.assignments.clone();
-        state.operating_width = state.assignments.iter().map(|a| a.width()).collect();
-        self.finish_epoch_obs(&model, result.total_bps, sink);
-        result
-    }
-
-    /// Like [`AcornController::reallocate`], but hedged with `restarts`
-    /// random initial assignments (keeping the best outcome) — the
-    /// configuration the evaluation harness uses, since single greedy runs
-    /// can stall in local optima.
-    pub fn reallocate_with_restarts(
-        &self,
-        wlan: &Wlan,
+        model: &NetworkModel,
         state: &mut NetworkState,
         restarts: usize,
         seed: u64,
-    ) -> AllocationResult {
-        self.reallocate_with_restarts_obs(wlan, state, restarts, seed, &NullSink)
-    }
-
-    /// [`AcornController::reallocate_with_restarts`] reporting into a
-    /// metric sink. The sink is shared across the restart fan-out
-    /// (counters only there — commutative adds keep the totals
-    /// thread-invariant); the model-stats flush and the epoch gauge run
-    /// here, sequentially, after the fan-out has joined.
-    pub fn reallocate_with_restarts_obs<S: Sink + Sync>(
-        &self,
-        wlan: &Wlan,
-        state: &mut NetworkState,
-        restarts: usize,
-        seed: u64,
+        per_component: bool,
         sink: &S,
     ) -> AllocationResult {
-        let model = self.build_model(wlan, state);
-        // Include the current assignment as one starting point.
-        let mut best = allocate_obs(
-            &model,
-            &self.config.plan,
-            state.assignments.clone(),
-            &self.config.allocation,
-            sink,
-        );
-        let hedged = allocate_with_restarts_obs(
-            &model,
-            &self.config.plan,
-            &self.config.allocation,
-            restarts.max(1),
-            seed,
-            sink,
-        );
-        if hedged.total_bps > best.total_bps {
-            best = hedged;
+        let (plan, config) = (&self.config.plan, &self.config.allocation);
+        let mut components = Vec::new();
+        if per_component {
+            components = model.graph.connected_components();
+            if sink.enabled() {
+                sink.add(names::ALLOC_SHARDS, components.len().max(1) as u64);
+            }
         }
-        state.assignments = best.assignments.clone();
+        // The whole-network greedy, or a connected graph: one call on the
+        // full model.
+        let result = if components.len() <= 1 {
+            let spec = AllocSpec {
+                initial: Some(&state.assignments),
+                restarts,
+                seed,
+                component: 0,
+            };
+            allocate(model, plan, config, &spec, sink)
+        } else {
+            // Components are independent, so they fan out; the winners are
+            // scattered back in component order.
+            let winners = par::par_map_n(components.len(), |s| {
+                let nodes = &components[s];
+                let initial: Vec<ChannelAssignment> =
+                    nodes.iter().map(|&i| state.assignments[i]).collect();
+                let spec = AllocSpec {
+                    initial: Some(&initial),
+                    restarts,
+                    seed,
+                    component: s,
+                };
+                allocate(&model.restrict(nodes), plan, config, &spec, sink)
+            });
+            let mut merged = state.assignments.clone();
+            let (mut iterations, mut switches, mut history_bps) = (0, 0, Vec::new());
+            for (nodes, winner) in components.iter().zip(winners) {
+                for (local, &global) in nodes.iter().enumerate() {
+                    merged[global] = winner.assignments[local];
+                }
+                iterations += winner.iterations;
+                switches += winner.switches;
+                history_bps.extend(winner.history_bps);
+            }
+            // One full evaluation re-anchors the headline number, exactly
+            // as a single greedy run does.
+            AllocationResult {
+                total_bps: model.total_bps(&merged),
+                assignments: merged,
+                iterations,
+                switches,
+                history_bps,
+            }
+        };
+        state.assignments.clone_from(&result.assignments);
         state.operating_width = state.assignments.iter().map(|a| a.width()).collect();
-        self.finish_epoch_obs(&model, best.total_bps, sink);
-        best
-    }
-
-    /// Like [`AcornController::reallocate_with_restarts`], but running
-    /// Algorithm 2 independently per connected component of the conflict
-    /// graph through [`allocate_sharded_with_restarts_obs`] — the path
-    /// city-scale deployments use, where the conflict graph splits into
-    /// many distant islands. The current assignment seeds attempt 0 of
-    /// every shard, so with `restarts = 0` on a connected graph this is
-    /// the plain greedy continuation.
-    pub fn reallocate_sharded_with_restarts(
-        &self,
-        wlan: &Wlan,
-        state: &mut NetworkState,
-        restarts: usize,
-        seed: u64,
-    ) -> AllocationResult {
-        self.reallocate_sharded_with_restarts_obs(wlan, state, restarts, seed, &NullSink)
-    }
-
-    /// [`AcornController::reallocate_sharded_with_restarts`] reporting
-    /// into a metric sink (the `alloc.*` counters including
-    /// `alloc.shards`, the model/table counters, and the epoch gauge).
-    pub fn reallocate_sharded_with_restarts_obs<S: Sink + Sync>(
-        &self,
-        wlan: &Wlan,
-        state: &mut NetworkState,
-        restarts: usize,
-        seed: u64,
-        sink: &S,
-    ) -> AllocationResult {
-        let model = self.build_model(wlan, state);
-        let best = allocate_sharded_with_restarts_obs(
-            &model,
-            &self.config.plan,
-            state.assignments.clone(),
-            &self.config.allocation,
-            restarts,
-            seed,
-            sink,
-        );
-        state.assignments = best.assignments.clone();
-        state.operating_width = state.assignments.iter().map(|a| a.width()).collect();
-        self.finish_epoch_obs(&model, best.total_bps, sink);
-        best
+        model.flush_stats_into(sink);
+        result
     }
 
     /// The canonical zone decomposition: the connected components of the
     /// interference graph under the current association, each sorted
     /// ascending and ordered by smallest vertex — exactly the component
-    /// order [`allocate_sharded_with_restarts_obs`] shards over, so a
-    /// zone's position in this list is the `shard_index` its zone-view
-    /// reallocation must replay.
+    /// order [`AcornController::reallocate`] splits over, so a zone's
+    /// position in this list is the `component` its zone-local
+    /// [`allocate`] must run as to replay the centralized decision.
     pub fn zones(&self, wlan: &Wlan, state: &NetworkState) -> Vec<Vec<usize>> {
         wlan.interference_graph(&state.assoc).connected_components()
-    }
-
-    /// Zone view of Algorithm 2: re-allocates only the APs in `nodes`
-    /// (one connected component, ascending global ids), mutating just
-    /// that slice of the state. `zone_model` must be the submodel for
-    /// `nodes` ([`NetworkModel::restrict`] of the full model, or an
-    /// equivalently built zone-local model) and `shard_index` the zone's
-    /// position in [`AcornController::zones`]. Given the same per-epoch
-    /// `seed`, the slice this produces is bit-identical to what
-    /// [`AcornController::reallocate_sharded_with_restarts`] assigns
-    /// those APs — the golden-twin contract of the distributed control
-    /// plane.
-    #[allow(clippy::too_many_arguments)]
-    pub fn reallocate_zone_obs<S: Sink + Sync>(
-        &self,
-        zone_model: &NetworkModel,
-        state: &mut NetworkState,
-        nodes: &[usize],
-        shard_index: usize,
-        restarts: usize,
-        seed: u64,
-        sink: &S,
-    ) -> AllocationResult {
-        let init: Vec<ChannelAssignment> = nodes.iter().map(|&n| state.assignments[n]).collect();
-        let best = allocate_shard_slice_obs(
-            zone_model,
-            &self.config.plan,
-            init,
-            &self.config.allocation,
-            restarts,
-            seed,
-            shard_index,
-            sink,
-        );
-        for (local, &global) in nodes.iter().enumerate() {
-            state.assignments[global] = best.assignments[local];
-            state.operating_width[global] = best.assignments[local].width();
-        }
-        best
-    }
-
-    /// Sequential end-of-epoch reporting shared by the `reallocate*_obs`
-    /// entry points.
-    fn finish_epoch_obs<S: Sink>(&self, model: &NetworkModel, total_bps: f64, sink: &S) {
-        if !sink.enabled() {
-            return;
-        }
-        model.flush_stats_into(sink);
-        sink.inc(names::CONTROLLER_EPOCHS);
-        sink.gauge("controller.total_bps", total_bps);
     }
 
     /// Opportunistic width adaptation (§5.2): each bonded AP compares its
@@ -512,7 +412,7 @@ impl AcornController {
     /// width until the link clearly favours the other one. With a margin
     /// of `0.0` this reduces to the paper's memoryless rule (`t40 ≥ t20`
     /// picks 40 MHz, ties included), which *does* flap under such
-    /// oscillation. Re-allocation (`reallocate*`) resets every AP to its
+    /// oscillation. Re-allocation ([`AcornController::reallocate`]) resets every AP to its
     /// assignment's full width, re-arming the comparison each epoch.
     pub fn adapt_widths(&self, wlan: &Wlan, state: &mut NetworkState) {
         let model = self.build_model(wlan, state);
@@ -547,34 +447,22 @@ impl AcornController {
         }
     }
 
-    /// Predicted throughput of one AP's cell under the current state
-    /// (effective widths and contention).
-    pub fn ap_throughput_bps(&self, wlan: &Wlan, state: &NetworkState, ap: ApId) -> f64 {
+    /// Predicted aggregate network throughput under the current state
+    /// (effective widths and contention), counting only the APs marked up
+    /// in `up`. Missing entries count as up, so an empty mask sums every
+    /// cell. A crashed AP's cell simply contributes zero — its orphaned
+    /// clients are the fault layer's problem to re-associate.
+    pub fn total_throughput_bps(&self, wlan: &Wlan, state: &NetworkState, up: &[bool]) -> f64 {
         let model = self.build_model(wlan, state);
         let eff = state.effective_assignments();
-        let m = access_share(&model.graph, &eff, ap);
-        model
-            .cell_airtime(ap, state.operating_width[ap.0])
-            .cell_throughput_bps(m)
-    }
-
-    /// Predicted aggregate network throughput under the current state.
-    pub fn total_throughput_bps(&self, wlan: &Wlan, state: &NetworkState) -> f64 {
-        (0..wlan.aps.len())
-            .map(|i| self.ap_throughput_bps(wlan, state, ApId(i)))
-            .sum()
-    }
-
-    /// Aggregate throughput counting only the APs marked up in `up`
-    /// (missing entries count as up). With every AP up this is
-    /// bit-identical to [`AcornController::total_throughput_bps`]: same
-    /// per-AP terms, same summation order. A crashed AP's cell simply
-    /// contributes zero — its orphaned clients are the fault layer's
-    /// problem to re-associate.
-    pub fn total_throughput_bps_up(&self, wlan: &Wlan, state: &NetworkState, up: &[bool]) -> f64 {
         (0..wlan.aps.len())
             .filter(|&i| up.get(i).copied().unwrap_or(true))
-            .map(|i| self.ap_throughput_bps(wlan, state, ApId(i)))
+            .map(|i| {
+                let m = access_share(&model.graph, &eff, ApId(i));
+                model
+                    .cell_airtime(ApId(i), state.operating_width[i])
+                    .cell_throughput_bps(m)
+            })
             .sum()
     }
 }
@@ -582,6 +470,7 @@ impl AcornController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acorn_obs::{NullSink, RecordingSink};
     use acorn_topology::Point;
 
     /// Two APs 60 m apart; strong clients near the APs, one genuinely
@@ -609,6 +498,19 @@ mod tests {
         AcornController::new(AcornConfig::default())
     }
 
+    /// One reallocation epoch on the model of the current state.
+    fn realloc(
+        c: &AcornController,
+        w: &Wlan,
+        s: &mut NetworkState,
+        restarts: usize,
+        seed: u64,
+        per_component: bool,
+    ) -> AllocationResult {
+        let model = c.build_model(w, s);
+        c.reallocate(&model, s, restarts, seed, per_component, &NullSink)
+    }
+
     #[test]
     fn fresh_state_shape() {
         let w = wlan();
@@ -627,8 +529,14 @@ mod tests {
         let w = wlan();
         let c = controller();
         let mut s = c.new_state(&w, 2);
-        assert_eq!(c.associate(&w, &mut s, ClientId(0)), Some(ApId(0)));
-        assert_eq!(c.associate(&w, &mut s, ClientId(2)), Some(ApId(1)));
+        assert_eq!(
+            c.associate(&w, &mut s, ClientId(0), &NullSink),
+            Some(ApId(0))
+        );
+        assert_eq!(
+            c.associate(&w, &mut s, ClientId(2), &NullSink),
+            Some(ApId(1))
+        );
     }
 
     #[test]
@@ -639,8 +547,8 @@ mod tests {
         let w = wlan();
         let c = controller();
         let mut s = c.new_state(&w, 3);
-        c.associate(&w, &mut s, ClientId(0));
-        c.associate(&w, &mut s, ClientId(1));
+        c.associate(&w, &mut s, ClientId(0), &NullSink);
+        c.associate(&w, &mut s, ClientId(1), &NullSink);
         let b = c.beacons(&w, &s);
         assert_eq!(b[0].n_clients + b[1].n_clients, 2);
         assert!(b.iter().all(|x| x.is_consistent()));
@@ -658,7 +566,7 @@ mod tests {
         });
         let c = controller();
         let mut s = c.new_state(&w, 4);
-        assert_eq!(c.associate(&w, &mut s, ClientId(4)), None);
+        assert_eq!(c.associate(&w, &mut s, ClientId(4), &NullSink), None);
         assert_eq!(s.assoc[4], None);
     }
 
@@ -668,11 +576,11 @@ mod tests {
         let c = controller();
         let mut s = c.new_state(&w, 5);
         for cl in 0..4 {
-            c.associate(&w, &mut s, ClientId(cl));
+            c.associate(&w, &mut s, ClientId(cl), &NullSink);
         }
-        let before = c.total_throughput_bps(&w, &s);
-        let r = c.reallocate(&w, &mut s);
-        let after = c.total_throughput_bps(&w, &s);
+        let before = c.total_throughput_bps(&w, &s, &[]);
+        let r = realloc(&c, &w, &mut s, 0, 0, false);
+        let after = c.total_throughput_bps(&w, &s, &[]);
         assert!(
             after + 1.0 >= before,
             "before {before:.3e} after {after:.3e}"
@@ -878,14 +786,14 @@ mod tests {
         let c = controller();
         let mut s = c.new_state(&w, 9);
         for cl in 0..4 {
-            c.associate(&w, &mut s, ClientId(cl));
+            c.associate(&w, &mut s, ClientId(cl), &NullSink);
         }
-        let plain = c.total_throughput_bps(&w, &s);
-        let masked = c.total_throughput_bps_up(&w, &s, &[true, true]);
+        let plain = c.total_throughput_bps(&w, &s, &[]);
+        let masked = c.total_throughput_bps(&w, &s, &[true, true]);
         assert_eq!(plain.to_bits(), masked.to_bits());
         // One AP down: exactly its cell's contribution disappears.
-        let partial = c.total_throughput_bps_up(&w, &s, &[true, false]);
-        let ap1 = c.ap_throughput_bps(&w, &s, ApId(1));
+        let partial = c.total_throughput_bps(&w, &s, &[true, false]);
+        let ap1 = c.total_throughput_bps(&w, &s, &[false, true]);
         assert!((plain - ap1 - partial).abs() < 1.0);
     }
 
@@ -898,11 +806,11 @@ mod tests {
         let c = controller();
         let mut s_plain = c.new_state(&w, 11);
         for cl in 0..4 {
-            c.associate(&w, &mut s_plain, ClientId(cl));
+            c.associate(&w, &mut s_plain, ClientId(cl), &NullSink);
         }
         let mut s_shard = s_plain.clone();
-        let r_plain = c.reallocate_with_restarts(&w, &mut s_plain, 3, 77);
-        let r_shard = c.reallocate_sharded_with_restarts(&w, &mut s_shard, 3, 77);
+        let r_plain = realloc(&c, &w, &mut s_plain, 3, 77, false);
+        let r_shard = realloc(&c, &w, &mut s_shard, 3, 77, true);
         assert_eq!(s_plain.assignments, s_shard.assignments);
         assert_eq!(r_plain.total_bps.to_bits(), r_shard.total_bps.to_bits());
     }
@@ -926,8 +834,8 @@ mod tests {
         let mut s_exact = exact.new_state(&w, 12);
         let mut s_memo = s_exact.clone();
         for cl in 0..4 {
-            let a = exact.associate(&w, &mut s_exact, ClientId(cl));
-            let b = memo.associate(&w, &mut s_memo, ClientId(cl));
+            let a = exact.associate(&w, &mut s_exact, ClientId(cl), &NullSink);
+            let b = memo.associate(&w, &mut s_memo, ClientId(cl), &NullSink);
             assert_eq!(a, b, "client {cl}");
         }
 
@@ -946,7 +854,7 @@ mod tests {
         // Reallocation through the table-backed model lands on an
         // equivalent plan, and the table actually served the queries.
         let before = table.stats().hits;
-        let r = memo.reallocate_sharded_with_restarts(&w, &mut s_memo, 2, 5);
+        let r = realloc(&memo, &w, &mut s_memo, 2, 5, true);
         assert!(r.total_bps > 0.0);
         assert!(!s_memo.assignments[0].conflicts(s_memo.assignments[1]));
         assert!(table.stats().hits > before, "model must query the table");
@@ -954,7 +862,6 @@ mod tests {
 
     #[test]
     fn table_epoch_flush_reports_table_counters() {
-        use acorn_obs::RecordingSink;
         use acorn_phy::estimator::LinkQualityEstimator;
         let w = wlan();
         let table = Arc::new(GoodputTable::build(
@@ -966,10 +873,11 @@ mod tests {
         let memo = AcornController::with_table(AcornConfig::default(), table);
         let mut s = memo.new_state(&w, 13);
         for cl in 0..4 {
-            memo.associate(&w, &mut s, ClientId(cl));
+            memo.associate(&w, &mut s, ClientId(cl), &NullSink);
         }
         let sink = RecordingSink::new();
-        memo.reallocate_sharded_with_restarts_obs(&w, &mut s, 2, 5, &sink);
+        let model = memo.build_model(&w, &s);
+        memo.reallocate(&model, &mut s, 2, 5, true, &sink);
         sink.with_telemetry(|t| {
             assert!(t.counter(names::ALLOC_SHARDS) >= 1);
             assert!(t.counter(names::TABLE_HITS) > 0);
@@ -1008,7 +916,7 @@ mod tests {
         let c = controller();
         let mut s_central = c.new_state(&w, 31);
         for cl in 0..4 {
-            c.associate(&w, &mut s_central, ClientId(cl));
+            c.associate(&w, &mut s_central, ClientId(cl), &NullSink);
         }
         let mut s_zones = s_central.clone();
 
@@ -1018,21 +926,29 @@ mod tests {
         assert_eq!(zones[1], vec![2, 3]);
 
         for (restarts, seed) in [(0usize, 7u64), (3, 7), (2, 991)] {
-            let central = c.reallocate_sharded_with_restarts(&w, &mut s_central, restarts, seed);
+            let central = realloc(&c, &w, &mut s_central, restarts, seed, true);
             // Zone controllers: each restricts the shared model and solves
             // only its own slice, in any order (slices are disjoint).
             let model = c.build_model(&w, &s_zones);
-            for (z, nodes) in zones.iter().enumerate() {
-                let sub = model.restrict(nodes);
-                c.reallocate_zone_obs(
-                    &sub,
-                    &mut s_zones,
-                    nodes,
-                    z,
+            for (z, nodes) in zones.iter().enumerate().rev() {
+                let initial: Vec<_> = nodes.iter().map(|&n| s_zones.assignments[n]).collect();
+                let spec = AllocSpec {
+                    initial: Some(&initial),
                     restarts,
                     seed,
-                    &acorn_obs::NullSink,
+                    component: z,
+                };
+                let r = allocate(
+                    &model.restrict(nodes),
+                    &c.config.plan,
+                    &c.config.allocation,
+                    &spec,
+                    &NullSink,
                 );
+                for (local, &global) in nodes.iter().enumerate() {
+                    s_zones.assignments[global] = r.assignments[local];
+                    s_zones.operating_width[global] = r.assignments[local].width();
+                }
             }
             assert_eq!(
                 s_central.assignments, s_zones.assignments,
@@ -1049,11 +965,160 @@ mod tests {
         let c = controller();
         let mut s = c.new_state(&w, 8);
         for cl in 0..3 {
-            c.associate(&w, &mut s, ClientId(cl));
+            c.associate(&w, &mut s, ClientId(cl), &NullSink);
         }
-        let total = c.total_throughput_bps(&w, &s);
-        let sum: f64 = (0..2).map(|i| c.ap_throughput_bps(&w, &s, ApId(i))).sum();
+        let total = c.total_throughput_bps(&w, &s, &[]);
+        let sum: f64 = (0..2)
+            .map(|i| {
+                let only: Vec<bool> = (0..2).map(|j| j == i).collect();
+                c.total_throughput_bps(&w, &s, &only)
+            })
+            .sum();
         assert!((total - sum).abs() < 1.0);
         assert!(total > 0.0);
+    }
+
+    /// A state holding `assignments` at full width, for models built
+    /// without a deployment.
+    fn state_of(assignments: &[ChannelAssignment]) -> NetworkState {
+        NetworkState {
+            assignments: assignments.to_vec(),
+            assoc: Vec::new(),
+            operating_width: assignments.iter().map(|a| a.width()).collect(),
+        }
+    }
+
+    fn model_of(snrs_per_ap: &[&[f64]], graph: acorn_topology::InterferenceGraph) -> NetworkModel {
+        let cells = snrs_per_ap
+            .iter()
+            .map(|snrs| {
+                snrs.iter()
+                    .enumerate()
+                    .map(|(i, &s)| ClientSnr {
+                        client: i,
+                        snr20_db: s,
+                    })
+                    .collect()
+            })
+            .collect();
+        NetworkModel::new(graph, cells)
+    }
+
+    #[test]
+    fn sharded_on_connected_graph_matches_the_unsharded_composition() {
+        // A connected graph is one component: the per-component epoch is
+        // the start-then-hedge composition on the full model, bit for bit
+        // — the hedge replaces the start only on a strict gain.
+        let m = model_of(
+            &[&[30.0, 28.0], &[5.0, 4.0], &[20.0]],
+            acorn_topology::InterferenceGraph::complete(3),
+        );
+        let c = AcornController::new(AcornConfig {
+            plan: ChannelPlan::restricted(4),
+            ..AcornConfig::default()
+        });
+        let (plan, cfg) = (&c.config.plan, &c.config.allocation);
+        for (restarts, seed) in [(4usize, 11u64), (1, 0), (6, 99)] {
+            for init_seed in 0..6 {
+                let initial = random_initial(plan, 3, init_seed);
+                let mut s = state_of(&initial);
+                let sharded = c.reallocate(&m, &mut s, restarts, seed, true, &NullSink);
+                let start = AllocSpec {
+                    initial: Some(&initial),
+                    ..AllocSpec::default()
+                };
+                let best = allocate(&m, plan, cfg, &start, &NullSink);
+                let hedge = AllocSpec {
+                    restarts,
+                    seed,
+                    ..AllocSpec::default()
+                };
+                let hedged = allocate(&m, plan, cfg, &hedge, &NullSink);
+                let expect = if hedged.total_bps > best.total_bps {
+                    hedged
+                } else {
+                    best
+                };
+                assert_eq!(sharded, expect, "restarts {restarts} seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_multi_component_solves_each_shard_independently() {
+        // Two components: a triangle {0,1,2} and an edge {3,4}.
+        let g = acorn_topology::InterferenceGraph::from_edges(5, &[(0, 1), (1, 2), (0, 2), (3, 4)]);
+        let m = model_of(&[&[30.0], &[5.0, 4.0], &[20.0], &[28.0], &[12.0]], g);
+        let c = AcornController::new(AcornConfig {
+            plan: ChannelPlan::restricted(4),
+            ..AcornConfig::default()
+        });
+        let (restarts, seed) = (3usize, 17u64);
+        let initial = random_initial(&c.config.plan, 5, 2);
+        let mut s = state_of(&initial);
+        let merged = c.reallocate(&m, &mut s, restarts, seed, true, &NullSink);
+        assert_eq!(s.assignments, merged.assignments);
+
+        // Every component's slice of the merged assignment must equal the
+        // start-then-hedge composition on that component's restricted
+        // model, with the hedge seeds offset by s·restarts.
+        let cfg = &c.config.allocation;
+        for (k, nodes) in m.graph.connected_components().iter().enumerate() {
+            let sub = m.restrict(nodes);
+            let init: Vec<_> = nodes.iter().map(|&i| initial[i]).collect();
+            let start = AllocSpec {
+                initial: Some(&init),
+                ..AllocSpec::default()
+            };
+            let best = allocate(&sub, &c.config.plan, cfg, &start, &NullSink);
+            let hedge = AllocSpec {
+                restarts,
+                seed: seed.wrapping_add((k * restarts) as u64),
+                ..AllocSpec::default()
+            };
+            let hedged = allocate(&sub, &c.config.plan, cfg, &hedge, &NullSink);
+            let expect = if hedged.total_bps > best.total_bps {
+                hedged
+            } else {
+                best
+            };
+            for (local, &global) in nodes.iter().enumerate() {
+                assert_eq!(
+                    merged.assignments[global], expect.assignments[local],
+                    "component {k}, AP {global}"
+                );
+            }
+        }
+        // The merged headline number is one full-model evaluation.
+        assert_eq!(
+            merged.total_bps.to_bits(),
+            m.total_bps(&merged.assignments).to_bits()
+        );
+    }
+
+    #[test]
+    fn sharded_never_decreases_throughput_and_records_shards() {
+        let g = acorn_topology::InterferenceGraph::from_edges(6, &[(0, 1), (2, 3), (4, 5)]);
+        let m = model_of(&[&[30.0], &[5.0], &[20.0], &[28.0], &[12.0], &[7.0]], g);
+        let c = AcornController::new(AcornConfig {
+            plan: ChannelPlan::restricted(4),
+            ..AcornConfig::default()
+        });
+        let initial = random_initial(&c.config.plan, 6, 9);
+        let y0 = m.total_bps(&initial);
+        for per_component in [true, false] {
+            let sink = RecordingSink::new();
+            let mut s = state_of(&initial);
+            let r = c.reallocate(&m, &mut s, 2, 3, per_component, &sink);
+            assert!(r.total_bps + 1e-6 >= y0);
+            // One start plus two restarts per component, or per network.
+            let attempts = if per_component { 3 } else { 1 };
+            sink.with_telemetry(|t| {
+                let shards = if per_component { 3 } else { 0 };
+                assert_eq!(t.counter(names::ALLOC_SHARDS), shards);
+                assert_eq!(t.counter(names::ALLOC_RESTARTS), attempts * 2);
+                assert_eq!(t.counter(names::ALLOC_RUNS), attempts * 3);
+            });
+        }
     }
 }

@@ -46,16 +46,11 @@ pub mod theory;
 pub mod tracker;
 pub mod wire;
 
-pub use allocation::{
-    allocate, allocate_from_random, allocate_from_random_obs, allocate_obs,
-    allocate_shard_slice_obs, allocate_sharded_with_restarts, allocate_sharded_with_restarts_obs,
-    allocate_with_restarts, allocate_with_restarts_obs, random_initial, AllocationConfig,
-    AllocationResult,
-};
-pub use association::{
-    choose_ap, choose_ap_obs, choose_ap_selfish, choose_ap_selfish_obs, screen_score, utility,
-    Candidate,
-};
+/// Every entry point takes its metric sink explicitly; this lets callers
+/// switch observability off without depending on `acorn-obs` themselves.
+pub use acorn_obs::NullSink;
+pub use allocation::{allocate, random_initial, AllocSpec, AllocationConfig, AllocationResult};
+pub use association::{choose_ap, choose_ap_selfish, screen_score, utility, Candidate};
 pub use beacon::Beacon;
 pub use controller::{AcornConfig, AcornController, NetworkState};
 pub use csa::{switch_plans, ApCsa, ClientCsa, CsaAction, SwitchPlan};

@@ -6,18 +6,19 @@
 //! order**, so every reduction downstream is identical to the sequential
 //! fold — parallelism never changes an answer, only how fast it arrives.
 //! Work is claimed from an atomic counter (no pre-chunking), results flow
-//! back through a channel tagged with their index, and panics in workers
-//! propagate to the caller via scope join.
+//! back through a channel tagged with their index, and a panicking
+//! worker's own payload propagates to the caller.
 //!
-//! Thread count comes from `std::thread::available_parallelism`, capped
-//! by the `ACORN_THREADS` env var (read per call, so tests can flip it at
-//! runtime). Nested calls run sequentially on the calling worker — outer
-//! parallelism (e.g. restarts) already owns the cores, and keeping the
-//! nesting flat means the result is the same whichever level fans out.
+//! Thread count comes from `std::thread::available_parallelism` (probed
+//! once), overridden by the `ACORN_THREADS` env var (read per call, so
+//! tests can flip it at runtime). Nested calls run sequentially on the
+//! calling worker — outer parallelism (e.g. restarts) already owns the
+//! cores, and keeping the nesting flat means the result is the same
+//! whichever level fans out.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, OnceLock};
 
 thread_local! {
     /// True on threads that are themselves `par_map` workers.
@@ -26,18 +27,28 @@ thread_local! {
 
 /// The maximum worker count: `available_parallelism`, overridden by the
 /// `ACORN_THREADS` env var (values < 1 or unparsable are ignored).
+///
+/// Every fan-out asks, so this stays cheap: the env var is read per call,
+/// but `available_parallelism` — tens of microseconds, since it reads the
+/// cgroup CPU quota from files — is probed once per process, and only
+/// when the env var does not decide.
 pub fn max_threads() -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    static HW: OnceLock<usize> = OnceLock::new();
+    let hw = || {
+        *HW.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
+    };
     match std::env::var("ACORN_THREADS") {
         Ok(v) => v
             .trim()
             .parse::<usize>()
             .ok()
             .filter(|&n| n >= 1)
-            .unwrap_or(hw),
-        Err(_) => hw,
+            .unwrap_or_else(hw),
+        Err(_) => hw(),
     }
 }
 
@@ -72,24 +83,37 @@ where
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, U)>();
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            scope.spawn(move || {
-                IN_PAR_WORKER.with(|w| w.set(true));
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                let tx = tx.clone();
+                let next = &next;
+                let f = &f;
+                scope.spawn(move || {
+                    IN_PAR_WORKER.with(|w| w.set(true));
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        // The receiver outlives the scope; a send can only
+                        // fail if the main thread is already unwinding.
+                        let _ = tx.send((i, f(i)));
                     }
-                    // The receiver outlives the scope; a send can only
-                    // fail if the main thread is already unwinding.
-                    let _ = tx.send((i, f(i)));
-                }
-            });
-        }
+                })
+            })
+            .collect();
         drop(tx);
+        // Join by hand: a worker the scope joins itself would surface as
+        // a bare "a scoped thread panicked", losing the worker's message.
+        let mut first_panic = None;
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                first_panic.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = first_panic {
+            std::panic::resume_unwind(payload);
+        }
     });
 
     let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();

@@ -167,8 +167,9 @@ pub fn scan_overhead_s(n_aps: usize, n_channels: usize, dwell_s: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocation::{allocate_with_restarts, AllocationConfig};
+    use crate::allocation::{allocate, AllocSpec, AllocationConfig};
     use crate::model::ClientSnr;
+    use acorn_obs::NullSink;
     use acorn_topology::{ChannelPlan, InterferenceGraph};
 
     fn base(snrs: &[f64]) -> NetworkModel {
@@ -259,8 +260,13 @@ mod tests {
                     seed,
                 },
             );
-            let blind = allocate_with_restarts(&m, &plan, &cfg, 6, seed);
-            let aware = allocate_with_restarts(&truth, &plan, &cfg, 6, seed);
+            let spec = AllocSpec {
+                restarts: 6,
+                seed,
+                ..AllocSpec::default()
+            };
+            let blind = allocate(&m, &plan, &cfg, &spec, &NullSink);
+            let aware = allocate(&truth, &plan, &cfg, &spec, &NullSink);
             let y_blind = truth.total_bps(&blind.assignments);
             let y_aware = truth.total_bps(&aware.assignments);
             assert!(

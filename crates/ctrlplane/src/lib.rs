@@ -20,12 +20,13 @@
 //!
 //! ## The golden-twin contract
 //!
-//! The centralized allocator already shards Algorithm 2 by connected
-//! component with a per-shard restart schedule. Each zone controller
-//! replays exactly its shard's schedule
-//! ([`AcornController::reallocate_zone_obs`]) against a bit-exact
-//! restricted submodel, so a **benign** distributed run converges to
-//! the centralized allocation bit-for-bit — not approximately. Faults
+//! The centralized controller runs Algorithm 2 per connected component
+//! ([`AcornController::reallocate`] with `per_component`), calling
+//! [`allocate`] on each component's restricted submodel with the
+//! component's index. Each zone controller makes that same call for its
+//! own zone against a bit-exact restricted submodel, so a **benign**
+//! distributed run converges to the centralized allocation bit-for-bit
+//! by construction — one function, not two kept equal by a test. Faults
 //! (loss, corruption, delay, duplication, controller crashes) are
 //! absorbed by the reliable-delivery layer and epoch catch-up replay;
 //! a *partition* degrades the isolated zone to safe mode (last-known-
@@ -36,7 +37,8 @@
 //! `mix_seed` streams, so every run is a pure function of its
 //! [`PlaneConfig`] at any thread count.
 //!
-//! [`AcornController::reallocate_zone_obs`]: acorn_core::AcornController::reallocate_zone_obs
+//! [`AcornController::reallocate`]: acorn_core::AcornController::reallocate
+//! [`allocate`]: acorn_core::allocate
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,19 +8,20 @@
 //! ([`NetworkModel::restrict`] — the model depends on topology and
 //! association, never on channel assignments), and runs one
 //! [`ZoneController`] process per zone on the deterministic event
-//! runtime. Because each zone replays exactly the per-shard attempt
-//! schedule of [`AcornController::reallocate_sharded_with_restarts`],
+//! runtime. Because each zone makes exactly the per-component
+//! [`allocate`] call of [`AcornController::reallocate`],
 //! the benign distributed run converges to the centralized allocation
 //! *bit-identically* — [`DistributedPlane::centralized_twin`] is the
 //! oracle the golden-twin tests compare against.
 //!
 //! [`AcornController::zones`]: acorn_core::AcornController::zones
-//! [`AcornController::reallocate_sharded_with_restarts`]: acorn_core::AcornController::reallocate_sharded_with_restarts
+//! [`AcornController::reallocate`]: acorn_core::AcornController::reallocate
+//! [`allocate`]: acorn_core::allocate
 //! [`NetworkModel::restrict`]: acorn_core::NetworkModel::restrict
 //! [`ZoneController`]: crate::zone::ZoneController
 
 use crate::zone::ZoneController;
-use acorn_core::{AcornController, NetworkModel, NetworkState};
+use acorn_core::{AcornController, NetworkModel, NetworkState, NullSink};
 use acorn_events::{
     EventLog, FaultPlan, GauntletCounters, ProcessId, RunStats, Simulation, Telemetry,
 };
@@ -287,7 +288,7 @@ impl DistributedPlane {
     pub fn new(wlan: Wlan, ctl: AcornController, cfg: PlaneConfig) -> DistributedPlane {
         let mut state = ctl.new_state(&wlan, cfg.seed);
         for c in 0..wlan.clients.len() {
-            ctl.associate(&wlan, &mut state, ClientId(c));
+            ctl.associate(&wlan, &mut state, ClientId(c), &NullSink);
         }
         let zones = ctl.zones(&wlan, &state);
         let n_zones = zones.len();
@@ -379,9 +380,9 @@ impl DistributedPlane {
     }
 
     /// The centralized golden twin: the allocation a single controller
-    /// computes by running the same association and
-    /// `reallocate_sharded_with_restarts` schedule over the full
-    /// deployment. A benign distributed run must match it bit-for-bit.
+    /// computes by running the same association and per-component
+    /// `reallocate` schedule over the full deployment. A benign
+    /// distributed run must match it bit-for-bit.
     pub fn centralized_twin(&self) -> NetworkState {
         let w = &self.sim.world;
         centralized_twin(&w.wlan, &w.ctl, &self.cfg)
@@ -421,7 +422,7 @@ impl DistributedPlane {
             safe_mode_epochs: tel.counter(names::CTRL_SAFE_MODE_EPOCHS),
             partition_detections: tel.counter(names::CTRL_PARTITION_DETECTIONS),
             partition_heals: tel.counter(names::CTRL_PARTITION_HEALS),
-            total_bps: w.ctl.total_throughput_bps(&w.wlan, &w.state),
+            total_bps: w.ctl.total_throughput_bps(&w.wlan, &w.state, &[]),
             zones,
         }
     }
@@ -429,21 +430,24 @@ impl DistributedPlane {
 
 /// The centralized allocation trajectory for a deployment under a plane
 /// config: Algorithm 1 association in client order, then one
-/// [`reallocate_sharded_with_restarts`] per scheduled epoch with seed
-/// `cfg.seed + e`.
-///
-/// [`reallocate_sharded_with_restarts`]: acorn_core::AcornController::reallocate_sharded_with_restarts
+/// per-component [`AcornController::reallocate`] per scheduled epoch with
+/// seed `cfg.seed + e`.
 pub fn centralized_twin(wlan: &Wlan, ctl: &AcornController, cfg: &PlaneConfig) -> NetworkState {
     let mut state = ctl.new_state(wlan, cfg.seed);
     for c in 0..wlan.clients.len() {
-        ctl.associate(wlan, &mut state, ClientId(c));
+        ctl.associate(wlan, &mut state, ClientId(c), &NullSink);
     }
+    // Reallocation never moves an association, so one model serves
+    // every epoch.
+    let model = ctl.build_model(wlan, &state);
     for e in 1..=cfg.n_epochs() {
-        ctl.reallocate_sharded_with_restarts(
-            wlan,
+        ctl.reallocate(
+            &model,
             &mut state,
             cfg.restarts,
             cfg.seed.wrapping_add(e),
+            true,
+            &NullSink,
         );
     }
     state

@@ -6,8 +6,8 @@
 //! * **Epochs.** A self-chained `Epoch(k)` timer (global, 1-based `k`)
 //!   fires every re-allocation period. A healthy controller *catch-up
 //!   replays* every epoch it has not yet applied —
-//!   `applied_epoch+1 ..= k` — through
-//!   [`AcornController::reallocate_zone_obs`] with the per-epoch seed
+//!   `applied_epoch+1 ..= k` — through [`allocate`] on the zone's
+//!   submodel as component `zone`, with the per-epoch seed
 //!   `cfg.seed + e`. One mechanism covers the normal single-step advance,
 //!   crash recovery, and partition healing, and it is what makes the
 //!   benign trajectory bit-identical to the centralized golden twin.
@@ -24,13 +24,14 @@
 //!   plan, forces border APs down to 20 MHz, and stops advancing its
 //!   applied epoch until quorum returns.
 //!
-//! [`AcornController::reallocate_zone_obs`]: acorn_core::AcornController::reallocate_zone_obs
+//! [`allocate`]: acorn_core::allocate
 //! [`EventQueue`]: acorn_events::EventQueue
 
 use crate::msg::{
     encode_envelope, fingerprint_slice, parse_envelope, CtrlEnvelope, CtrlMsg, SALT_CTRL,
 };
 use crate::plane::{PlaneConfig, PlaneEvent, PlaneWorld, CTRL_GAUNTLET};
+use acorn_core::{allocate, AllocSpec};
 use acorn_events::{Ctx, FaultRng, Process};
 use acorn_obs::{names, RecordingSink};
 use acorn_phy::ChannelWidth;
@@ -225,16 +226,23 @@ impl ZoneController {
         for e in from_e..=k {
             let sink = RecordingSink::new();
             {
+                // The zone's slice of the centralized per-component
+                // reallocation: same submodel, same start, same seeds.
                 let w = &mut *ctx.world;
-                w.ctl.reallocate_zone_obs(
-                    &w.zone_models[zone],
-                    &mut w.state,
-                    &nodes,
-                    zone,
-                    self.cfg.restarts,
-                    self.cfg.seed.wrapping_add(e),
-                    &sink,
-                );
+                let initial: Vec<ChannelAssignment> =
+                    nodes.iter().map(|&n| w.state.assignments[n]).collect();
+                let spec = AllocSpec {
+                    initial: Some(&initial),
+                    restarts: self.cfg.restarts,
+                    seed: self.cfg.seed.wrapping_add(e),
+                    component: zone,
+                };
+                let (plan, config) = (&w.ctl.config.plan, &w.ctl.config.allocation);
+                let r = allocate(&w.zone_models[zone], plan, config, &spec, &sink);
+                for (local, &global) in nodes.iter().enumerate() {
+                    w.state.assignments[global] = r.assignments[local];
+                    w.state.operating_width[global] = r.assignments[local].width();
+                }
             }
             sink.drain_into(ctx.telemetry);
             ctx.telemetry.inc(names::CTRL_EPOCHS);

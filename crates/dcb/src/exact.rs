@@ -23,8 +23,9 @@
 //!
 //! [`access_share`]: acorn_mac::contention::access_share
 
-use acorn_core::allocation::{allocate_with_restarts, AllocationConfig};
+use acorn_core::allocation::{allocate, AllocSpec, AllocationConfig};
 use acorn_core::model::{NetworkModel, ThroughputModel};
+use acorn_core::NullSink;
 use acorn_topology::{ApId, Channel20, ChannelAssignment, ChannelPlan};
 
 /// Search limits.
@@ -148,13 +149,12 @@ pub fn allocate_exact(
     }
 
     // Strong incumbent: the paper's greedy with restarts.
-    let greedy = allocate_with_restarts(
-        model,
-        plan,
-        &AllocationConfig::default(),
-        config.seed_restarts,
-        0xD0CB,
-    );
+    let spec = AllocSpec {
+        restarts: config.seed_restarts,
+        seed: 0xD0CB,
+        ..AllocSpec::default()
+    };
+    let greedy = allocate(model, plan, &AllocationConfig::default(), &spec, &NullSink);
 
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(model.graph.degree(ApId(i))), i));
@@ -257,7 +257,18 @@ mod tests {
         let plan = ChannelPlan::restricted(2);
         let r = allocate_exact(&model, &plan, &ExactConfig::default());
         assert!(r.complete);
-        let greedy = allocate_with_restarts(&model, &plan, &AllocationConfig::default(), 8, 0xD0CB);
+        let spec = AllocSpec {
+            restarts: 8,
+            seed: 0xD0CB,
+            ..AllocSpec::default()
+        };
+        let greedy = allocate(
+            &model,
+            &plan,
+            &AllocationConfig::default(),
+            &spec,
+            &NullSink,
+        );
         let gtotal = model.total_bps(&greedy.assignments);
         assert!(r.total_bps >= gtotal - 1e-9);
         assert!(r.total_bps <= y_star_bps(&model) + 1e-9);
@@ -283,7 +294,18 @@ mod tests {
             },
         );
         assert!(!r.complete);
-        let greedy = allocate_with_restarts(&model, &plan, &AllocationConfig::default(), 4, 0xD0CB);
+        let spec = AllocSpec {
+            restarts: 4,
+            seed: 0xD0CB,
+            ..AllocSpec::default()
+        };
+        let greedy = allocate(
+            &model,
+            &plan,
+            &AllocationConfig::default(),
+            &spec,
+            &NullSink,
+        );
         assert!(r.total_bps >= model.total_bps(&greedy.assignments) - 1e-9);
         assert!(r.assignments.iter().all(|&a| plan.contains(a)));
     }

@@ -10,7 +10,7 @@
 //! * [`ReallocationTimer`] — the every-`T` Algorithm 2 re-run ("we run
 //!   our channel allocation algorithm every 30 minutes", §4.2). Restart
 //!   fan-out rides the evaluation engine's thread pool via
-//!   `reallocate_with_restarts`, and per-epoch seeds come from a
+//!   [`AcornController::reallocate`], and per-epoch seeds come from a
 //!   [`SeedPolicy`], so results are bit-identical at any `ACORN_THREADS`.
 //! * [`MobilityProcess`] — a client walking a [`Trajectory`] with
 //!   periodic SNR re-sampling and opportunistic width adaptation (§5.2).
@@ -27,8 +27,8 @@
 use crate::faults::{FaultPlan, FaultProcess, ResilienceReport};
 use crate::sim::{mix_seed, Ctx, Process, Simulation};
 use crate::telemetry::{Histogram, TelemetrySnapshot};
-use acorn_core::{choose_ap_obs, AcornController, NetworkState};
-use acorn_obs::RecordingSink;
+use acorn_core::{choose_ap, AcornController, NetworkState};
+use acorn_obs::{names, RecordingSink, Sink};
 use acorn_phy::ChannelWidth;
 use acorn_topology::{ApId, ChannelAssignment, ClientId, Trajectory, Wlan};
 use acorn_traces::Session;
@@ -198,7 +198,7 @@ impl Process<AcornWorld, AcornEvent> for SessionProcess {
                 // event handlers are sequential, so this is
                 // deterministic by construction.
                 let sink = RecordingSink::new();
-                if let Some(i) = choose_ap_obs(&candidates, &sink) {
+                if let Some(i) = choose_ap(&candidates, &sink) {
                     w.state.assoc[c] = Some(candidates[i].ap);
                     delay = Some(candidates[i].delay_u_s);
                 }
@@ -300,9 +300,9 @@ impl Process<AcornWorld, AcornEvent> for ReallocationTimer {
         let t = ctx.now();
         let seed = self.seed_policy.epoch_seed(ctx.event_seq());
         let w = &mut *ctx.world;
-        // With every AP up this is bit-identical to the plain total, so
-        // fault-free runs keep their golden fingerprints.
-        let before = w.ctl.total_throughput_bps_up(&w.wlan, &w.state, &w.ap_up);
+        // With every AP up the mask sums every cell, so fault-free runs
+        // keep their golden fingerprints.
+        let before = w.ctl.total_throughput_bps(&w.wlan, &w.state, &w.ap_up);
         let active = w.active_clients();
         let degraded = self.safe_mode && !w.all_up();
         let (after, switches) = if degraded {
@@ -320,23 +320,23 @@ impl Process<AcornWorld, AcornEvent> for ReallocationTimer {
                     w.state.operating_width[ap] = ChannelWidth::Ht20;
                 }
             }
-            ctx.telemetry
-                .inc(acorn_obs::names::CONTROLLER_SAFE_MODE_EPOCHS);
-            let after = w.ctl.total_throughput_bps_up(&w.wlan, &w.state, &w.ap_up);
+            ctx.telemetry.inc(names::CONTROLLER_SAFE_MODE_EPOCHS);
+            let after = w.ctl.total_throughput_bps(&w.wlan, &w.state, &w.ap_up);
             (after, 0)
         } else {
             // The epoch's alloc.*/model.* metrics ride an ephemeral sink
             // shared across the restart fan-out (counter adds commute,
             // so the totals are thread-invariant) and drain into the
-            // run-wide recorder here, sequentially.
+            // run-wide recorder here, sequentially. The exact world runs
+            // the paper's whole-network greedy, not the per-component
+            // split.
             let sink = RecordingSink::new();
-            let r = w.ctl.reallocate_with_restarts_obs(
-                &w.wlan,
-                &mut w.state,
-                self.restarts,
-                seed,
-                &sink,
-            );
+            let model = w.ctl.build_model(&w.wlan, &w.state);
+            let r = w
+                .ctl
+                .reallocate(&model, &mut w.state, self.restarts, seed, false, &sink);
+            sink.inc(names::CONTROLLER_EPOCHS);
+            sink.gauge(names::CONTROLLER_TOTAL_BPS, r.total_bps);
             sink.drain_into(ctx.telemetry);
             if self.adapt_widths {
                 w.ctl.adapt_widths(&w.wlan, &mut w.state);

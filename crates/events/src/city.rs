@@ -14,9 +14,9 @@
 //!   edges from the grid at build time, client-mediated edges as
 //!   reference-counted entries updated on arrival/departure — and only
 //!   materialized (O(V+E)) when a re-allocation epoch needs a model;
-//! * re-allocation runs through the sharded Algorithm 2 fan-out
-//!   ([`allocate_sharded_with_restarts_obs`]) over the graph's connected
-//!   components, with SNR→goodput queries served by the controller's
+//! * re-allocation runs Algorithm 2 per connected component of the graph
+//!   ([`AcornController::reallocate`] with `per_component`), with
+//!   SNR→goodput queries served by the controller's
 //!   memoized [`GoodputTable`](acorn_phy::GoodputTable) when one is
 //!   attached.
 //!
@@ -29,14 +29,15 @@
 //! * The §5.2 width adaptation is evaluated only for the AP whose cell
 //!   just changed (arrival/departure) or for all APs after a
 //!   re-allocation — never network-wide per event.
-//! * Faults and per-client mobility are not part of this scenario class;
-//!   client positions are fixed for the run (shadowing drift still
-//!   re-samples every active link's SNR).
+//! * Per-client mobility is not part of this scenario class; client
+//!   positions are fixed for the run (shadowing drift still re-samples
+//!   every active link's SNR). Faults are: [`CityFaultProcess`] is the
+//!   localized counterpart of the composite fault layer.
 //!
 //! Determinism is inherited wholesale: handlers are sequential, the
 //! client-edge multiset lives in `BTreeMap`s (ordered iteration), and the
-//! only parallel section is the order-stable sharded restart fan-out — so
-//! runs are bit-identical at any `ACORN_THREADS`.
+//! only parallel section is the order-stable per-component restart
+//! fan-out — so runs are bit-identical at any `ACORN_THREADS`.
 
 use crate::acorn::{AcornEvent, DriftSpec, ReallocRecord, SeedPolicy};
 use crate::cityfaults::CityFaultProcess;
@@ -44,10 +45,9 @@ use crate::faults::{FaultPlan, ResilienceReport};
 use crate::sim::{Ctx, Process, Simulation};
 use crate::telemetry::{Histogram, TelemetrySnapshot};
 use acorn_core::{
-    allocate_sharded_with_restarts_obs, choose_ap_obs, AcornController, Candidate, ClientSnr,
-    NetworkModel, NetworkState, ThroughputModel,
+    choose_ap, AcornController, Candidate, ClientSnr, NetworkModel, NetworkState, ThroughputModel,
 };
-use acorn_obs::RecordingSink;
+use acorn_obs::{RecordingSink, Sink};
 use acorn_phy::ChannelWidth;
 use acorn_topology::{ApId, ChannelAssignment, ClientId, InterferenceGraph, SpatialGrid, Wlan};
 use acorn_traces::Session;
@@ -278,7 +278,7 @@ impl CityWorld {
     /// and the client's own delivery delay there, recording candidate
     /// metrics into `sink`. Dead APs don't beacon, so clients never see
     /// them as candidates — a no-op while every AP is up.
-    pub fn associate_obs(&mut self, c: usize, sink: &RecordingSink) -> Option<(usize, f64)> {
+    pub fn associate<S: Sink>(&mut self, c: usize, sink: &S) -> Option<(usize, f64)> {
         let pos = self.wlan.clients[c].pos;
         let mut candidates = Vec::new();
         let mut snrs = Vec::new();
@@ -301,7 +301,7 @@ impl CityWorld {
             });
             snrs.push(snr20);
         }
-        let i = choose_ap_obs(&candidates, sink)?;
+        let i = choose_ap(&candidates, sink)?;
         let ap = candidates[i].ap.0;
         self.state.assoc[c] = Some(ApId(ap));
         self.client_snr20[c] = snrs[i];
@@ -457,7 +457,7 @@ impl Process<CityWorld, AcornEvent> for CitySessionProcess {
             AcornEvent::Arrive(c) => {
                 let w = &mut *ctx.world;
                 let sink = RecordingSink::new();
-                let chosen = w.associate_obs(c, &sink);
+                let chosen = w.associate(c, &sink);
                 sink.drain_into(ctx.telemetry);
                 ctx.telemetry.inc("sessions.arrivals");
                 if let Some((ap, delay)) = chosen {
@@ -548,25 +548,17 @@ impl Process<CityWorld, AcornEvent> for CityReallocationTimer {
             (model.total_bps(&w.state.assignments), 0)
         } else {
             let sink = RecordingSink::new();
-            let r = allocate_sharded_with_restarts_obs(
-                &model,
-                &w.ctl.config.plan,
-                w.state.assignments.clone(),
-                &w.ctl.config.allocation,
-                self.restarts,
-                seed,
-                &sink,
-            );
-            w.state.assignments = r.assignments.clone();
-            w.state.operating_width = w.state.assignments.iter().map(|a| a.width()).collect();
+            let r = w
+                .ctl
+                .reallocate(&model, &mut w.state, self.restarts, seed, true, &sink);
             if self.adapt_widths {
                 for ap in 0..w.wlan.aps.len() {
                     w.adapt_width_local(ap);
                 }
             }
-            // Flush the epoch's model-evaluation and goodput-table counters
-            // alongside the alloc.* metrics (the controller's obs entry
-            // points do the same through `finish_epoch_obs`).
+            // The width adaptation's goodput-table lookups belong to this
+            // epoch too: flush what the model's table cursor has seen
+            // since `reallocate`'s own flush.
             model.flush_stats_into(&sink);
             sink.drain_into(ctx.telemetry);
             if self.safe_mode {
@@ -855,7 +847,7 @@ mod tests {
         // Associate everyone, then the graph must still match exactly.
         let sink = RecordingSink::new();
         for c in 0..world.wlan.clients.len() {
-            world.associate_obs(c, &sink);
+            world.associate(c, &sink);
         }
         assert_eq!(
             world.graph_snapshot(),
@@ -920,7 +912,7 @@ mod tests {
         let mut world = CityWorld::new(w, ctl, 120.0, 3);
         let sink = RecordingSink::new();
         for c in 0..6 {
-            world.associate_obs(c, &sink);
+            world.associate(c, &sink);
         }
         // Clients 0,1,4 sit near district 0 (APs 0–1); 2,3,5 near
         // district 1 (APs 2–3).

@@ -20,7 +20,7 @@
 //!   the NaN/outlier gates live here and write through
 //!   [`CityWorld::set_client_snr20`].
 //! * No IAPP/CSA machinery — city re-allocation deploys instantly
-//!   through the sharded allocator; beacons are the only wire path.
+//!   through the per-component allocator; beacons are the only wire path.
 //! * A client whose re-scan finds no live AP stays unassociated until
 //!   its session departs (counted in `faults.rescan_failures`); retrying
 //!   would risk resurrecting departed clients.
@@ -167,12 +167,12 @@ impl CityFaultProcess {
 
     /// Deassociates `client` from its (presumed-dead) AP and re-scans
     /// through the spatial index; dead APs are filtered inside
-    /// [`CityWorld::associate_obs`].
+    /// [`CityWorld::associate`].
     fn rescan(&mut self, ctx: &mut Ctx<'_, CityWorld, AcornEvent>, client: usize) {
         let w = &mut *ctx.world;
         w.deassociate(client);
         let sink = RecordingSink::new();
-        let found = w.associate_obs(client, &sink).is_some();
+        let found = w.associate(client, &sink).is_some();
         sink.drain_into(ctx.telemetry);
         self.heard_ap[client] = ctx.world.state.assoc[client].map(|a| a.0 as u32);
         self.last_heard_round[client] = self.round;

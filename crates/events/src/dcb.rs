@@ -32,9 +32,10 @@
 
 use crate::faults::FaultRng;
 use crate::sim::{Ctx, Process, Simulation};
-use acorn_core::allocation::{allocate_with_restarts, AllocationConfig};
+use acorn_core::allocation::{allocate, AllocSpec, AllocationConfig};
 use acorn_core::model::{ClientSnr, NetworkModel};
 use acorn_dcb::{CtmcParams, DcbPolicy, OccupancyObservation, PolicyKind};
+use acorn_obs::NullSink;
 use acorn_topology::{ApId, Channel20, ChannelAssignment, ChannelPlan, InterferenceGraph};
 
 /// Stream salts for the per-event splitmix64 draws.
@@ -419,12 +420,17 @@ impl OverlappingBssGrid {
     /// per-transmission.
     pub fn epoch_alloc(&self, restarts: usize) -> Vec<ChannelAssignment> {
         let model = self.model();
-        allocate_with_restarts(
+        let spec = AllocSpec {
+            restarts,
+            seed: self.seed,
+            ..AllocSpec::default()
+        };
+        allocate(
             &model,
             &self.plan(),
             &AllocationConfig::default(),
-            restarts,
-            self.seed,
+            &spec,
+            &NullSink,
         )
         .assignments
     }

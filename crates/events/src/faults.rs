@@ -460,7 +460,7 @@ impl FaultProcess {
         let mut candidates = w.ctl.candidates_for(&w.wlan, &w.state, ClientId(client));
         candidates.retain(|c| w.ap_up[c.ap.0]);
         let sink = RecordingSink::new();
-        if let Some(i) = acorn_core::choose_ap_obs(&candidates, &sink) {
+        if let Some(i) = acorn_core::choose_ap(&candidates, &sink) {
             w.state.assoc[client] = Some(candidates[i].ap);
         }
         sink.drain_into(ctx.telemetry);
@@ -777,7 +777,7 @@ impl FaultProcess {
 
         // --- 6. Per-round network throughput (live APs only).
         let w = &*ctx.world;
-        let bps = w.ctl.total_throughput_bps_up(&w.wlan, &w.state, &w.ap_up);
+        let bps = w.ctl.total_throughput_bps(&w.wlan, &w.state, &w.ap_up);
         ctx.telemetry.record("resilience.network_bps", now, bps);
 
         let next = now + self.plan.control_period_s;

@@ -23,10 +23,11 @@ pub const ALLOC_ROUNDS: &str = "alloc.rounds";
 pub const ALLOC_ITERATIONS: &str = "alloc.iterations";
 /// Switches actually applied (a round found an improving move).
 pub const ALLOC_SWITCHES: &str = "alloc.switches";
-/// Random-restart allocations fanned out by `allocate_with_restarts`.
+/// Random restarts `allocate` ran to hedge its start (one per random
+/// attempt when `restarts > 0`).
 pub const ALLOC_RESTARTS: &str = "alloc.restarts";
-/// Connected-component shards the sharded allocation path fanned out
-/// over (summed per run; 1 when the conflict graph is connected).
+/// Conflict-graph components a per-component `reallocate` solved
+/// separately (summed per epoch; 1 when the graph is connected).
 pub const ALLOC_SHARDS: &str = "alloc.shards";
 
 /// Full `cell_base_bps` table rebuilds on the throughput model.
@@ -47,8 +48,11 @@ pub const TABLE_REBUILDS: &str = "phy.table.rebuilds";
 /// the table's build-time self-check sweep.
 pub const TABLE_MAX_QUANT_ERROR: &str = "phy.table.max_quant_error_bps";
 
-/// Controller reallocation epochs driven through the obs entry points.
+/// Reallocation epochs of the exact event world's timer.
 pub const CONTROLLER_EPOCHS: &str = "controller.obs_epochs";
+/// Predicted network throughput (bits/s) the exact event world's last
+/// reallocation epoch deployed.
+pub const CONTROLLER_TOTAL_BPS: &str = "controller.total_bps";
 /// Reallocation epochs spent in safe mode (historical name, also read
 /// by `ResilienceReport`).
 pub const CONTROLLER_SAFE_MODE_EPOCHS: &str = "controller.safe_mode_epochs";

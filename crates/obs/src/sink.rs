@@ -1,7 +1,8 @@
 //! Metric sinks: where instrumented code reports to.
 //!
-//! Hot paths are generic over [`Sink`] so the disabled configuration
-//! compiles down to nothing: [`NullSink`] is a unit type whose methods
+//! Entry points take their sink explicitly, and hot paths are generic
+//! over [`Sink`] so the disabled configuration compiles down to nothing:
+//! [`NullSink`] is a unit type whose methods
 //! are empty `#[inline]` bodies, and `acorn_bench::alloc_counter`
 //! verifies the baseband steady state stays at 0 allocs/packet with it
 //! attached. [`RecordingSink`] is the enabled configuration — a
@@ -34,7 +35,7 @@ use std::time::Instant;
 /// A destination for metrics emitted by instrumented code.
 ///
 /// All methods take `&self` so one sink can be shared across the
-/// parallel fan-outs in `allocate_with_restarts`; implementations that
+/// parallel fan-outs in `acorn_core::allocate`; implementations that
 /// actually record therefore need interior mutability (see
 /// [`RecordingSink`]).
 pub trait Sink {
@@ -161,7 +162,8 @@ impl Drop for Span<'_> {
     }
 }
 
-/// The disabled sink: every method is an empty inlineable body, so
+/// The disabled sink, what callers pass to run an entry point with
+/// observability off: every method is an empty inlineable body, so
 /// instrumented hot paths compiled against it cost nothing and allocate
 /// nothing (gated in CI via `acorn_bench::alloc_counter`).
 #[derive(Debug, Clone, Copy, Default)]

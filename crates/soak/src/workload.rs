@@ -197,7 +197,7 @@ impl Process<CityWorld, AcornEvent> for WorkloadGen {
                     let c = self.idle.swap_remove(slot.min(self.idle.len() - 1)) as usize;
                     let w = &mut *ctx.world;
                     let sink = RecordingSink::new();
-                    let chosen = w.associate_obs(c, &sink);
+                    let chosen = w.associate(c, &sink);
                     sink.drain_into(ctx.telemetry);
                     ctx.telemetry.inc("sessions.arrivals");
                     match chosen {

@@ -10,6 +10,7 @@
 //! ```
 
 use acorn::baselines::{allocate_aggressive_cb, fixed_width};
+use acorn::core::NullSink;
 use acorn::core::{AcornConfig, AcornController};
 use acorn::phy::ChannelWidth;
 use acorn::sim::runner::evaluate_analytic;
@@ -27,11 +28,12 @@ fn main() {
     // Natural association (one client per AP here).
     let mut state = ctl.new_state(&wlan, 1);
     for c in 0..wlan.clients.len() {
-        ctl.associate(&wlan, &mut state, ClientId(c));
+        ctl.associate(&wlan, &mut state, ClientId(c), &NullSink);
     }
 
     // ACORN (run first: `score` borrows the settled association below).
-    ctl.reallocate_with_restarts(&wlan, &mut state, 8, 3);
+    let model = ctl.build_model(&wlan, &state);
+    ctl.reallocate(&model, &mut state, 8, 3, false, &NullSink);
 
     let score = |assignments: &[acorn::topology::ChannelAssignment]| {
         evaluate_analytic(

@@ -19,8 +19,9 @@
 use acorn::core::csa::{switch_plans, ApCsa, CsaAction};
 use acorn::core::iapp::{IappAgent, IappBus};
 use acorn::core::wire::{parse_beacon, serialize_beacon};
+use acorn::core::NullSink;
 use acorn::core::{
-    allocate, AcornConfig, AcornController, AllocationConfig, ClientSnr, NetworkModel,
+    allocate, AcornConfig, AcornController, AllocSpec, AllocationConfig, ClientSnr, NetworkModel,
 };
 use acorn::phy::ChannelWidth;
 use acorn::topology::{ApId, ClientId, InterferenceGraph};
@@ -38,7 +39,7 @@ fn main() {
             let parsed = parse_beacon(&frame).expect("own frame parses");
             assert_eq!(parsed.n_clients, b.n_clients);
         }
-        ctl.associate(&wlan, &mut state, ClientId(c));
+        ctl.associate(&wlan, &mut state, ClientId(c), &NullSink);
     }
     println!(
         "associated {} clients across {} APs",
@@ -87,11 +88,16 @@ fn main() {
         })
         .collect();
     let model = NetworkModel::new(learned, cells);
+    let spec = AllocSpec {
+        initial: Some(&state.assignments),
+        ..AllocSpec::default()
+    };
     let result = allocate(
         &model,
         &ctl.config.plan,
-        state.assignments.clone(),
         &AllocationConfig::default(),
+        &spec,
+        &NullSink,
     );
     println!(
         "allocation on the learned graph: {:.1} Mb/s after {} switches",

@@ -10,6 +10,7 @@
 //! cargo run --release --example enterprise_floor
 //! ```
 
+use acorn::core::NullSink;
 use acorn::core::{AcornConfig, AcornController};
 use acorn::topology::ClientId;
 use acorn::traces::{SessionGenerator, REALLOCATION_PERIOD_S};
@@ -54,15 +55,16 @@ fn main() {
     for (time, ev) in events {
         match ev {
             Event::Arrive(c) => {
-                ctl.associate(&wlan, &mut state, ClientId(c));
+                ctl.associate(&wlan, &mut state, ClientId(c), &NullSink);
             }
             Event::Depart(c) => {
                 ctl.deassociate(&mut state, ClientId(c));
             }
             Event::Reallocate => {
                 let active = state.assoc.iter().filter(|a| a.is_some()).count();
-                let before = ctl.total_throughput_bps(&wlan, &state);
-                let r = ctl.reallocate_with_restarts(&wlan, &mut state, 4, seed);
+                let before = ctl.total_throughput_bps(&wlan, &state, &[]);
+                let model = ctl.build_model(&wlan, &state);
+                let r = ctl.reallocate(&model, &mut state, 4, seed, false, &NullSink);
                 seed += 1;
                 println!(
                     "t={:>5.0} min: {active:>2} active clients, Y {:>6.1} -> {:>6.1} Mb/s ({} switches)",

@@ -28,24 +28,25 @@ fn main() {
     let table = Arc::new(GoodputTable::new(LinkQualityEstimator::default()));
     let ctl = AcornController::with_table(AcornConfig::default(), table);
 
-    // Every decision below reports into this sink; swap in `NullSink`
-    // (or call the un-suffixed methods) to run with observability off.
+    // Every decision below reports into this sink; pass `NullSink`
+    // instead to run with observability off.
     let sink = RecordingSink::new();
 
     // Clients arrive one by one and associate per Algorithm 1.
     let mut state = ctl.new_state(&wlan, 42);
     for c in 0..wlan.clients.len() {
-        match ctl.associate_obs(&wlan, &mut state, ClientId(c), &sink) {
+        match ctl.associate(&wlan, &mut state, ClientId(c), &sink) {
             Some(ap) => println!("client {c} -> AP {}", ap.0),
             None => println!("client {c} is out of range"),
         }
     }
 
-    // Channel allocation per Algorithm 2 (with random restarts), sharded
-    // over the conflict graph's connected components — the snapshot below
-    // reports the shard count (`alloc.shards`) and the table's hit/miss
-    // counters (`phy.table.*`) alongside the association metrics.
-    let result = ctl.reallocate_sharded_with_restarts_obs(&wlan, &mut state, 8, 7, &sink);
+    // Channel allocation per Algorithm 2 (with random restarts), run per
+    // connected component of the conflict graph — the snapshot below
+    // reports the component count (`alloc.shards`) and the table's
+    // hit/miss counters (`phy.table.*`) alongside the association metrics.
+    let model = ctl.build_model(&wlan, &state);
+    let result = ctl.reallocate(&model, &mut state, 8, 7, true, &sink);
     println!();
     println!(
         "allocation converged after {} iterations, {} switches",

@@ -2,9 +2,9 @@
 # Performance snapshot of the evaluation engine:
 #   1. criterion microbenches for allocation and baseband, and
 #   2. the end-to-end snapshot binary, which times the 25-AP
-#      allocate_with_restarts path (BENCH_allocation.json) and the
-#      baseband Monte-Carlo engine against the pre-workspace baseline
-#      (BENCH_baseband.json), both at the repo root.
+#      allocate-with-restarts path (BENCH_allocation.json) and the
+#      baseband Monte-Carlo engine (BENCH_baseband.json), both at the
+#      repo root.
 #
 # Usage: scripts/bench_snapshot.sh
 set -euo pipefail
@@ -18,7 +18,7 @@ echo "== criterion: bench_baseband =="
 cargo bench --offline -p acorn-bench --bench bench_baseband
 
 echo
-echo "== end-to-end: baseband engine + 25-AP allocate_with_restarts =="
+echo "== end-to-end: baseband engine + 25-AP allocate with restarts =="
 cargo run --offline --release -p acorn-bench --bin bench_snapshot
 
 echo

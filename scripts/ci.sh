@@ -25,7 +25,10 @@
 #      bit, including the hard-coded pre-port fingerprints. The
 #      determinism sweep runs with a RecordingSink attached and asserts
 #      byte-stable snapshot JSON; the resilience suite records through
-#      the events-layer sinks (faults.*, csa.*, iapp.* counters).
+#      the events-layer sinks (faults.*, csa.*, iapp.* counters),
+#   8. the repository benchmark (perfbench/) built against this checkout
+#      and run for one second per workload at its default seed: it must
+#      build, and its recorded output fingerprints must still match.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -80,8 +83,8 @@ echo "== release build =="
 cargo build --release --offline
 
 echo
-echo "== tests =="
-cargo test -q --offline
+echo "== tests (workspace) =="
+cargo test -q --offline --workspace
 
 echo
 echo "== observability overhead gate (NullSink) =="
@@ -158,6 +161,25 @@ echo "== city-scale determinism (10k APs, sharded + memoized) =="
 # memoized table swept at ACORN_THREADS = 1/2/8 inside the test.
 ACORN_CITY_FULL=1 cargo test -q --offline --release \
     --test determinism sharded_and_city
+
+echo
+echo "== repository benchmark (perfbench, default seed) =="
+# perfbench builds the workspace crates by path, so an API change that
+# breaks its build fails here; at the default seed every workload checks
+# its outputs against recorded fingerprints, so a change that moves any
+# simulated output does too. Its last line is the result JSON.
+bench_out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seconds 1)
+bench_last=$(printf '%s\n' "$bench_out" | tail -n 1)
+echo "$bench_last"
+case "$bench_last" in
+    *'"correct": true'*) ;;
+    *)
+        printf '%s\n' "$bench_out" | tail -n 40 >&2
+        echo "perfbench: outputs are not correct" >&2
+        exit 1
+        ;;
+esac
 
 echo
 echo "ci: all gates passed"

@@ -21,7 +21,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use acorn::core::{AcornConfig, AcornController};
+//! use acorn::core::{AcornConfig, AcornController, NullSink};
 //! use acorn::topology::ClientId;
 //!
 //! // A 2×2 enterprise floor with 8 clients.
@@ -29,9 +29,11 @@
 //! let ctl = AcornController::new(AcornConfig::default());
 //! let mut state = ctl.new_state(&wlan, 42);
 //! for c in 0..wlan.clients.len() {
-//!     ctl.associate(&wlan, &mut state, ClientId(c));
+//!     ctl.associate(&wlan, &mut state, ClientId(c), &NullSink);
 //! }
-//! let result = ctl.reallocate(&wlan, &mut state);
+//! // Algorithm 2 over the whole network, hedged with 8 random restarts.
+//! let model = ctl.build_model(&wlan, &state);
+//! let result = ctl.reallocate(&model, &mut state, 8, 7, false, &NullSink);
 //! assert!(result.total_bps > 0.0);
 //! ```
 

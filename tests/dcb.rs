@@ -16,9 +16,10 @@
 //! `scripts/ci.sh` runs this file as a `--release` gate alongside
 //! `table_accuracy` and `spatial_graph`.
 
-use acorn::core::allocation::{allocate_with_restarts, AllocationConfig};
+use acorn::core::allocation::{allocate, AllocSpec, AllocationConfig};
 use acorn::core::model::ThroughputModel;
 use acorn::core::theory::y_star_bps;
+use acorn::core::NullSink;
 use acorn::dcb::{allocate_exact, ctmc, CtmcParams, ExactConfig, MarkovPolicy, PolicyKind};
 use acorn::events::{DcbScenario, OverlappingBssGrid};
 use acorn::topology::{Channel20, ChannelAssignment, InterferenceGraph};
@@ -171,7 +172,18 @@ fn exact_search_terminates_and_bounds_the_greedy() {
         let plan = grid.plan();
         let exact = allocate_exact(&model, &plan, &ExactConfig::default());
         assert!(exact.complete, "{name}: exact search must terminate");
-        let greedy = allocate_with_restarts(&model, &plan, &AllocationConfig::default(), 8, 0xD0CB);
+        let spec = AllocSpec {
+            restarts: 8,
+            seed: 0xD0CB,
+            ..AllocSpec::default()
+        };
+        let greedy = allocate(
+            &model,
+            &plan,
+            &AllocationConfig::default(),
+            &spec,
+            &NullSink,
+        );
         let greedy_bps = model.total_bps(&greedy.assignments);
         assert!(
             exact.total_bps >= greedy_bps - 1e-6,

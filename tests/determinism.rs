@@ -7,12 +7,9 @@
 //! The env var is process-global and the three thread counts must run
 //! sequentially, so the tests serialize on a shared lock.
 
-use acorn_core::allocation::{
-    allocate_sharded_with_restarts_obs, allocate_with_restarts, allocate_with_restarts_obs,
-    random_initial, AllocationConfig,
-};
+use acorn_core::allocation::{allocate, random_initial, AllocSpec, AllocationConfig};
 use acorn_core::model::{ClientSnr, NetworkModel, ThroughputModel};
-use acorn_core::{AcornConfig, AcornController, NetworkState};
+use acorn_core::{AcornConfig, AcornController, NetworkState, NullSink};
 use acorn_ctrlplane::{CrashWindow, DistributedPlane, PlaneConfig};
 use acorn_dcb::PolicyKind;
 use acorn_events::{
@@ -45,7 +42,7 @@ fn topology(i: usize) -> (Wlan, AcornController, Vec<Session>) {
     (wlan, ctl, sessions)
 }
 
-/// A random abstract model for the direct `allocate_with_restarts` path.
+/// A random abstract model for the direct `allocate` path.
 fn abstract_model(i: usize) -> NetworkModel {
     let mut rng = StdRng::seed_from_u64(90 + i as u64);
     let n_aps = 4 + i;
@@ -65,9 +62,17 @@ fn abstract_model(i: usize) -> NetworkModel {
 fn run_controller_alloc(wlan: &Wlan, ctl: &AcornController, seed: u64) -> (NetworkState, u64) {
     let mut state = ctl.new_state(wlan, seed);
     for c in 0..wlan.clients.len() {
-        ctl.associate(wlan, &mut state, ClientId(c));
+        ctl.associate(wlan, &mut state, ClientId(c), &NullSink);
     }
-    let r = ctl.reallocate_with_restarts(wlan, &mut state, 8, seed.wrapping_add(10));
+    let model = ctl.build_model(wlan, &state);
+    let r = ctl.reallocate(
+        &model,
+        &mut state,
+        8,
+        seed.wrapping_add(10),
+        false,
+        &NullSink,
+    );
     (state, r.total_bps.to_bits())
 }
 
@@ -233,26 +238,30 @@ fn small_table() -> Arc<GoodputTable> {
 fn sharded_and_city_runs_are_identical_across_thread_counts() {
     let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let thread_counts = ["1", "2", "8"];
-    let alloc_cfg = AllocationConfig::default();
     let plan = ChannelPlan::restricted(6);
+    let ctl = AcornController::new(AcornConfig {
+        plan,
+        ..AcornConfig::default()
+    });
 
     for topo in 0..3 {
-        let model = multi_component_model(topo);
-        let initial = random_initial(&plan, model.n_aps(), 900 + topo as u64);
+        let n_aps = multi_component_model(topo).n_aps();
+        let initial = random_initial(&plan, n_aps, 900 + topo as u64);
         let mut runs: Vec<(Vec<_>, u64)> = Vec::new();
         let mut snaps: Vec<String> = Vec::new();
         for threads in thread_counts {
             std::env::set_var("ACORN_THREADS", threads);
+            // A fresh model per run: `reallocate` flushes the model's
+            // counters (a read-reset), so a shared model would report its
+            // build only in the first run's snapshot.
+            let model = multi_component_model(topo);
             let sink = RecordingSink::new();
-            let r = allocate_sharded_with_restarts_obs(
-                &model,
-                &plan,
-                initial.clone(),
-                &alloc_cfg,
-                6,
-                800 + topo as u64,
-                &sink,
-            );
+            let mut state = NetworkState {
+                assignments: initial.clone(),
+                assoc: Vec::new(),
+                operating_width: initial.iter().map(|a| a.width()).collect(),
+            };
+            let r = ctl.reallocate(&model, &mut state, 6, 800 + topo as u64, true, &sink);
             runs.push((r.assignments, r.total_bps.to_bits()));
             snaps.push(sink.snapshot().to_json());
         }
@@ -369,13 +378,17 @@ fn results_are_identical_across_thread_counts() {
         for threads in thread_counts {
             std::env::set_var("ACORN_THREADS", threads);
             controller_runs.push(run_controller_alloc(&wlan, &ctl, 7 + topo as u64));
-            let r = allocate_with_restarts(&model, &plan, &alloc_cfg, 8, 500 + topo as u64);
+            let spec = AllocSpec {
+                restarts: 8,
+                seed: 500 + topo as u64,
+                ..AllocSpec::default()
+            };
+            let r = allocate(&model, &plan, &alloc_cfg, &spec, &NullSink);
             direct_runs.push((r.assignments, r.total_bps.to_bits()));
             // The instrumented path must (a) agree with the plain path and
             // (b) record the same snapshot bytes at every thread count.
             let sink = RecordingSink::new();
-            let r_obs =
-                allocate_with_restarts_obs(&model, &plan, &alloc_cfg, 8, 500 + topo as u64, &sink);
+            let r_obs = allocate(&model, &plan, &alloc_cfg, &spec, &sink);
             assert_eq!(
                 r_obs.total_bps.to_bits(),
                 direct_runs.last().unwrap().1,
@@ -400,7 +413,7 @@ fn results_are_identical_across_thread_counts() {
             );
             assert_eq!(
                 direct_runs[0], direct_runs[t],
-                "topology {topo}: allocate_with_restarts differs at {threads} threads"
+                "topology {topo}: allocate differs at {threads} threads"
             );
             assert_eq!(
                 churn_runs[0], churn_runs[t],

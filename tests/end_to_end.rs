@@ -4,6 +4,7 @@
 //! acorn-topology.
 
 use acorn::baselines::{allocate_aggressive_cb, associate_rssi, fixed_width, random_config};
+use acorn::core::NullSink;
 use acorn::core::{AcornConfig, AcornController};
 use acorn::phy::ChannelWidth;
 use acorn::sim::runner::evaluate_analytic;
@@ -21,14 +22,16 @@ fn acorn_configure(
     });
     let mut state = ctl.new_state(wlan, seed);
     for c in 0..wlan.clients.len() {
-        ctl.associate(wlan, &mut state, ClientId(c));
+        ctl.associate(wlan, &mut state, ClientId(c), &NullSink);
     }
-    ctl.reallocate_with_restarts(wlan, &mut state, 8, seed + 1);
+    let model = ctl.build_model(wlan, &state);
+    ctl.reallocate(&model, &mut state, 8, seed + 1, false, &NullSink);
     for c in 0..wlan.clients.len() {
         ctl.deassociate(&mut state, ClientId(c));
-        ctl.associate(wlan, &mut state, ClientId(c));
+        ctl.associate(wlan, &mut state, ClientId(c), &NullSink);
     }
-    ctl.reallocate_with_restarts(wlan, &mut state, 8, seed + 2);
+    let model = ctl.build_model(wlan, &state);
+    ctl.reallocate(&model, &mut state, 8, seed + 2, false, &NullSink);
     (ctl, state)
 }
 
@@ -197,7 +200,8 @@ fn reallocation_is_stable_once_converged() {
     let wlan = topology2();
     let (ctl, mut state) = acorn_configure(&wlan, ChannelPlan::full_5ghz(), 17);
     let before = state.assignments.clone();
-    let r = ctl.reallocate(&wlan, &mut state);
+    let model = ctl.build_model(&wlan, &state);
+    let r = ctl.reallocate(&model, &mut state, 0, 0, false, &NullSink);
     assert_eq!(state.assignments, before, "allocation not stable");
     assert_eq!(r.switches, 0);
 }
@@ -224,15 +228,16 @@ fn mobility_adaptation_composes_with_allocation() {
 
     let ctl = AcornController::new(AcornConfig::default());
     let mut state = ctl.new_state(&wlan, 1);
-    ctl.associate(&wlan, &mut state, ClientId(0));
-    ctl.reallocate_with_restarts(&wlan, &mut state, 4, 2);
+    ctl.associate(&wlan, &mut state, ClientId(0), &NullSink);
+    let model = ctl.build_model(&wlan, &state);
+    ctl.reallocate(&model, &mut state, 4, 2, false, &NullSink);
     // One good client → the AP bonds.
     assert_eq!(state.assignments[0].width(), ChannelWidth::Ht40);
     ctl.adapt_widths(&wlan, &mut state);
     assert_eq!(state.operating_width[0], ChannelWidth::Ht40);
 
     // The poor client joins: fallback to 20 MHz.
-    ctl.associate(&wlan, &mut state, ClientId(1));
+    ctl.associate(&wlan, &mut state, ClientId(1), &NullSink);
     ctl.adapt_widths(&wlan, &mut state);
     assert_eq!(state.operating_width[0], ChannelWidth::Ht20);
 

@@ -4,6 +4,7 @@
 
 use acorn::core::iapp::{IappAgent, IappBus};
 use acorn::core::scanning::{HashSounding, ScanningModel};
+use acorn::core::NullSink;
 use acorn::core::{AcornConfig, AcornController, ThroughputModel};
 use acorn::mac::{bianchi_solve, saturation_throughput_bps};
 use acorn::phy::ChannelWidth;
@@ -22,9 +23,10 @@ fn iapp_reproduces_the_controller_access_shares() {
     let ctl = AcornController::new(AcornConfig::default());
     let mut state = ctl.new_state(&wlan, 3);
     for c in 0..wlan.clients.len() {
-        ctl.associate(&wlan, &mut state, ClientId(c));
+        ctl.associate(&wlan, &mut state, ClientId(c), &NullSink);
     }
-    ctl.reallocate_with_restarts(&wlan, &mut state, 4, 5);
+    let model = ctl.build_model(&wlan, &state);
+    ctl.reallocate(&model, &mut state, 4, 5, false, &NullSink);
 
     let mut agents: Vec<IappAgent> = (0..wlan.aps.len())
         .map(|i| IappAgent::new(ApId(i)))
@@ -88,7 +90,7 @@ fn scanning_model_composes_with_the_controller() {
     let ctl = AcornController::new(AcornConfig::default());
     let mut state = ctl.new_state(&wlan, 7);
     for c in 0..wlan.clients.len() {
-        ctl.associate(&wlan, &mut state, ClientId(c));
+        ctl.associate(&wlan, &mut state, ClientId(c), &NullSink);
     }
     let base = ctl.build_model(&wlan, &state);
     let truth = ScanningModel::new(
@@ -101,8 +103,13 @@ fn scanning_model_composes_with_the_controller() {
 
     let plan = ctl.config.plan;
     let cfg = acorn::core::AllocationConfig::default();
-    let blind = acorn::core::allocate_with_restarts(&base, &plan, &cfg, 6, 1);
-    let aware = acorn::core::allocate_with_restarts(&truth, &plan, &cfg, 6, 1);
+    let spec = acorn::core::AllocSpec {
+        restarts: 6,
+        seed: 1,
+        ..Default::default()
+    };
+    let blind = acorn::core::allocate(&base, &plan, &cfg, &spec, &NullSink);
+    let aware = acorn::core::allocate(&truth, &plan, &cfg, &spec, &NullSink);
     assert!(blind.assignments.iter().all(|a| plan.contains(*a)));
     assert!(aware.assignments.iter().all(|a| plan.contains(*a)));
     assert!(truth.total_bps(&aware.assignments) + 1e-6 >= truth.total_bps(&blind.assignments));
@@ -171,9 +178,10 @@ fn fading_aware_estimator_composes_with_allocation() {
         let ctl = AcornController::new(cfg);
         let mut state = ctl.new_state(&wlan, 5);
         for c in 0..wlan.clients.len() {
-            ctl.associate(&wlan, &mut state, ClientId(c));
+            ctl.associate(&wlan, &mut state, ClientId(c), &NullSink);
         }
-        let r = ctl.reallocate_with_restarts(&wlan, &mut state, 4, 3);
+        let model = ctl.build_model(&wlan, &state);
+        let r = ctl.reallocate(&model, &mut state, 4, 3, false, &NullSink);
         assert!(r.total_bps > 0.0);
         assert!(state
             .assignments
@@ -211,13 +219,13 @@ fn association_works_over_the_wire() {
     let ctl = AcornController::new(AcornConfig::default());
     let mut state = ctl.new_state(&wlan, 3);
     for c in 0..4 {
-        ctl.associate(&wlan, &mut state, ClientId(c));
+        ctl.associate(&wlan, &mut state, ClientId(c), &NullSink);
     }
     let arriving = ClientId(5);
 
     // In-memory decision.
     let reference = ctl.candidates_for(&wlan, &state, arriving);
-    let expect = choose_ap(&reference).map(|i| reference[i].ap);
+    let expect = choose_ap(&reference, &NullSink).map(|i| reference[i].ap);
 
     // Over-the-wire decision.
     let mut candidates = Vec::new();
@@ -247,6 +255,6 @@ fn association_works_over_the_wire() {
             delay_u_s: d_u,
         });
     }
-    let got = choose_ap(&candidates).map(|i| candidates[i].ap);
+    let got = choose_ap(&candidates, &NullSink).map(|i| candidates[i].ap);
     assert_eq!(got, expect, "wire path must agree with the in-memory path");
 }

@@ -2,8 +2,9 @@
 
 use acorn::baseband::convcode::Codec;
 use acorn::baseband::modem::{demodulate, modulate};
-use acorn::core::allocation::{allocate, random_initial, AllocationConfig};
+use acorn::core::allocation::{allocate, random_initial, AllocSpec, AllocationConfig};
 use acorn::core::model::{ClientSnr, NetworkModel, ThroughputModel};
+use acorn::core::NullSink;
 use acorn::phy::coding::{coded_ber, per_from_ber};
 use acorn::phy::estimator::LinkQualityEstimator;
 use acorn::phy::link::sigma_for;
@@ -148,7 +149,8 @@ proptest! {
         let plan = ChannelPlan::restricted(n_channels);
         let initial = random_initial(&plan, n_aps, seed);
         let y0 = model.total_bps(&initial);
-        let r = allocate(&model, &plan, initial, &AllocationConfig::default());
+        let spec = AllocSpec { initial: Some(&initial), ..AllocSpec::default() };
+        let r = allocate(&model, &plan, &AllocationConfig::default(), &spec, &NullSink);
         prop_assert!(r.total_bps + 1e-6 >= y0);
         // And the outcome is legal.
         prop_assert!(r.assignments.iter().all(|a| plan.contains(*a)));
@@ -427,7 +429,7 @@ proptest! {
             })
             .collect();
 
-        let winner = choose_ap(&cands).expect("non-empty candidate list");
+        let winner = choose_ap(&cands, &NullSink).expect("non-empty candidate list");
         let screened: Vec<f64> = (0..cands.len())
             .map(|i| screen_score(utility(&cands, i)))
             .collect();
@@ -446,7 +448,7 @@ proptest! {
         let r = rotate_by % cands.len();
         let mut rotated = cands.clone();
         rotated.rotate_left(r);
-        let w2 = choose_ap(&rotated).expect("non-empty candidate list");
+        let w2 = choose_ap(&rotated, &NullSink).expect("non-empty candidate list");
         let unique = screened
             .iter()
             .filter(|s| s.to_bits() == max.to_bits())

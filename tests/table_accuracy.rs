@@ -6,9 +6,8 @@
 //! allocation decision. `scripts/ci.sh` runs this file as an explicit
 //! gate.
 
-use acorn::core::allocation::{
-    allocate_sharded_with_restarts, allocate_with_restarts, AllocationConfig,
-};
+use acorn::core::allocation::{allocate, AllocSpec, AllocationConfig};
+use acorn::core::NullSink;
 use acorn::core::{AcornConfig, AcornController};
 use acorn::phy::{ChannelWidth, GoodputTable, LinkQualityEstimator};
 use acorn::sim::scenario::{enterprise_grid, fig11, topology1, topology2};
@@ -80,27 +79,27 @@ fn assert_coloring_unchanged(wlan: &Wlan, label: &str) {
     );
     let mut state = exact.new_state(wlan, 1);
     for c in 0..wlan.clients.len() {
-        exact.associate(wlan, &mut state, ClientId(c));
+        exact.associate(wlan, &mut state, ClientId(c), &NullSink);
     }
     let model_exact = exact.build_model(wlan, &state);
     let model_table = table.build_model(wlan, &state);
     let plan = AcornConfig::default().plan;
     let cfg = AllocationConfig::default();
-    let r_exact = allocate_with_restarts(&model_exact, &plan, &cfg, 4, 2010);
-    let r_table = allocate_with_restarts(&model_table, &plan, &cfg, 4, 2010);
+    let spec = AllocSpec {
+        restarts: 4,
+        seed: 2010,
+        ..AllocSpec::default()
+    };
+    let r_exact = allocate(&model_exact, &plan, &cfg, &spec, &NullSink);
+    let r_table = allocate(&model_table, &plan, &cfg, &spec, &NullSink);
     assert_eq!(
         r_exact.assignments, r_table.assignments,
         "{label}: the table changed the coloring"
     );
-    // The sharded path on the table model agrees with the plain path too.
-    let r_sharded = allocate_sharded_with_restarts(
-        &model_table,
-        &plan,
-        r_table.assignments.clone(),
-        &cfg,
-        4,
-        2010,
-    );
+    // The per-component path on the table model agrees with the plain
+    // path too.
+    state.assignments = r_table.assignments.clone();
+    let r_sharded = table.reallocate(&model_table, &mut state, 4, 2010, true, &NullSink);
     assert!(
         r_sharded.total_bps >= r_table.total_bps * (1.0 - 1e-9),
         "{label}: sharding lost goodput"
