@@ -8,20 +8,16 @@
 //! (single width) 40 MHz channels. Specifically, they scan 40 MHz channels
 //! and select the one that minimizes the total noise and interference."
 //!
+//! The association half is the "selfish" rule — the client minimizes its
+//! own transmission delay, blind to collateral anomaly damage in other
+//! cells — which is [`acorn_core::choose_ap_selfish`]; this module holds
+//! the channel-selection half.
+//!
 //! Because \[17\] is CB-agnostic (designed for a single channel width), this
 //! baseline bonds *everywhere* — precisely the behaviour ACORN's
 //! measurements show to be harmful on poor links and in dense deployments.
 
-use acorn_core::association::{choose_ap_selfish, Candidate};
-use acorn_core::NullSink;
 use acorn_topology::{ApId, ChannelAssignment, ChannelPlan, InterferenceGraph, Wlan};
-
-/// \[17\]-style association: the client minimizes its own transmission
-/// delay (equivalently maximizes its own per-client throughput) — the
-/// "selfish" rule, blind to collateral anomaly damage in other cells.
-pub fn associate(candidates: &[Candidate]) -> Option<usize> {
-    choose_ap_selfish(candidates, &NullSink)
-}
 
 /// Greedy aggressive-CB channel selection: every AP takes the legal
 /// 40 MHz bond that minimizes interference, measured as the number of
@@ -81,6 +77,8 @@ pub fn allocate_aggressive_cb(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acorn_core::association::{choose_ap_selfish, Candidate};
+    use acorn_core::NullSink;
     use acorn_phy::ChannelWidth;
     use acorn_topology::Point;
 
@@ -137,7 +135,7 @@ mod tests {
 
     #[test]
     fn association_is_selfish() {
-        // Delegates to the selfish chooser: picks the best personal
+        // The [17] rule is the selfish chooser: it picks the best personal
         // throughput even when Eq. 4 would choose otherwise.
         let d_good = 0.002;
         let d_poor = 0.020;
@@ -157,7 +155,7 @@ mod tests {
                 delay_u_s: d_poor,
             },
         ];
-        assert_eq!(associate(&cands), Some(0));
+        assert_eq!(choose_ap_selfish(&cands, &NullSink), Some(0));
         assert_eq!(
             acorn_core::association::choose_ap(&cands, &NullSink),
             Some(1)

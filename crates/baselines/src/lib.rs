@@ -16,6 +16,6 @@ pub mod kauffmann;
 pub mod optimal;
 pub mod simple;
 
-pub use kauffmann::{allocate_aggressive_cb, associate as associate_kauffmann};
+pub use kauffmann::allocate_aggressive_cb;
 pub use optimal::{optimal_allocation, OptimalResult};
 pub use simple::{associate_rssi, fixed_width, random_config, RandomConfig};

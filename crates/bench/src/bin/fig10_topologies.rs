@@ -9,9 +9,9 @@
 //!   on the poor cells, and like-quality grouping between the two
 //!   co-located APs.
 
-use acorn_baselines::kauffmann::{allocate_aggressive_cb, associate as kauffmann_choice};
+use acorn_baselines::kauffmann::allocate_aggressive_cb;
 use acorn_bench::{header, mbps, print_table, save_json};
-use acorn_core::NullSink;
+use acorn_core::{choose_ap_selfish, NullSink};
 use acorn_core::{AcornConfig, AcornController};
 use acorn_sim::runner::evaluate_analytic;
 use acorn_sim::scenario::{topology1, topology2};
@@ -77,7 +77,7 @@ fn run_kauffmann(wlan: &Wlan, plan: ChannelPlan) -> (Vec<f64>, f64) {
     state.operating_width = state.assignments.iter().map(|a| a.width()).collect();
     for c in 0..wlan.clients.len() {
         let cands = ctl.candidates_for(wlan, &state, ClientId(c));
-        if let Some(ix) = kauffmann_choice(&cands) {
+        if let Some(ix) = choose_ap_selfish(&cands, &NullSink) {
             state.assoc[c] = Some(cands[ix].ap);
         }
     }

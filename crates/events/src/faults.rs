@@ -1,11 +1,9 @@
 //! Deterministic fault injection for ACORN scenarios.
 //!
-//! The robustness layer: a [`FaultProcess`] drives a periodic *control
-//! round* over an [`AcornWorld`](crate::acorn::AcornWorld) that exercises
-//! the real control-plane machinery — beacons and IAPP announcements go
-//! through the actual `wire` encode → (corrupt) → parse path, SNR
-//! measurements feed real [`ClientTracker`]s, channel switches ride the
-//! real CSA state machines — while injecting seeded faults:
+//! The robustness layer: a periodic *control round* over the world that
+//! exercises the real control-plane machinery — beacons (and, in the
+//! exact world, IAPP announcements) go through the actual `wire` encode →
+//! (corrupt) → parse path — while injecting seeded faults:
 //!
 //! * **AP crash/restart** — exponential inter-failure times (MTTF) with a
 //!   fixed repair time (MTTR). A down AP stops beaconing and announcing;
@@ -14,22 +12,32 @@
 //!   out naturally), and bit corruption. Corrupted frames reach the
 //!   parser and must fail *typed* (`BadFcs`, never a panic).
 //! * **Measurement faults** — NaN readings, ±outlier spikes, and frozen
-//!   (stuck-sensor) SNR feeds into the per-client trackers; the
-//!   staleness/outlier gates decide what reaches the advertised delays.
+//!   (stuck-sensor) SNR feeds; the world's gates decide what reaches the
+//!   advertised delays.
+//!
+//! Both worlds share one fault core: the stream salts, the crash
+//! lifecycle, the measurement draw, the per-client beacon gauntlet with
+//! its delayed-delivery queue, beacon-silence detection with the re-scan
+//! through the locality's Algorithm 1, and the per-round
+//! `resilience.network_bps` sample. [`FaultProcess`] adds what only the
+//! exact world models — IAPP, CSA, and per-client [`ClientTracker`]s;
+//! [`CityFaultProcess`](crate::CityFaultProcess) adds only the gates on
+//! its cached SNRs.
 //!
 //! Every random draw derives from [`mix_seed`] keyed on the firing
 //! event's sequence number plus a stream salt, so a scenario is
 //! bit-identical at any `ACORN_THREADS` — the same contract as the rest
 //! of the runtime.
 
-use crate::acorn::{AcornEvent, AcornWorld};
+use crate::acorn::AcornWorld;
 use crate::sim::{mix_seed, Ctx, Process};
 use crate::telemetry::{Histogram, Telemetry};
+use crate::world::{AcornEvent, Locality, World};
 use acorn_core::csa::CsaAction;
 use acorn_core::iapp::IappAgent;
 use acorn_core::{
     parse_announcement, parse_beacon, serialize_announcement, serialize_beacon, switch_plans,
-    ApCsa, Beacon, ClientCsa, ClientTracker, ControlError, TrackerConfig,
+    ApCsa, Beacon, ClientCsa, ClientTracker, TrackerConfig,
 };
 use acorn_obs::{names, RecordingSink};
 use acorn_phy::ChannelWidth;
@@ -38,9 +46,11 @@ use serde::Serialize;
 use std::collections::HashMap;
 
 /// Stream salts: each fault decision draws from its own independent
-/// splitmix64 stream keyed `(plan.seed, event_seq, salt, counter)`.
+/// splitmix64 stream keyed `(plan.seed, event_seq, salt, counter)`. Both
+/// worlds draw from the same streams, so plans transplant between
+/// scenario classes without re-tuning.
 const SALT_CRASH: u64 = 0x01;
-const SALT_MEAS: u64 = 0x02;
+pub(crate) const SALT_MEAS: u64 = 0x02;
 const SALT_BEACON: u64 = 0x03;
 const SALT_IAPP: u64 = 0x04;
 
@@ -322,8 +332,34 @@ pub const FAULT_GAUNTLET: GauntletCounters = GauntletCounters {
     delayed: "faults.frames_delayed",
 };
 
+/// Runs a scenario under its fault plan (the benign default when it has
+/// none) and under the plan's fault-free twin, and returns the faulty
+/// run with its [`ResilienceReport`] golden-comparison fields filled in
+/// (`golden_mean_bps`, `throughput_retained`). The twin keeps the same
+/// seed, control cadence, and detection thresholds, so the only
+/// difference between the runs is the faults themselves. `report` picks
+/// a run's resilience report.
+pub fn run_with_golden_twin<R>(
+    plan: Option<FaultPlan>,
+    run: impl Fn(FaultPlan) -> R,
+    report: impl Fn(&mut R) -> &mut Option<ResilienceReport>,
+) -> R {
+    let plan = plan.unwrap_or_default();
+    let mut faulty = run(plan);
+    let mut golden = run(plan.benign_twin());
+    if let (Some(r), Some(g)) = (report(&mut faulty).as_mut(), *report(&mut golden)) {
+        r.golden_mean_bps = g.faulty_mean_bps;
+        r.throughput_retained = if g.faulty_mean_bps > 0.0 {
+            r.faulty_mean_bps / g.faulty_mean_bps
+        } else {
+            0.0
+        };
+    }
+    faulty
+}
+
 /// A frame copy in flight (delayed by the fault layer).
-enum Delivery {
+pub(crate) enum Delivery {
     /// A beacon copy addressed to one client of `ap`.
     Beacon {
         frame: Vec<u8>,
@@ -338,74 +374,232 @@ enum Delivery {
     },
 }
 
-/// The fault-injection process. Register it *last* on a scenario so the
-/// benign event schedule (and therefore every pre-existing golden
-/// fingerprint) is untouched when it is absent.
-pub struct FaultProcess {
-    /// The plan.
-    pub plan: FaultPlan,
-    /// Horizon (s); rounds at or past it never fire.
-    pub horizon_s: f64,
-    round: u64,
-    agents: Vec<IappAgent>,
-    ap_csa: Vec<ApCsa>,
-    client_csa: Vec<ClientCsa>,
-    trackers: Vec<Option<ClientTracker>>,
-    tracker_ap: Vec<Option<ApId>>,
+/// A locally administered BSSID carrying the AP index.
+fn bssid(ap: usize) -> [u8; 6] {
+    let b = (ap as u64).to_be_bytes();
+    [0x02, b[3], b[4], b[5], b[6], b[7]]
+}
+
+/// The fault machinery both worlds share: the plan and its round clock,
+/// the crash lifecycle, the measurement draw, the per-client beacon
+/// gauntlet with its delayed-delivery queue, beacon-silence detection
+/// with the re-scan through the locality's Algorithm 1, and the
+/// per-round throughput sample. Telemetry goes under the `faults.*`
+/// namespace, so [`ResilienceReport`] aggregates both worlds alike.
+#[derive(Default)]
+pub(crate) struct FaultCore {
+    pub(crate) plan: FaultPlan,
+    horizon_s: f64,
+    /// Control rounds fired so far.
+    pub(crate) round: u64,
+    /// The AP each client's liveness clock is bound to; rebinding (any
+    /// association change) resets the clock.
+    bound_ap: Vec<Option<ApId>>,
     last_heard_round: Vec<u64>,
-    last_assignments: Vec<ChannelAssignment>,
-    pending: HashMap<u32, Delivery>,
+    /// Delayed copies in flight, by message id.
+    pub(crate) pending: HashMap<u32, Delivery>,
     next_msg_id: u32,
     crash_count: usize,
     down_since: Vec<Option<f64>>,
 }
 
-impl FaultProcess {
-    /// Creates the process for `plan` over a given horizon.
-    pub fn new(plan: FaultPlan, horizon_s: f64) -> FaultProcess {
-        FaultProcess {
+impl FaultCore {
+    pub(crate) fn new(plan: FaultPlan, horizon_s: f64) -> FaultCore {
+        FaultCore {
             plan,
             horizon_s,
-            round: 0,
-            agents: Vec::new(),
-            ap_csa: Vec::new(),
-            client_csa: Vec::new(),
-            trackers: Vec::new(),
-            tracker_ap: Vec::new(),
-            last_heard_round: Vec::new(),
-            last_assignments: Vec::new(),
-            pending: HashMap::new(),
-            next_msg_id: 0,
-            crash_count: 0,
-            down_since: Vec::new(),
+            ..FaultCore::default()
         }
     }
 
-    fn bssid(ap: usize) -> [u8; 6] {
-        let b = ap as u64;
-        [
-            0x02, // locally administered
-            (b >> 32) as u8,
-            (b >> 24) as u8,
-            (b >> 16) as u8,
-            (b >> 8) as u8,
-            b as u8,
-        ]
+    /// Sizes the per-AP and per-client state, registers the fault
+    /// histograms, and schedules the first control round and crash.
+    pub(crate) fn start<L: Locality>(&mut self, ctx: &mut Ctx<'_, World<L>, AcornEvent>) {
+        let n_clients = ctx.world.wlan.clients.len();
+        self.bound_ap = vec![None; n_clients];
+        self.last_heard_round = vec![0; n_clients];
+        self.down_since = vec![None; ctx.world.wlan.aps.len()];
+        ctx.telemetry.register_histogram(
+            "faults.detection_delay_s",
+            Histogram::linear(0.0, 600.0, 60).expect("static histogram bounds"),
+        );
+        ctx.telemetry.register_histogram(
+            "faults.downtime_s",
+            Histogram::linear(0.0, 1200.0, 60).expect("static histogram bounds"),
+        );
+        if self.plan.control_period_s < self.horizon_s {
+            ctx.schedule_at(self.plan.control_period_s, AcornEvent::ControlRound);
+        }
+        self.schedule_next_crash(ctx, 0.0);
     }
 
-    /// The per-copy gauntlet under the historical `faults.*` names.
-    fn roll_copy(
-        &self,
-        tel: &mut Telemetry,
-        rng: &mut FaultRng,
-        frame: &[u8],
-    ) -> Option<(Vec<u8>, Option<f64>)> {
-        self.plan.roll_copy(tel, rng, frame, &FAULT_GAUNTLET)
+    /// This event's independent stream for one kind of fault decision.
+    pub(crate) fn rng<L>(&self, ctx: &Ctx<'_, World<L>, AcornEvent>, salt: u64) -> FaultRng {
+        FaultRng::new(self.plan.seed, ctx.event_seq(), salt)
     }
 
-    fn queue_delayed(
+    fn schedule_next_crash<L>(&mut self, ctx: &mut Ctx<'_, World<L>, AcornEvent>, from_s: f64) {
+        let Some(mttf) = self.plan.ap_mttf_s else {
+            return;
+        };
+        if self.crash_count >= self.plan.max_crashes {
+            return;
+        }
+        let n_aps = ctx.world.wlan.aps.len();
+        if n_aps == 0 {
+            return;
+        }
+        let mut rng = self.rng(ctx, SALT_CRASH);
+        let t = from_s - mttf * rng.u01_open().ln();
+        let ap = (rng.next_u64() % n_aps as u64) as usize;
+        if t < self.horizon_s {
+            ctx.schedule_at(t, AcornEvent::ApCrash(ap));
+        }
+    }
+
+    /// AP `ap` crashes and its repair is scheduled. Returns `false` if it
+    /// was already down.
+    pub(crate) fn crash<L: Locality>(
         &mut self,
-        ctx: &mut Ctx<'_, AcornWorld, AcornEvent>,
+        ctx: &mut Ctx<'_, World<L>, AcornEvent>,
+        ap: usize,
+    ) -> bool {
+        if !ctx.world.ap_up[ap] {
+            return false;
+        }
+        self.crash_count += 1;
+        ctx.world.ap_up[ap] = false;
+        self.down_since[ap] = Some(ctx.now());
+        ctx.telemetry.inc("faults.crashes");
+        ctx.telemetry
+            .set_gauge("faults.aps_down", ctx.world.down_count() as f64);
+        let restart_at = ctx.now() + self.plan.ap_mttr_s;
+        if restart_at < self.horizon_s {
+            ctx.schedule_at(restart_at, AcornEvent::ApRestart(ap));
+        }
+        true
+    }
+
+    /// A crashed AP comes back and the next crash is drawn.
+    pub(crate) fn restart<L: Locality>(
+        &mut self,
+        ctx: &mut Ctx<'_, World<L>, AcornEvent>,
+        ap: usize,
+    ) {
+        if ctx.world.ap_up[ap] {
+            return;
+        }
+        ctx.world.ap_up[ap] = true;
+        if let Some(t0) = self.down_since[ap].take() {
+            ctx.telemetry.observe("faults.downtime_s", ctx.now() - t0);
+        }
+        ctx.telemetry.inc("faults.restarts");
+        ctx.telemetry
+            .set_gauge("faults.aps_down", ctx.world.down_count() as f64);
+        self.schedule_next_crash(ctx, ctx.now());
+    }
+
+    /// Opens a control round: advances the round clock and rebinds the
+    /// liveness clock of every client whose association changed since the
+    /// last round (the churn layer moves clients without telling the
+    /// fault layer), calling `rebound(c)` for each.
+    pub(crate) fn begin_round<L>(&mut self, w: &World<L>, mut rebound: impl FnMut(usize)) {
+        self.round += 1;
+        for (c, &assoc) in w.state.assoc.iter().enumerate() {
+            if assoc != self.bound_ap[c] {
+                self.bound_ap[c] = assoc;
+                self.last_heard_round[c] = self.round;
+                rebound(c);
+            }
+        }
+    }
+
+    /// One SNR report through the measurement faults: `None` when the
+    /// sensor is frozen this round (no fresh sample, staleness grows),
+    /// otherwise `true_snr`, a NaN reading, or a ±outlier spike.
+    pub(crate) fn measure(&self, rng: &mut FaultRng, true_snr: f64) -> Option<f64> {
+        let p = &self.plan;
+        if p.meas_freeze > 0.0 && rng.u01() < p.meas_freeze {
+            return None;
+        }
+        Some(if p.meas_nan > 0.0 && rng.u01() < p.meas_nan {
+            f64::NAN
+        } else if p.meas_outlier > 0.0 && rng.u01() < p.meas_outlier {
+            let sign = if rng.next_u64() & 1 == 0 { 1.0 } else { -1.0 };
+            true_snr + sign * p.outlier_db
+        } else {
+            true_snr
+        })
+    }
+
+    /// The beacon step: each live AP serializes ONE frame — its cell's
+    /// clients, their advertised delays and its access share come from
+    /// `advert` — and every client gets an independent copy through the
+    /// gauntlet: lost, queued for late delivery, or parsed now. Only a
+    /// frame the real parser decodes counts as heard; `heard(ap, client)`
+    /// runs for each.
+    pub(crate) fn beacons<L: Locality>(
+        &mut self,
+        ctx: &mut Ctx<'_, World<L>, AcornEvent>,
+        mut advert: impl FnMut(&World<L>, usize) -> (Vec<usize>, Vec<f64>, f64),
+        mut heard: impl FnMut(usize, usize),
+    ) {
+        let mut rng = self.rng(ctx, SALT_BEACON);
+        for ap in 0..ctx.world.wlan.aps.len() {
+            if !ctx.world.ap_up[ap] {
+                continue;
+            }
+            let (clients, delays, access_share) = advert(ctx.world, ap);
+            if clients.is_empty() {
+                continue;
+            }
+            let beacon = Beacon {
+                ap: ApId(ap),
+                assignment: ctx.world.state.effective_assignment(ApId(ap)),
+                n_clients: clients.len(),
+                atd_s: delays.iter().sum(),
+                client_delays_s: delays,
+                access_share,
+            };
+            let Ok(frame) = serialize_beacon(&beacon, bssid(ap), self.round) else {
+                continue; // cell too large for one IE: skip this round
+            };
+            for client in clients {
+                match self
+                    .plan
+                    .roll_copy(ctx.telemetry, &mut rng, &frame, &FAULT_GAUNTLET)
+                {
+                    None => {}
+                    Some((frame, Some(dt))) => {
+                        self.queue(ctx, dt, Delivery::Beacon { frame, ap, client })
+                    }
+                    Some((frame, None)) => {
+                        if self.hear(ctx.telemetry, &frame, client) {
+                            heard(ap, client);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn hear(&mut self, tel: &mut Telemetry, frame: &[u8], client: usize) -> bool {
+        match parse_beacon(frame) {
+            Ok(_) => {
+                self.last_heard_round[client] = self.round;
+                true
+            }
+            Err(_) => {
+                tel.inc("faults.parse_errors");
+                false
+            }
+        }
+    }
+
+    /// Delivers `delivery` `dt` seconds from now.
+    pub(crate) fn queue<L>(
+        &mut self,
+        ctx: &mut Ctx<'_, World<L>, AcornEvent>,
         dt: f64,
         delivery: Delivery,
     ) {
@@ -415,26 +609,129 @@ impl FaultProcess {
         ctx.schedule_after(dt, AcornEvent::DeliverMsg(id));
     }
 
-    /// Delivers one beacon copy to a client: the frame goes through the
-    /// real parser; only a decodable frame counts as "heard".
-    fn deliver_beacon(
+    /// A late beacon copy still proves liveness — if its client is still
+    /// bound to the sender. Returns whether it was heard.
+    pub(crate) fn late_beacon<L>(
         &mut self,
-        tel: &mut Telemetry,
+        ctx: &mut Ctx<'_, World<L>, AcornEvent>,
         frame: &[u8],
         ap: usize,
         client: usize,
-        announce: Option<(ChannelAssignment, u8)>,
+    ) -> bool {
+        ctx.world.state.assoc[client] == Some(ApId(ap)) && self.hear(ctx.telemetry, frame, client)
+    }
+
+    /// Whether client `c`'s AP has been silent for more than `miss_limit`
+    /// rounds.
+    pub(crate) fn silent(&self, c: usize) -> bool {
+        self.round.saturating_sub(self.last_heard_round[c]) > self.plan.miss_limit
+    }
+
+    /// Client `c` declares its AP dead: records the detection delay, then
+    /// deassociates and re-scans through the locality's Algorithm 1
+    /// (dead APs are never candidates), rebinding its liveness clock.
+    /// Returns whether it found a live AP.
+    pub(crate) fn rescan<L: Locality>(
+        &mut self,
+        ctx: &mut Ctx<'_, World<L>, AcornEvent>,
+        c: usize,
+    ) -> bool {
+        let silent_rounds = self.round.saturating_sub(self.last_heard_round[c]);
+        ctx.telemetry.observe(
+            "faults.detection_delay_s",
+            silent_rounds as f64 * self.plan.control_period_s,
+        );
+        let w = &mut *ctx.world;
+        w.deassociate(c);
+        let sink = RecordingSink::new();
+        let found = w.associate(c, &sink).is_some();
+        sink.drain_into(ctx.telemetry);
+        self.bound_ap[c] = ctx.world.state.assoc[c];
+        self.last_heard_round[c] = self.round;
+        ctx.telemetry.inc("faults.rescans");
+        found
+    }
+
+    /// Closes a control round: samples live-network throughput and
+    /// schedules the next round.
+    pub(crate) fn end_round<L: Locality>(&mut self, ctx: &mut Ctx<'_, World<L>, AcornEvent>) {
+        let now = ctx.now();
+        let bps = L::live_bps(ctx.world);
+        ctx.telemetry.record("resilience.network_bps", now, bps);
+        let next = now + self.plan.control_period_s;
+        if next < self.horizon_s {
+            ctx.schedule_at(next, AcornEvent::ControlRound);
+        }
+    }
+}
+
+/// The exact world's fault process: the shared fault core plus the
+/// control-plane state only the exact world models — IAPP agents, AP and
+/// client CSA state machines, and per-client [`ClientTracker`]s whose
+/// staleness/outlier gates decide what reaches the advertised delays.
+/// Register it *last* on a scenario so the benign event schedule (and
+/// therefore every pre-existing golden fingerprint) is untouched when it
+/// is absent.
+pub struct FaultProcess {
+    core: FaultCore,
+    agents: Vec<IappAgent>,
+    ap_csa: Vec<ApCsa>,
+    client_csa: Vec<ClientCsa>,
+    trackers: Vec<Option<ClientTracker>>,
+    last_assignments: Vec<ChannelAssignment>,
+}
+
+impl FaultProcess {
+    /// Creates the process for `plan` over a given horizon.
+    pub fn new(plan: FaultPlan, horizon_s: f64) -> FaultProcess {
+        FaultProcess {
+            core: FaultCore::new(plan, horizon_s),
+            agents: Vec::new(),
+            ap_csa: Vec::new(),
+            client_csa: Vec::new(),
+            trackers: Vec::new(),
+            last_assignments: Vec::new(),
+        }
+    }
+
+    fn fresh_agent(&self, ap: usize) -> IappAgent {
+        let period = self.core.plan.control_period_s;
+        let mut a = IappAgent::new(ApId(ap));
+        // Cache lifetimes track the control cadence: ~2.5 rounds of
+        // silence expire an entry into hold-down, retries start one round
+        // later.
+        a.expiry_s = 2.5 * period;
+        a.hold_down_s = 2.5 * period;
+        a.retry_backoff_s = period;
+        a
+    }
+
+    /// Forgets a client's tracker and CSA state (it changed AP).
+    fn forget(&mut self, c: usize) {
+        self.trackers[c] = None;
+        self.client_csa[c] = ClientCsa::default();
+    }
+
+    /// Sends one IAPP announcement copy to AP `to` through the gauntlet.
+    fn iapp_copy(
+        &mut self,
+        ctx: &mut Ctx<'_, AcornWorld, AcornEvent>,
+        rng: &mut FaultRng,
+        frame: &[u8],
+        to: usize,
+        rx_dbm: f64,
     ) {
-        match parse_beacon(frame) {
-            Ok(_) => {
-                self.last_heard_round[client] = self.round;
-                self.client_csa[client].note_heard(self.round);
-                if let Some((to, remaining)) = announce {
-                    self.client_csa[client].on_announcement(to, remaining, self.round);
-                }
-                let _ = ap;
+        match self
+            .core
+            .plan
+            .roll_copy(ctx.telemetry, rng, frame, &FAULT_GAUNTLET)
+        {
+            None => {}
+            Some((frame, Some(dt))) => {
+                self.core
+                    .queue(ctx, dt, Delivery::Iapp { frame, to, rx_dbm })
             }
-            Err(_) => tel.inc("faults.parse_errors"),
+            Some((frame, None)) => self.deliver_iapp(ctx.telemetry, &frame, to, rx_dbm, ctx.now()),
         }
     }
 
@@ -453,114 +750,27 @@ impl FaultProcess {
         }
     }
 
-    /// Deassociates `client` and immediately re-scans for a live AP.
-    fn rescan(&mut self, ctx: &mut Ctx<'_, AcornWorld, AcornEvent>, client: usize) {
-        let w = &mut *ctx.world;
-        w.state.assoc[client] = None;
-        let mut candidates = w.ctl.candidates_for(&w.wlan, &w.state, ClientId(client));
-        candidates.retain(|c| w.ap_up[c.ap.0]);
-        let sink = RecordingSink::new();
-        if let Some(i) = acorn_core::choose_ap(&candidates, &sink) {
-            w.state.assoc[client] = Some(candidates[i].ap);
-        }
-        sink.drain_into(ctx.telemetry);
-        self.client_csa[client] = ClientCsa::default();
-        self.trackers[client] = None;
-        self.tracker_ap[client] = w.state.assoc[client];
-        self.last_heard_round[client] = self.round;
-        ctx.telemetry.inc("faults.rescans");
-    }
-
-    fn schedule_next_crash(&mut self, ctx: &mut Ctx<'_, AcornWorld, AcornEvent>, from_s: f64) {
-        let Some(mttf) = self.plan.ap_mttf_s else {
-            return;
-        };
-        if self.crash_count >= self.plan.max_crashes {
-            return;
-        }
-        let n_aps = ctx.world.wlan.aps.len();
-        if n_aps == 0 {
-            return;
-        }
-        let mut rng = FaultRng::new(self.plan.seed, ctx.event_seq(), SALT_CRASH);
-        let t = from_s - mttf * rng.u01_open().ln();
-        let ap = (rng.next_u64() % n_aps as u64) as usize;
-        if t < self.horizon_s {
-            ctx.schedule_at(t, AcornEvent::ApCrash(ap));
-        }
-    }
-
-    fn handle_crash(&mut self, ctx: &mut Ctx<'_, AcornWorld, AcornEvent>, ap: usize) {
-        if !ctx.world.ap_up[ap] {
-            return; // already down
-        }
-        self.crash_count += 1;
-        ctx.world.ap_up[ap] = false;
-        self.down_since[ap] = Some(ctx.now());
-        // The dead AP forgets its own control-plane state: a restarted AP
-        // comes back cold.
-        self.ap_csa[ap] = ApCsa::default();
-        self.agents[ap] = self.fresh_agent(ap);
-        ctx.telemetry.inc("faults.crashes");
-        ctx.telemetry
-            .set_gauge("faults.aps_down", ctx.world.down_count() as f64);
-        let restart_at = ctx.now() + self.plan.ap_mttr_s;
-        if restart_at < self.horizon_s {
-            ctx.schedule_at(restart_at, AcornEvent::ApRestart(ap));
-        }
-    }
-
-    fn handle_restart(&mut self, ctx: &mut Ctx<'_, AcornWorld, AcornEvent>, ap: usize) {
-        if ctx.world.ap_up[ap] {
-            return;
-        }
-        ctx.world.ap_up[ap] = true;
-        if let Some(t0) = self.down_since[ap].take() {
-            ctx.telemetry.observe("faults.downtime_s", ctx.now() - t0);
-        }
-        ctx.telemetry.inc("faults.restarts");
-        ctx.telemetry
-            .set_gauge("faults.aps_down", ctx.world.down_count() as f64);
-        self.schedule_next_crash(ctx, ctx.now());
-    }
-
-    fn fresh_agent(&self, ap: usize) -> IappAgent {
-        let mut a = IappAgent::new(ApId(ap));
-        // Cache lifetimes track the control cadence: ~2.5 rounds of
-        // silence expire an entry into hold-down, retries start one round
-        // later.
-        a.expiry_s = 2.5 * self.plan.control_period_s;
-        a.hold_down_s = 2.5 * self.plan.control_period_s;
-        a.retry_backoff_s = self.plan.control_period_s;
-        a
-    }
-
     /// One control round: measurements → beacons (+CSA) → IAPP →
     /// detection → throughput sample.
     fn control_round(&mut self, ctx: &mut Ctx<'_, AcornWorld, AcornEvent>) {
-        self.round += 1;
         let now = ctx.now();
-        let seq = ctx.event_seq();
         let n_aps = ctx.world.wlan.aps.len();
         let n_clients = ctx.world.wlan.clients.len();
 
         // --- 0. Track association changes: (re)bind trackers/CSA state.
-        for c in 0..n_clients {
-            let assoc = ctx.world.state.assoc[c];
-            if assoc != self.tracker_ap[c] {
-                self.tracker_ap[c] = assoc;
-                self.trackers[c] = None;
-                self.client_csa[c] = ClientCsa::default();
-                self.last_heard_round[c] = self.round;
-            }
-        }
+        let (trackers, client_csa) = (&mut self.trackers, &mut self.client_csa);
+        self.core.begin_round(ctx.world, |c| {
+            trackers[c] = None;
+            client_csa[c] = ClientCsa::default();
+        });
+        let round = self.core.round;
 
         // --- 1. Deploy new channel switches over CSA.
         if let Ok(plans) = switch_plans(&self.last_assignments, &ctx.world.state.assignments) {
             for p in &plans {
                 if ctx.world.ap_up[p.ap.0]
                     && self.ap_csa[p.ap.0]
-                        .schedule(p.to, self.plan.csa_countdown)
+                        .schedule(p.to, self.core.plan.csa_countdown)
                         .is_ok()
                 {
                     ctx.telemetry.inc(names::CSA_SCHEDULED);
@@ -587,8 +797,8 @@ impl FaultProcess {
         }
 
         // --- 2. Measurements: the AP-side driver reports each associated
-        // client's SNR into its tracker, through the fault gauntlet.
-        let mut meas_rng = FaultRng::new(self.plan.seed, seq, SALT_MEAS);
+        // client's SNR into its tracker, through the fault draw.
+        let mut meas_rng = self.core.rng(ctx, SALT_MEAS);
         for c in 0..n_clients {
             let Some(ap) = ctx.world.state.assoc[c] else {
                 continue;
@@ -596,21 +806,9 @@ impl FaultProcess {
             if !ctx.world.ap_up[ap.0] {
                 continue; // a dead AP measures nothing
             }
-            if self.plan.meas_freeze > 0.0 && meas_rng.u01() < self.plan.meas_freeze {
-                continue; // stuck sensor: no fresh sample, staleness grows
-            }
             let true_snr = ctx.world.wlan.snr_db(ap, ClientId(c), ChannelWidth::Ht20);
-            let reported = if self.plan.meas_nan > 0.0 && meas_rng.u01() < self.plan.meas_nan {
-                f64::NAN
-            } else if self.plan.meas_outlier > 0.0 && meas_rng.u01() < self.plan.meas_outlier {
-                let sign = if meas_rng.next_u64() & 1 == 0 {
-                    1.0
-                } else {
-                    -1.0
-                };
-                true_snr + sign * self.plan.outlier_db
-            } else {
-                true_snr
+            let Some(reported) = self.core.measure(&mut meas_rng, true_snr) else {
+                continue;
             };
             let tracker = self.trackers[c].get_or_insert_with(|| {
                 ClientTracker::new(TrackerConfig::default(), now)
@@ -619,66 +817,36 @@ impl FaultProcess {
             match tracker.observe_snr(reported, now) {
                 Ok(true) => {}
                 Ok(false) => ctx.telemetry.inc("faults.outliers_rejected"),
-                Err(ControlError::NonFiniteMeasurement(_)) => {
-                    ctx.telemetry.inc("faults.measurement_faults")
-                }
                 Err(_) => ctx.telemetry.inc("faults.measurement_faults"),
             }
         }
 
-        // --- 3. Beacons: each live AP serializes ONE frame, every
-        // associated client gets an independent copy through the gauntlet.
-        let mut beacon_rng = FaultRng::new(self.plan.seed, seq, SALT_BEACON);
-        for ap in 0..n_aps {
-            if !ctx.world.ap_up[ap] {
-                continue;
-            }
-            let clients = ctx.world.state.cell_clients(ApId(ap));
-            if clients.is_empty() {
-                continue;
-            }
-            let width = ctx.world.state.operating_width[ap];
-            let delays: Vec<f64> = clients
+        // --- 3. Beacons: delays from the trackers (∞ until a confirmed
+        // sample), access share from the AP's IAPP view.
+        let (trackers, agents, client_csa) = (&self.trackers, &self.agents, &mut self.client_csa);
+        let advert = |w: &AcornWorld, ap: usize| {
+            let clients: Vec<usize> = w.state.cell_clients(ApId(ap)).iter().map(|c| c.0).collect();
+            let width = w.state.operating_width[ap];
+            let delays = clients
                 .iter()
-                .map(|c| match &self.trackers[c.0] {
-                    Some(t) => ctx.world.ctl.tracked_delay_s(t, now, width),
-                    None => f64::INFINITY, // no confirmed sample yet
+                .map(|&c| match &trackers[c] {
+                    Some(t) => w.ctl.tracked_delay_s(t, now, width),
+                    None => f64::INFINITY,
                 })
                 .collect();
-            let beacon = Beacon {
-                ap: ApId(ap),
-                assignment: ctx.world.state.effective_assignment(ApId(ap)),
-                n_clients: clients.len(),
-                atd_s: delays.iter().sum(),
-                client_delays_s: delays,
-                access_share: self.agents[ap]
-                    .access_share(ctx.world.state.effective_assignment(ApId(ap))),
-            };
-            let Ok(frame) = serialize_beacon(&beacon, Self::bssid(ap), self.round) else {
-                continue; // cell too large for one IE: skip this round
-            };
-            for c in clients {
-                match self.roll_copy(ctx.telemetry, &mut beacon_rng, &frame) {
-                    None => {}
-                    Some((f, Some(dt))) => self.queue_delayed(
-                        ctx,
-                        dt,
-                        Delivery::Beacon {
-                            frame: f,
-                            ap,
-                            client: c.0,
-                        },
-                    ),
-                    Some((f, None)) => {
-                        self.deliver_beacon(ctx.telemetry, &f, ap, c.0, round_announce[ap])
-                    }
-                }
+            let share = agents[ap].access_share(w.state.effective_assignment(ApId(ap)));
+            (clients, delays, share)
+        };
+        self.core.beacons(ctx, advert, |ap, c| {
+            client_csa[c].note_heard(round);
+            if let Some((to, remaining)) = round_announce[ap] {
+                client_csa[c].on_announcement(to, remaining, round);
             }
-        }
+        });
 
         // --- 4. IAPP: live APs announce to every live AP in decode
         // range; the caches then age, and hold-down entries re-solicit.
-        let mut iapp_rng = FaultRng::new(self.plan.seed, seq, SALT_IAPP);
+        let mut iapp_rng = self.core.rng(ctx, SALT_IAPP);
         let decode_floor_dbm = -85.0;
         for ap in 0..n_aps {
             if !ctx.world.ap_up[ap] {
@@ -687,27 +855,14 @@ impl FaultProcess {
             let eff = ctx.world.state.effective_assignment(ApId(ap));
             let n_cl = ctx.world.state.cell_clients(ApId(ap)).len();
             let ann = self.agents[ap].announce(eff, n_cl, now);
-            let frame = serialize_announcement(&ann, Self::bssid(ap));
+            let frame = serialize_announcement(&ann, bssid(ap));
             for to in 0..n_aps {
                 if to == ap || !ctx.world.ap_up[to] {
                     continue;
                 }
                 let rx = ctx.world.wlan.ap_to_ap_rx_dbm(ApId(ap), ApId(to));
-                if rx < decode_floor_dbm {
-                    continue;
-                }
-                match self.roll_copy(ctx.telemetry, &mut iapp_rng, &frame) {
-                    None => {}
-                    Some((f, Some(dt))) => self.queue_delayed(
-                        ctx,
-                        dt,
-                        Delivery::Iapp {
-                            frame: f,
-                            to,
-                            rx_dbm: rx,
-                        },
-                    ),
-                    Some((f, None)) => self.deliver_iapp(ctx.telemetry, &f, to, rx, now),
+                if rx >= decode_floor_dbm {
+                    self.iapp_copy(ctx, &mut iapp_rng, &frame, to, rx);
                 }
             }
         }
@@ -730,60 +885,30 @@ impl FaultProcess {
                 let eff = ctx.world.state.effective_assignment(target);
                 let n_cl = ctx.world.state.cell_clients(target).len();
                 let reply = self.agents[target.0].announce(eff, n_cl, now);
-                let frame = serialize_announcement(&reply, Self::bssid(target.0));
+                let frame = serialize_announcement(&reply, bssid(target.0));
                 let rx = ctx.world.wlan.ap_to_ap_rx_dbm(target, ApId(ap));
-                match self.roll_copy(ctx.telemetry, &mut iapp_rng, &frame) {
-                    None => {}
-                    Some((f, Some(dt))) => self.queue_delayed(
-                        ctx,
-                        dt,
-                        Delivery::Iapp {
-                            frame: f,
-                            to: ap,
-                            rx_dbm: rx,
-                        },
-                    ),
-                    Some((f, None)) => self.deliver_iapp(ctx.telemetry, &f, ap, rx, now),
-                }
+                self.iapp_copy(ctx, &mut iapp_rng, &frame, ap, rx);
             }
         }
 
         // --- 5. Detection: CSA orphans and dead-AP silence.
         for c in 0..n_clients {
-            let Some(ap) = ctx.world.state.assoc[c] else {
-                continue;
-            };
-            let _ = self.client_csa[c].poll(self.round);
-            if self.client_csa[c].check_orphan(self.round, self.plan.miss_limit) {
-                ctx.telemetry.inc("faults.csa_orphans");
-                let silent_rounds = self.round - self.last_heard_round[c];
-                ctx.telemetry.observe(
-                    "faults.detection_delay_s",
-                    silent_rounds as f64 * self.plan.control_period_s,
-                );
-                self.rescan(ctx, c);
+            if ctx.world.state.assoc[c].is_none() {
                 continue;
             }
-            let silent_rounds = self.round.saturating_sub(self.last_heard_round[c]);
-            if silent_rounds > self.plan.miss_limit {
-                ctx.telemetry.observe(
-                    "faults.detection_delay_s",
-                    silent_rounds as f64 * self.plan.control_period_s,
-                );
-                let _ = ap;
-                self.rescan(ctx, c);
+            let _ = self.client_csa[c].poll(round);
+            let orphaned = self.client_csa[c].check_orphan(round, self.core.plan.miss_limit);
+            if orphaned {
+                ctx.telemetry.inc("faults.csa_orphans");
+            }
+            if orphaned || self.core.silent(c) {
+                self.core.rescan(ctx, c);
+                self.forget(c);
             }
         }
 
         // --- 6. Per-round network throughput (live APs only).
-        let w = &*ctx.world;
-        let bps = w.ctl.total_throughput_bps(&w.wlan, &w.state, &w.ap_up);
-        ctx.telemetry.record("resilience.network_bps", now, bps);
-
-        let next = now + self.plan.control_period_s;
-        if next < self.horizon_s {
-            ctx.schedule_at(next, AcornEvent::ControlRound);
-        }
+        self.core.end_round(ctx);
     }
 }
 
@@ -795,47 +920,37 @@ impl Process<AcornWorld, AcornEvent> for FaultProcess {
         self.ap_csa = vec![ApCsa::default(); n_aps];
         self.client_csa = vec![ClientCsa::default(); n_clients];
         self.trackers = (0..n_clients).map(|_| None).collect();
-        self.tracker_ap = vec![None; n_clients];
-        self.last_heard_round = vec![0; n_clients];
         self.last_assignments = ctx.world.state.assignments.clone();
-        self.down_since = vec![None; n_aps];
-        ctx.telemetry.register_histogram(
-            "faults.detection_delay_s",
-            Histogram::linear(0.0, 600.0, 60).expect("static histogram bounds"),
-        );
-        ctx.telemetry.register_histogram(
-            "faults.downtime_s",
-            Histogram::linear(0.0, 1200.0, 60).expect("static histogram bounds"),
-        );
-        if self.plan.control_period_s < self.horizon_s {
-            ctx.schedule_at(self.plan.control_period_s, AcornEvent::ControlRound);
-        }
-        self.schedule_next_crash(ctx, 0.0);
+        self.core.start(ctx);
     }
 
     fn handle(&mut self, event: &AcornEvent, ctx: &mut Ctx<'_, AcornWorld, AcornEvent>) {
         match *event {
             AcornEvent::ControlRound => self.control_round(ctx),
-            AcornEvent::ApCrash(ap) => self.handle_crash(ctx, ap),
-            AcornEvent::ApRestart(ap) => self.handle_restart(ctx, ap),
-            AcornEvent::DeliverMsg(id) => {
-                let now = ctx.now();
-                match self.pending.remove(&id) {
-                    Some(Delivery::Beacon { frame, ap, client }) => {
-                        // Late beacons still prove liveness but carry no
-                        // CSA payload worth trusting.
-                        if ctx.world.state.assoc[client] == Some(ApId(ap)) {
-                            self.deliver_beacon(ctx.telemetry, &frame, ap, client, None);
-                        }
-                    }
-                    Some(Delivery::Iapp { frame, to, rx_dbm }) => {
-                        if ctx.world.ap_up[to] {
-                            self.deliver_iapp(ctx.telemetry, &frame, to, rx_dbm, now);
-                        }
-                    }
-                    None => {}
+            AcornEvent::ApCrash(ap) => {
+                // The dead AP forgets its own control-plane state: a
+                // restarted AP comes back cold.
+                if self.core.crash(ctx, ap) {
+                    self.ap_csa[ap] = ApCsa::default();
+                    self.agents[ap] = self.fresh_agent(ap);
                 }
             }
+            AcornEvent::ApRestart(ap) => self.core.restart(ctx, ap),
+            AcornEvent::DeliverMsg(id) => match self.core.pending.remove(&id) {
+                // Late beacons still prove liveness but carry no CSA
+                // payload worth trusting.
+                Some(Delivery::Beacon { frame, ap, client }) => {
+                    if self.core.late_beacon(ctx, &frame, ap, client) {
+                        self.client_csa[client].note_heard(self.core.round);
+                    }
+                }
+                Some(Delivery::Iapp { frame, to, rx_dbm }) => {
+                    if ctx.world.ap_up[to] {
+                        self.deliver_iapp(ctx.telemetry, &frame, to, rx_dbm, ctx.now());
+                    }
+                }
+                None => {}
+            },
             _ => {}
         }
     }

@@ -41,23 +41,27 @@ pub mod faults;
 pub mod queue;
 pub mod sim;
 pub mod telemetry;
+pub mod world;
 
 pub use acorn::{
-    AcornEvent, AcornWorld, CompositeReport, CompositeScenario, DriftProcess, DriftSpec,
-    MobilityProcess, MobilitySpec, ReallocRecord, ReallocationTimer, SeedPolicy, SessionProcess,
+    AcornWorld, CompositeReport, CompositeScenario, Exact, MobilityProcess, MobilitySpec,
 };
 pub use city::{
     CityDriftProcess, CityReallocationTimer, CityReport, CityScenario, CitySessionProcess,
-    CityWorld,
+    CityWorld, Incremental,
 };
 pub use cityfaults::CityFaultProcess;
 pub use dcb::{DcbDriver, DcbEvent, DcbReport, DcbScenario, DcbWorld, OverlappingBssGrid};
 pub use faults::{
-    corrupt_frame, FaultPlan, FaultProcess, FaultRng, GauntletCounters, ResilienceReport,
-    FAULT_GAUNTLET,
+    corrupt_frame, run_with_golden_twin, FaultPlan, FaultProcess, FaultRng, GauntletCounters,
+    ResilienceReport, FAULT_GAUNTLET,
 };
 pub use queue::{EventId, EventQueue, Fired};
 pub use sim::{
     mix_seed, Ctx, Envelope, EventLog, LogEntry, Process, ProcessId, RunStats, Simulation,
 };
 pub use telemetry::{Histogram, Series, Telemetry, TelemetrySnapshot};
+pub use world::{
+    AcornEvent, DriftProcess, DriftSpec, Locality, ReallocRecord, ReallocationTimer,
+    ScenarioReport, SeedPolicy, SessionProcess, World,
+};

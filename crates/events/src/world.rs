@@ -1,0 +1,694 @@
+//! One ACORN world, written once and generic over *locality*, and the
+//! standard processes that drive it.
+//!
+//! ACORN's operating loop is one mechanism: Algorithm 1 on each arrival,
+//! the §5.2 width fallback after each cell change, and Algorithm 2 every
+//! `T` ("we run our channel allocation algorithm every 30 minutes",
+//! §4.2). [`World`] declares the state that loop works on once, and the
+//! processes here drive it for every [`Locality`]:
+//!
+//! * [`SessionProcess`] — WLAN session arrivals/departures from a trace
+//!   (§3's CRAWDAD analysis), driving Algorithm 1 association.
+//! * [`ReallocationTimer`] — the every-`T` Algorithm 2 re-run, in safe
+//!   mode while APs are down. Restart fan-out rides the evaluation
+//!   engine's thread pool via [`AcornController::reallocate`], and
+//!   per-epoch seeds come from a [`SeedPolicy`], so results are
+//!   bit-identical at any `ACORN_THREADS`.
+//! * [`DriftProcess`] — slow environmental shadowing drift (the
+//!   [`drift_phase`](acorn_topology::pathloss::LogDistance::drift_phase)
+//!   rotation): link gains decorrelate over hours while every draw stays a
+//!   pure function of the seed.
+//!
+//! An AP's access share depends only on its conflict-graph neighbours
+//! (the coupling Bellalta et al., arXiv:1412.0929, model), so worlds
+//! differ only in what they treat as local. A [`Locality`] decides which
+//! APs a client probes, which cells a width pass revisits, whether link
+//! SNRs are cached, and how an epoch evaluates its objective:
+//!
+//! | | [`Exact`] ([`AcornWorld`](crate::AcornWorld)) | [`Incremental`] ([`CityWorld`](crate::CityWorld)) |
+//! |---|---|---|
+//! | Algorithm 1 probes | every live AP | live APs within the candidate radius |
+//! | §5.2 after a cell change | every AP, even when no AP was found | the changed cell |
+//! | drift step | nothing cached | refreshes the cached SNRs |
+//! | epoch objective | per-AP effective widths over live APs | the epoch model at assigned widths |
+//! | epoch model | rebuilt after the objective | built from the maintained graph first |
+//! | Algorithm 2 | whole network | per connected component |
+//!
+//! Both adapt every AP's width after an epoch.
+//!
+//! [`Exact`]: crate::acorn::Exact
+//! [`Incremental`]: crate::city::Incremental
+
+use crate::faults::ResilienceReport;
+use crate::sim::{mix_seed, Ctx, EventLog, Process, RunStats, Simulation};
+use crate::telemetry::{Histogram, Telemetry, TelemetrySnapshot};
+use acorn_core::{AcornController, NetworkModel, NetworkState};
+use acorn_obs::{names, RecordingSink, Sink};
+use acorn_phy::ChannelWidth;
+use acorn_topology::{ApId, ChannelAssignment, Wlan};
+use acorn_traces::Session;
+use std::marker::PhantomData;
+
+/// What differs between ACORN worlds. Everything else — the state, the
+/// processes, safe mode, the fault core — is written once over
+/// [`World<L>`].
+pub trait Locality: Sized {
+    /// What an epoch evaluates its before/after objective on.
+    type Epoch;
+    /// Whether Algorithm 2 runs per connected component of the conflict
+    /// graph rather than as one whole-network greedy.
+    const PER_COMPONENT: bool;
+
+    /// Algorithm 1 for unassociated client `c` over this locality's
+    /// candidate set. Dead APs don't beacon, so they are never candidates.
+    /// Returns the chosen AP and the client's own delivery delay there;
+    /// candidate-ranking metrics go to `sink`.
+    fn associate<S: Sink>(w: &mut World<Self>, c: usize, sink: &S) -> Option<(usize, f64)>;
+    /// Removes client `c`; returns its former AP.
+    fn deassociate(w: &mut World<Self>, c: usize) -> Option<usize>;
+    /// Clients currently associated.
+    fn active_clients(w: &World<Self>) -> usize;
+    /// The §5.2 width fallback after an association change at `ap`
+    /// (`None`: the change involved no AP).
+    fn adapt_after_change(w: &mut World<Self>, ap: Option<usize>);
+    /// The §5.2 width fallback at every AP (after an epoch).
+    fn adapt_all(w: &mut World<Self>);
+    /// Brings cached link state up to date after a drift step.
+    fn refresh_links(w: &mut World<Self>);
+    /// Network goodput over live APs: the fault layer's per-round sample.
+    fn live_bps(w: &World<Self>) -> f64;
+    /// Opens a re-allocation epoch.
+    fn open_epoch(w: &World<Self>) -> Self::Epoch;
+    /// The epoch's objective (bits/s) under the current state.
+    fn objective_bps(w: &World<Self>, epoch: &Self::Epoch) -> f64;
+    /// The model Algorithm 2 re-allocates over.
+    fn epoch_model(w: &World<Self>, epoch: Self::Epoch) -> NetworkModel;
+    /// Records the epoch's own metrics into `sink`, after its width pass.
+    fn close_epoch(model: &NetworkModel, total_bps: f64, sink: &RecordingSink);
+}
+
+/// The shared world every ACORN process operates on.
+pub struct World<L> {
+    /// The deployment (mutable: mobility moves clients, drift rotates the
+    /// shadowing phase).
+    pub wlan: Wlan,
+    /// The controller (its table, plan, and Algorithm 1/2 knobs).
+    pub ctl: AcornController,
+    /// Its mutable network state (assignments, associations, widths).
+    pub state: NetworkState,
+    /// One record per re-allocation epoch, in firing order.
+    pub realloc_log: Vec<ReallocRecord>,
+    /// Liveness per AP — all `true` unless a fault process crashes one.
+    pub ap_up: Vec<bool>,
+    /// The last assignment + width vector a *healthy* re-allocation epoch
+    /// deployed; safe mode restores it instead of re-optimizing on a
+    /// partial view of the network.
+    pub last_good: Option<(Vec<ChannelAssignment>, Vec<ChannelWidth>)>,
+    /// The locality's own structures.
+    pub(crate) local: L,
+}
+
+impl<L: Locality> World<L> {
+    /// A world with a fresh controller state seeded from `seed`.
+    pub(crate) fn with_locality(wlan: Wlan, ctl: AcornController, seed: u64, local: L) -> Self {
+        let state = ctl.new_state(&wlan, seed);
+        let n_aps = wlan.aps.len();
+        World {
+            wlan,
+            ctl,
+            state,
+            realloc_log: Vec::new(),
+            ap_up: vec![true; n_aps],
+            last_good: None,
+            local,
+        }
+    }
+
+    /// Clients currently associated.
+    pub fn active_clients(&self) -> usize {
+        L::active_clients(self)
+    }
+
+    /// Whether every AP is up.
+    pub fn all_up(&self) -> bool {
+        self.ap_up.iter().all(|&u| u)
+    }
+
+    /// APs currently down.
+    pub fn down_count(&self) -> usize {
+        self.ap_up.iter().filter(|&&u| !u).count()
+    }
+
+    /// Algorithm 1 for unassociated client `c` over the locality's
+    /// candidate set. Returns the chosen AP and the client's own delivery
+    /// delay there, recording candidate metrics into `sink`.
+    pub fn associate<S: Sink>(&mut self, c: usize, sink: &S) -> Option<(usize, f64)> {
+        debug_assert!(
+            self.state.assoc[c].is_none(),
+            "client {c} is already associated"
+        );
+        L::associate(self, c, sink)
+    }
+
+    /// Removes client `c`. Returns its former AP.
+    pub fn deassociate(&mut self, c: usize) -> Option<usize> {
+        L::deassociate(self, c)
+    }
+
+    /// A session starts: Algorithm 1 places client `c`, then (with
+    /// `adapt_widths`) the §5.2 fallback revisits the locality's cells.
+    /// Candidate-ranking metrics go through an ephemeral sink drained into
+    /// `tel` — event handlers are sequential, so this is deterministic by
+    /// construction. Records `sessions.arrivals` and the client's own
+    /// delay at its AP into `association.delay_s` (the latency term
+    /// Algorithm 1 optimizes). Returns the chosen AP.
+    pub fn arrive(&mut self, c: usize, adapt_widths: bool, tel: &mut Telemetry) -> Option<usize> {
+        let sink = RecordingSink::new();
+        let chosen = self.associate(c, &sink);
+        sink.drain_into(tel);
+        if adapt_widths {
+            L::adapt_after_change(self, chosen.map(|(ap, _)| ap));
+        }
+        tel.inc("sessions.arrivals");
+        let (ap, delay) = chosen?;
+        tel.observe("association.delay_s", delay);
+        Some(ap)
+    }
+
+    /// A session ends: client `c` leaves, then (with `adapt_widths`) the
+    /// §5.2 fallback revisits the locality's cells. Records
+    /// `sessions.departures`. Returns the client's former AP.
+    pub fn depart(&mut self, c: usize, adapt_widths: bool, tel: &mut Telemetry) -> Option<usize> {
+        let ap = self.deassociate(c);
+        if adapt_widths {
+            L::adapt_after_change(self, ap);
+        }
+        tel.inc("sessions.departures");
+        ap
+    }
+
+    /// Safe mode: a partial network means a partial view — any
+    /// re-optimization now would chase phantom interference. Restores
+    /// the last plan a healthy epoch deployed and sheds the risky 40 MHz
+    /// bonds of live APs within carrier-sense range of a dead one.
+    fn enter_safe_mode(&mut self) {
+        if let Some((assignments, widths)) = self.last_good.clone() {
+            self.state.assignments = assignments;
+            self.state.operating_width = widths;
+        }
+        let graph = self.wlan.ap_only_interference_graph();
+        for ap in 0..self.wlan.aps.len() {
+            if self.ap_up[ap] && graph.neighbors(ApId(ap)).any(|n| !self.ap_up[n.0]) {
+                self.state.operating_width[ap] = ChannelWidth::Ht20;
+            }
+        }
+    }
+}
+
+/// What one [`ReallocationTimer`] firing recorded.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReallocRecord {
+    /// Firing time (s).
+    pub t_s: f64,
+    /// Clients associated at that instant.
+    pub active_clients: usize,
+    /// Predicted network throughput before the re-allocation (bits/s).
+    pub before_bps: f64,
+    /// Predicted network throughput after (bits/s).
+    pub after_bps: f64,
+    /// Channel switches performed.
+    pub switches: usize,
+    /// Whether this epoch ran in safe mode (degraded network: the
+    /// controller kept the last-known-good plan instead of re-optimizing).
+    pub degraded: bool,
+    /// APs down when the epoch fired (the watchdog cross-checks
+    /// `degraded == (down_aps > 0)` on safe-mode-enabled runs).
+    pub down_aps: usize,
+}
+
+/// Event payload shared by the standard processes. Every variant carries
+/// plain data, so the whole scenario state is `(world, processes, queue)`
+/// and nothing hides in closures.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum AcornEvent {
+    /// A session starts: `client` joins the WLAN.
+    Arrive(usize),
+    /// A session ends: `client` leaves.
+    Depart(usize),
+    /// Periodic Algorithm 2 re-allocation.
+    Reallocate,
+    /// Mobility position update + width re-evaluation.
+    MobilitySample,
+    /// One step of slow shadowing drift.
+    DriftStep,
+    /// An AP crashes (fault layer).
+    ApCrash(usize),
+    /// A crashed AP finishes repair and comes back cold (fault layer).
+    ApRestart(usize),
+    /// One control round: measurements, beacons, IAPP, CSA, detection
+    /// (fault layer).
+    ControlRound,
+    /// A delayed control-message copy arrives (fault layer).
+    DeliverMsg(u32),
+    /// One streaming workload-generator tick (soak layer): draw the next
+    /// arrival window without materializing a trace.
+    WorkloadTick,
+    /// One telemetry probe sample (soak layer): sketch-record goodput.
+    ProbeSample,
+    /// One online invariant check (soak layer).
+    WatchdogCheck,
+}
+
+/// Drives Algorithm 1 association from a session trace, through
+/// [`World::arrive`] and [`World::depart`].
+///
+/// At `start`, schedules an [`AcornEvent::Arrive`]/[`AcornEvent::Depart`]
+/// pair per session (departures clamped to the horizon), in session
+/// order — which fixes the dispatch order of simultaneous events to
+/// match the trace order. A client is one station, so its sessions must
+/// not overlap in that order; `start` rejects a trace where they do.
+/// Telemetry: `sessions.arrivals` / `sessions.departures` counters, a
+/// `clients.active` gauge, and the `association.delay_s` histogram.
+pub struct SessionProcess {
+    /// The session trace.
+    pub sessions: Vec<Session>,
+    /// Simulated horizon (s); arrivals at or past it never fire.
+    pub horizon_s: f64,
+    /// Run the §5.2 width adaptation after every association change.
+    pub adapt_widths: bool,
+}
+
+/// Panics unless every session's client exists in a deployment of
+/// `n_clients` and no client has two sessions live at once. Events fire
+/// in `(time, trace index)` order, so one client's sessions, sorted that
+/// way, must each depart before the next arrives.
+fn check_trace(sessions: &[Session], horizon_s: f64, n_clients: usize) {
+    let mut order = Vec::with_capacity(sessions.len());
+    for (i, s) in sessions.iter().enumerate() {
+        assert!(
+            s.client < n_clients,
+            "session client {} has no position in the deployment",
+            s.client
+        );
+        if s.start_s < horizon_s {
+            order.push(i);
+        }
+    }
+    order.sort_unstable_by(|&i, &j| {
+        let (a, b) = (&sessions[i], &sessions[j]);
+        (a.client.cmp(&b.client))
+            .then(a.start_s.total_cmp(&b.start_s))
+            .then(i.cmp(&j))
+    });
+    for pair in order.windows(2) {
+        let (a, b) = (&sessions[pair[0]], &sessions[pair[1]]);
+        if a.client == b.client {
+            let end = a.end_s().min(horizon_s);
+            assert!(
+                end < b.start_s || (end == b.start_s && pair[0] < pair[1]),
+                "client {} has overlapping sessions",
+                a.client
+            );
+        }
+    }
+}
+
+impl<L: Locality> Process<World<L>, AcornEvent> for SessionProcess {
+    fn start(&mut self, ctx: &mut Ctx<'_, World<L>, AcornEvent>) {
+        check_trace(&self.sessions, self.horizon_s, ctx.world.wlan.clients.len());
+        ctx.telemetry.register_histogram(
+            "association.delay_s",
+            // Delivery delays for 1500-byte payloads run sub-millisecond
+            // at high MCS to a few ms near the floor; overflow catches
+            // retry-dominated stragglers.
+            Histogram::linear(0.0, 0.01, 50).expect("static histogram bounds"),
+        );
+        for s in &self.sessions {
+            if s.start_s < self.horizon_s {
+                ctx.schedule_at(s.start_s, AcornEvent::Arrive(s.client));
+                ctx.schedule_at(s.end_s().min(self.horizon_s), AcornEvent::Depart(s.client));
+            }
+        }
+    }
+
+    fn handle(&mut self, event: &AcornEvent, ctx: &mut Ctx<'_, World<L>, AcornEvent>) {
+        match *event {
+            AcornEvent::Arrive(c) => {
+                ctx.world.arrive(c, self.adapt_widths, ctx.telemetry);
+            }
+            AcornEvent::Depart(c) => {
+                ctx.world.depart(c, self.adapt_widths, ctx.telemetry);
+            }
+            _ => {}
+        }
+        let active = ctx.world.active_clients() as f64;
+        ctx.telemetry.set_gauge("clients.active", active);
+    }
+}
+
+/// Where a [`ReallocationTimer`] epoch gets its restart seed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SeedPolicy {
+    /// Use `next`, then increment by one — the historical churn-loop
+    /// behaviour (`seed + 1`, `seed + 2`, …), kept for bit-compatibility
+    /// with pre-kernel outputs.
+    Sequential {
+        /// The next epoch's seed.
+        next: u64,
+    },
+    /// Derive each epoch's seed as `mix_seed(base, event_seq)` — the
+    /// preferred policy for new scenarios: the event's globally unique
+    /// sequence number keys an independent splitmix64 stream, so adding
+    /// or removing unrelated processes never shifts which stream an
+    /// epoch consumes in a structurally unchanged schedule.
+    FromEventSeq {
+        /// Base seed mixed with the firing event's sequence number.
+        base: u64,
+    },
+}
+
+impl SeedPolicy {
+    /// The policy a scenario runs under. With a fault layer attached,
+    /// epoch seeds count epochs rather than events: a faulty run and its
+    /// golden twin schedule different event interleavings (delayed
+    /// deliveries consume sequence numbers), and the resilience
+    /// comparison is only meaningful if both draw identical per-epoch
+    /// restart streams.
+    pub fn for_scenario(seed: u64, faults: bool) -> SeedPolicy {
+        if faults {
+            SeedPolicy::Sequential {
+                next: seed.wrapping_add(1),
+            }
+        } else {
+            SeedPolicy::FromEventSeq { base: seed }
+        }
+    }
+
+    pub(crate) fn epoch_seed(&mut self, event_seq: u64) -> u64 {
+        match self {
+            SeedPolicy::Sequential { next } => {
+                let s = *next;
+                *next = next.wrapping_add(1);
+                s
+            }
+            SeedPolicy::FromEventSeq { base } => mix_seed(*base, event_seq),
+        }
+    }
+}
+
+/// Periodic Algorithm 2 re-allocation (the paper's every-30-minutes
+/// controller loop). Fires at `period_s`, `2·period_s`, … strictly below
+/// `horizon_s`, self-scheduling each next tick. Each firing records a
+/// [`ReallocRecord`] into the world and telemetry series
+/// `network_bps.before`/`network_bps.after`, a `switches` histogram, and
+/// a `reallocations` counter. The epoch's `alloc.*`/`model.*` metrics
+/// ride an ephemeral sink shared across the restart fan-out (counter adds
+/// commute, so the totals are thread-invariant) and drain into the
+/// run-wide recorder sequentially.
+pub struct ReallocationTimer {
+    /// Re-allocation period `T` (s).
+    pub period_s: f64,
+    /// Horizon (s); ticks at or past it never fire.
+    pub horizon_s: f64,
+    /// Random restarts per epoch (per shard under [`Locality::PER_COMPONENT`]),
+    /// fanned over the thread pool.
+    pub restarts: usize,
+    /// Run the width adaptation at every AP after each re-allocation.
+    pub adapt_widths: bool,
+    /// Per-epoch seed derivation.
+    pub seed_policy: SeedPolicy,
+    /// Degrade gracefully when APs are down: keep the last-known-good
+    /// plan, skip re-optimization, and force cells bordering a dead AP to
+    /// 20 MHz. Off, the timer re-optimizes blindly every epoch (the
+    /// pre-fault-layer behaviour — and bit-identical to it while every
+    /// AP is up).
+    pub safe_mode: bool,
+}
+
+impl<L: Locality> Process<World<L>, AcornEvent> for ReallocationTimer {
+    fn start(&mut self, ctx: &mut Ctx<'_, World<L>, AcornEvent>) {
+        ctx.telemetry.register_histogram(
+            "switches",
+            Histogram::linear(0.0, 32.0, 32).expect("static histogram bounds"),
+        );
+        if self.period_s < self.horizon_s {
+            ctx.schedule_at(self.period_s, AcornEvent::Reallocate);
+        }
+    }
+
+    fn handle(&mut self, event: &AcornEvent, ctx: &mut Ctx<'_, World<L>, AcornEvent>) {
+        debug_assert_eq!(*event, AcornEvent::Reallocate);
+        let t = ctx.now();
+        let seed = self.seed_policy.epoch_seed(ctx.event_seq());
+        let w = &mut *ctx.world;
+        let epoch = L::open_epoch(w);
+        let before = L::objective_bps(w, &epoch);
+        let active = w.active_clients();
+        let degraded = self.safe_mode && !w.all_up();
+        let (after, switches) = if degraded {
+            w.enter_safe_mode();
+            ctx.telemetry.inc(names::CONTROLLER_SAFE_MODE_EPOCHS);
+            (L::objective_bps(w, &epoch), 0)
+        } else {
+            let sink = RecordingSink::new();
+            let model = L::epoch_model(w, epoch);
+            let r = w.ctl.reallocate(
+                &model,
+                &mut w.state,
+                self.restarts,
+                seed,
+                L::PER_COMPONENT,
+                &sink,
+            );
+            if self.adapt_widths {
+                L::adapt_all(w);
+            }
+            L::close_epoch(&model, r.total_bps, &sink);
+            sink.drain_into(ctx.telemetry);
+            if self.safe_mode {
+                w.last_good = Some((w.state.assignments.clone(), w.state.operating_width.clone()));
+            }
+            (r.total_bps, r.switches)
+        };
+        let record = ReallocRecord {
+            t_s: t,
+            active_clients: active,
+            before_bps: before,
+            after_bps: after,
+            switches,
+            degraded,
+            down_aps: w.down_count(),
+        };
+        w.realloc_log.push(record);
+        ctx.telemetry.inc("reallocations");
+        ctx.telemetry.record("network_bps.before", t, before);
+        ctx.telemetry.record("network_bps.after", t, after);
+        ctx.telemetry.observe("switches", switches as f64);
+        let next = t + self.period_s;
+        if next < self.horizon_s {
+            ctx.schedule_at(next, AcornEvent::Reallocate);
+        }
+    }
+}
+
+/// Slow environmental shadowing drift: every `period_s`, advances the
+/// path-loss model's
+/// [`drift_phase`](acorn_topology::pathloss::LogDistance::drift_phase) by
+/// `phase_step_rad`, smoothly decorrelating every link's shadowing draw
+/// from its initial value while keeping the marginal distribution — and
+/// full determinism — intact, then lets the locality refresh what it
+/// caches. Models the hours-scale environment changes (doors, furniture,
+/// crowds) that motivate periodic re-allocation in the first place.
+/// Telemetry: `drift.phase_rad` gauge, `drift.steps` counter.
+pub struct DriftProcess {
+    /// Drift step period (s).
+    pub period_s: f64,
+    /// Horizon (s); steps past it never fire.
+    pub horizon_s: f64,
+    /// Phase advance per step (radians).
+    pub phase_step_rad: f64,
+}
+
+impl<L: Locality> Process<World<L>, AcornEvent> for DriftProcess {
+    fn start(&mut self, ctx: &mut Ctx<'_, World<L>, AcornEvent>) {
+        if self.period_s <= self.horizon_s {
+            ctx.schedule_at(self.period_s, AcornEvent::DriftStep);
+        }
+    }
+
+    fn handle(&mut self, event: &AcornEvent, ctx: &mut Ctx<'_, World<L>, AcornEvent>) {
+        debug_assert_eq!(*event, AcornEvent::DriftStep);
+        let t = ctx.now();
+        ctx.world.wlan.pathloss.drift_phase += self.phase_step_rad;
+        L::refresh_links(ctx.world);
+        let phase = ctx.world.wlan.pathloss.drift_phase;
+        ctx.telemetry.set_gauge("drift.phase_rad", phase);
+        ctx.telemetry.inc("drift.steps");
+        let next = t + self.period_s;
+        if next <= self.horizon_s {
+            ctx.schedule_at(next, AcornEvent::DriftStep);
+        }
+    }
+}
+
+/// What a scenario run over a [`World<L>`] produced. The locality tag
+/// keeps each world's report its own type
+/// ([`CompositeReport`](crate::CompositeReport),
+/// [`CityReport`](crate::CityReport)).
+pub struct ScenarioReport<L> {
+    /// Events dispatched and final virtual time.
+    pub stats: RunStats,
+    /// The frozen telemetry.
+    pub telemetry: TelemetrySnapshot,
+    /// The executed-event log (present iff the run recorded one).
+    pub log: Option<EventLog>,
+    /// One record per re-allocation epoch.
+    pub realloc: Vec<ReallocRecord>,
+    /// The final controller state.
+    pub final_state: NetworkState,
+    /// Fault-layer aggregates (present iff a fault layer ran). The golden
+    /// comparison fields are zero unless
+    /// [`run_with_golden_twin`](crate::run_with_golden_twin) produced the
+    /// report.
+    pub resilience: Option<ResilienceReport>,
+    locality: PhantomData<fn() -> L>,
+}
+
+impl<L: Locality> ScenarioReport<L> {
+    /// Runs `sim` to `horizon_s` and collects what it produced; `faults`
+    /// says whether a fault layer was registered.
+    pub(crate) fn run(
+        mut sim: Simulation<World<L>, AcornEvent>,
+        horizon_s: f64,
+        faults: bool,
+    ) -> Self {
+        let stats = sim.run(horizon_s);
+        let resilience = faults.then(|| ResilienceReport::from_telemetry(&sim.telemetry));
+        ScenarioReport {
+            stats,
+            telemetry: sim.telemetry.snapshot(),
+            log: sim.event_log().cloned(),
+            realloc: std::mem::take(&mut sim.world.realloc_log),
+            final_state: sim.world.state.clone(),
+            resilience,
+            locality: PhantomData,
+        }
+    }
+}
+
+/// Drift parameters for a scenario.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DriftSpec {
+    /// Drift step period (s).
+    pub period_s: f64,
+    /// Phase advance per step (radians).
+    pub phase_step_rad: f64,
+}
+
+impl DriftSpec {
+    /// The drift process this spec describes, up to `horizon_s`.
+    pub fn process(&self, horizon_s: f64) -> DriftProcess {
+        DriftProcess {
+            period_s: self.period_s,
+            horizon_s,
+            phase_step_rad: self.phase_step_rad,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sim::Simulation;
+    use crate::{AcornWorld, CityWorld};
+    use acorn_core::AcornConfig;
+    use acorn_topology::Point;
+
+    fn two_aps() -> Wlan {
+        let mut w = Wlan::new(
+            vec![Point::new(0.0, 0.0), Point::new(60.0, 0.0)],
+            vec![Point::new(10.0, 5.0), Point::new(50.0, 5.0)],
+            5,
+        );
+        w.pathloss.shadowing_sigma_db = 0.0;
+        w
+    }
+
+    fn session(client: usize, start_s: f64, end_s: f64) -> Session {
+        Session {
+            client,
+            start_s,
+            duration_s: end_s - start_s,
+        }
+    }
+
+    /// Runs `sessions` through the session process to t = 1000 s.
+    fn run<L: Locality>(world: World<L>, sessions: Vec<Session>) -> World<L> {
+        let mut sim: Simulation<World<L>, AcornEvent> = Simulation::new(world);
+        sim.add_process(Box::new(SessionProcess {
+            sessions,
+            horizon_s: 1000.0,
+            adapt_widths: true,
+        }));
+        sim.run(1000.0);
+        sim.world
+    }
+
+    fn exact() -> AcornWorld {
+        AcornWorld::new(two_aps(), AcornController::new(AcornConfig::default()), 1)
+    }
+
+    fn city() -> CityWorld {
+        let ctl = AcornController::new(AcornConfig::default());
+        CityWorld::new(two_aps(), ctl, 120.0, 1)
+    }
+
+    // Client 0 would arrive again at 100 s while its first session still
+    // holds it: the incremental world counted it twice (a phantom client
+    // in every later model) and the exact world ended the longer session
+    // at 200 s.
+    fn overlapping() -> Vec<Session> {
+        vec![session(0, 10.0, 500.0), session(0, 100.0, 200.0)]
+    }
+
+    #[test]
+    #[should_panic(expected = "client 0 has overlapping sessions")]
+    fn exact_world_rejects_overlapping_sessions_of_one_client() {
+        run(exact(), overlapping());
+    }
+
+    #[test]
+    #[should_panic(expected = "client 0 has overlapping sessions")]
+    fn city_world_rejects_overlapping_sessions_of_one_client() {
+        run(city(), overlapping());
+    }
+
+    #[test]
+    #[should_panic(expected = "client 1 has overlapping sessions")]
+    fn a_later_listed_session_ending_at_an_arrival_overlaps_it() {
+        // Both fire at 100 s, and the arrival was scheduled first.
+        run(
+            exact(),
+            vec![session(1, 100.0, 300.0), session(1, 10.0, 100.0)],
+        );
+    }
+
+    #[test]
+    fn back_to_back_sessions_of_one_client_run_in_both_worlds() {
+        // The first session's departure and the second's arrival share an
+        // instant; trace order fires the departure first.
+        let sessions = vec![
+            session(0, 10.0, 100.0),
+            session(1, 20.0, 400.0),
+            session(0, 100.0, 300.0),
+            // Starts past the horizon, so it never fires.
+            session(0, 250.0 + 1000.0, 1500.0),
+        ];
+        let e = run(exact(), sessions.clone());
+        let c = run(city(), sessions);
+        assert_eq!(e.active_clients(), 0);
+        assert_eq!(c.active_clients(), 0);
+        assert!(c.cell_clients(0).is_empty() && c.cell_clients(1).is_empty());
+        assert!(c.graph_snapshot() == c.wlan.ap_only_interference_graph());
+    }
+}

@@ -14,8 +14,8 @@ use acorn_core::AcornController;
 use acorn_core::NetworkState;
 use acorn_ctrlplane::{CrashWindow, PartitionWindow};
 use acorn_events::{
-    AcornEvent, CityDriftProcess, CityFaultProcess, CityReallocationTimer, CityWorld, DriftSpec,
-    EventLog, FaultPlan, ReallocRecord, ResilienceReport, RunStats, SeedPolicy, Simulation,
+    run_with_golden_twin, AcornEvent, CityFaultProcess, CityWorld, DriftSpec, EventLog, FaultPlan,
+    ReallocRecord, ReallocationTimer, ResilienceReport, RunStats, SeedPolicy, Simulation,
     TelemetrySnapshot,
 };
 use acorn_obs::{SeriesEntry, SketchEntry};
@@ -97,26 +97,16 @@ impl SoakScenario {
             self.horizon_s,
             self.adapt_widths,
         )));
-        sim.add_process(Box::new(CityReallocationTimer {
+        sim.add_process(Box::new(ReallocationTimer {
             period_s: self.reallocation_period_s,
             horizon_s: self.horizon_s,
             restarts: self.restarts,
             adapt_widths: self.adapt_widths,
-            seed_policy: if self.faults.is_some() {
-                SeedPolicy::Sequential {
-                    next: self.seed.wrapping_add(1),
-                }
-            } else {
-                SeedPolicy::FromEventSeq { base: self.seed }
-            },
+            seed_policy: SeedPolicy::for_scenario(self.seed, self.faults.is_some()),
             safe_mode: self.faults.is_some(),
         }));
         if let Some(d) = self.drift {
-            sim.add_process(Box::new(CityDriftProcess {
-                period_s: d.period_s,
-                horizon_s: self.horizon_s,
-                phase_step_rad: d.phase_step_rad,
-            }));
+            sim.add_process(Box::new(d.process(self.horizon_s)));
         }
         sim.add_process(Box::new(SoakProbe {
             period_s: self.probe_period_s,
@@ -159,22 +149,15 @@ impl SoakScenario {
     /// fault-free twin — and fills the resilience report's golden
     /// comparison (`golden_mean_bps`, `throughput_retained`).
     pub fn run_resilience(&self, ctl: &AcornController) -> SoakReport {
-        let plan = self.faults.unwrap_or_default();
-        let mut faulty = self.clone();
-        faulty.faults = Some(plan);
-        let mut report = faulty.run(ctl);
-        let mut golden = self.clone();
-        golden.faults = Some(plan.benign_twin());
-        let golden_report = golden.run(ctl);
-        if let (Some(r), Some(g)) = (report.resilience.as_mut(), golden_report.resilience) {
-            r.golden_mean_bps = g.faulty_mean_bps;
-            r.throughput_retained = if g.faulty_mean_bps > 0.0 {
-                r.faulty_mean_bps / g.faulty_mean_bps
-            } else {
-                0.0
-            };
-        }
-        report
+        let with_plan = |plan| SoakScenario {
+            faults: Some(plan),
+            ..self.clone()
+        };
+        run_with_golden_twin(
+            self.faults,
+            |p| with_plan(p).run(ctl),
+            |r| &mut r.resilience,
+        )
     }
 }
 
@@ -272,23 +255,13 @@ pub fn periodic_partitions(
     duration_s: f64,
     horizon_s: f64,
 ) -> Vec<PartitionWindow> {
-    assert!(period_s > 0.0, "partition period must be positive");
-    let mut windows = Vec::new();
-    if n_zones == 0 {
-        return windows;
-    }
-    let mut t = first_at_s;
-    let mut zone = 0usize;
-    while t < horizon_s {
-        windows.push(PartitionWindow {
+    cycle_zones(n_zones, first_at_s, period_s, duration_s, horizon_s)
+        .map(|(zone, from_s, until_s)| PartitionWindow {
             zone,
-            from_s: t,
-            until_s: (t + duration_s).min(horizon_s),
-        });
-        zone = (zone + 1) % n_zones;
-        t += period_s;
-    }
-    windows
+            from_s,
+            until_s,
+        })
+        .collect()
 }
 
 /// Crash/restart windows cycling round-robin over `n_zones` — the
@@ -300,23 +273,31 @@ pub fn periodic_crashes(
     downtime_s: f64,
     horizon_s: f64,
 ) -> Vec<CrashWindow> {
-    assert!(period_s > 0.0, "crash period must be positive");
-    let mut windows = Vec::new();
-    if n_zones == 0 {
-        return windows;
-    }
-    let mut t = first_at_s;
-    let mut zone = 0usize;
-    while t < horizon_s {
-        windows.push(CrashWindow {
+    cycle_zones(n_zones, first_at_s, period_s, downtime_s, horizon_s)
+        .map(|(zone, at_s, restart_at_s)| CrashWindow {
             zone,
-            at_s: t,
-            restart_at_s: (t + downtime_s).min(horizon_s),
-        });
-        zone = (zone + 1) % n_zones;
-        t += period_s;
-    }
-    windows
+            at_s,
+            restart_at_s,
+        })
+        .collect()
+}
+
+/// `(zone, start, end)` of each window: one every `period_s` from
+/// `first_at_s` until `horizon_s`, zones in round-robin order, each
+/// `length_s` long but clipped to the horizon.
+fn cycle_zones(
+    n_zones: usize,
+    first_at_s: f64,
+    period_s: f64,
+    length_s: f64,
+    horizon_s: f64,
+) -> impl Iterator<Item = (usize, f64, f64)> {
+    assert!(period_s > 0.0, "window period must be positive");
+    let starts = std::iter::successors(Some(first_at_s), move |t| Some(t + period_s));
+    starts
+        .take_while(move |&t| n_zones > 0 && t < horizon_s)
+        .enumerate()
+        .map(move |(k, t)| (k % n_zones, t, (t + length_s).min(horizon_s)))
 }
 
 #[cfg(test)]

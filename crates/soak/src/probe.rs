@@ -1,8 +1,9 @@
 //! Periodic goodput probe with bounded-memory recording.
 //!
 //! Once per period the probe evaluates the localized live-network
-//! goodput model ([`CityWorld::network_bps_up`] — O(neighbours) per
-//! cell, no full model build) and records it three ways:
+//! goodput model ([`CityWorld::cell_bps_up`] summed over cells —
+//! O(neighbours) per cell, no full model build) and records it three
+//! ways:
 //!
 //! * `soak.network_bps` **series** — the recent window, ring-buffered
 //!   under the telemetry series cap (O(1) in horizon);
@@ -13,7 +14,7 @@
 //!   p50/p95/p99 a soak reports are client-experienced numbers, not
 //!   cell averages.
 //!
-//! [`CityWorld::network_bps_up`]: acorn_events::CityWorld::network_bps_up
+//! [`CityWorld::cell_bps_up`]: acorn_events::CityWorld::cell_bps_up
 
 use acorn_events::{AcornEvent, CityWorld, Ctx, Process};
 use acorn_obs::{QuantileSketch, DEFAULT_SKETCH_K};

@@ -82,7 +82,9 @@ impl InvariantWatchdog {
         }
     }
 
-    fn violate(&mut self, ctx: &mut Ctx<'_, CityWorld, AcornEvent>, code: u64, name: &str) {
+    /// Records a violation; returns whether the run must stop here
+    /// ([`WatchdogSpec::fail_fast`]).
+    fn violate(&mut self, ctx: &mut Ctx<'_, CityWorld, AcornEvent>, code: u64, name: &str) -> bool {
         ctx.telemetry.inc("watchdog.violations");
         ctx.telemetry.inc(&format!("watchdog.viol.{name}"));
         if !self.tripped {
@@ -101,6 +103,7 @@ impl InvariantWatchdog {
         if self.spec.fail_fast {
             ctx.stop();
         }
+        self.spec.fail_fast
     }
 }
 
@@ -133,11 +136,8 @@ impl Process<CityWorld, AcornEvent> for InvariantWatchdog {
         if in_cells != assoc_count || assoc_count != w.active_clients() {
             cells_ok = false;
         }
-        if !cells_ok {
-            self.violate(ctx, 2, "cells");
-            if self.spec.fail_fast {
-                return;
-            }
+        if !cells_ok && self.violate(ctx, 2, "cells") {
+            return;
         }
 
         // (3) Operating width never exceeds the assigned width.
@@ -147,11 +147,8 @@ impl Process<CityWorld, AcornEvent> for InvariantWatchdog {
             w.state.operating_width[ap] == ChannelWidth::Ht40
                 && w.state.assignments[ap].width() != ChannelWidth::Ht40
         });
-        if widened {
-            self.violate(ctx, 3, "width");
-            if self.spec.fail_fast {
-                return;
-            }
+        if widened && self.violate(ctx, 3, "width") {
+            return;
         }
 
         // (4) Safe mode exactly when the epoch saw a hole.
@@ -161,33 +158,24 @@ impl Process<CityWorld, AcornEvent> for InvariantWatchdog {
                 .iter()
                 .any(|r| r.degraded != (r.down_aps > 0));
             self.seen_realloc = w.realloc_log.len();
-            if bad {
-                self.violate(ctx, 4, "realloc");
-                if self.spec.fail_fast {
-                    return;
-                }
+            if bad && self.violate(ctx, 4, "realloc") {
+                return;
             }
 
             // (5) The fault layer's liveness gauge tracks the world.
             let down = ctx.world.down_count() as f64;
-            if let Some(g) = ctx.telemetry.gauge("faults.aps_down") {
-                if g != down {
-                    self.violate(ctx, 5, "liveness");
-                    if self.spec.fail_fast {
-                        return;
-                    }
-                }
+            let gauge = ctx.telemetry.gauge("faults.aps_down");
+            if gauge.is_some_and(|g| g != down) && self.violate(ctx, 5, "liveness") {
+                return;
             }
         }
 
         // (1) Graph twin: incremental vs from-scratch, every Nth check.
         if self.spec.graph_check_every > 0 && self.checks % self.spec.graph_check_every == 0 {
             let w = &*ctx.world;
-            if w.graph_snapshot() != w.wlan.interference_graph(&w.state.assoc) {
-                self.violate(ctx, 1, "graph");
-                if self.spec.fail_fast {
-                    return;
-                }
+            let twin_ok = w.graph_snapshot() == w.wlan.interference_graph(&w.state.assoc);
+            if !twin_ok && self.violate(ctx, 1, "graph") {
+                return;
             }
             ctx.telemetry.inc("watchdog.graph_checks");
         }

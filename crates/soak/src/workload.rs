@@ -16,7 +16,7 @@
 //! event handlers, so runs are bit-identical at any `ACORN_THREADS`.
 
 use acorn_events::{mix_seed, AcornEvent, CityWorld, Ctx, Process};
-use acorn_obs::{Histogram, RecordingSink};
+use acorn_obs::Histogram;
 use acorn_traces::AssociationDurations;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -111,12 +111,14 @@ impl WorkloadSpec {
 }
 
 /// The streaming workload generator: proposes arrivals by thinning,
-/// associates accepted clients inline (Algorithm 1 over the spatial
-/// candidate set), and schedules each client's heavy-tailed departure.
+/// associates accepted clients inline through the same world operations
+/// as the trace-driven session process ([`CityWorld::arrive`] and
+/// [`CityWorld::depart`]), and schedules each client's heavy-tailed
+/// departure.
 ///
-/// Telemetry matches the trace-driven session processes
-/// (`sessions.arrivals`, `sessions.departures`, `clients.active`,
-/// `association.delay_s`) plus the workload's own stream counters
+/// Telemetry matches the session process (`sessions.arrivals`,
+/// `sessions.departures`, `clients.active`, `association.delay_s`) plus
+/// the workload's own stream counters
 /// (`workload.ticks`, `workload.thinned`, `workload.saturated`,
 /// `workload.no_candidate`).
 pub struct WorkloadGen {
@@ -195,17 +197,8 @@ impl Process<CityWorld, AcornEvent> for WorkloadGen {
                 } else {
                     let slot = (self.rng.gen_range(0.0..1.0) * self.idle.len() as f64) as usize;
                     let c = self.idle.swap_remove(slot.min(self.idle.len() - 1)) as usize;
-                    let w = &mut *ctx.world;
-                    let sink = RecordingSink::new();
-                    let chosen = w.associate(c, &sink);
-                    sink.drain_into(ctx.telemetry);
-                    ctx.telemetry.inc("sessions.arrivals");
-                    match chosen {
-                        Some((ap, delay)) => {
-                            if self.adapt_widths {
-                                w.adapt_width_local(ap);
-                            }
-                            ctx.telemetry.observe("association.delay_s", delay);
+                    match ctx.world.arrive(c, self.adapt_widths, ctx.telemetry) {
+                        Some(_) => {
                             let dur = self.spec.durations.sample(&mut self.rng);
                             ctx.schedule_at((t + dur).min(self.horizon_s), AcornEvent::Depart(c));
                         }
@@ -222,14 +215,8 @@ impl Process<CityWorld, AcornEvent> for WorkloadGen {
                 self.chain_tick(ctx);
             }
             AcornEvent::Depart(c) => {
-                let w = &mut *ctx.world;
-                if let Some(ap) = w.deassociate(c) {
-                    if self.adapt_widths {
-                        w.adapt_width_local(ap);
-                    }
-                }
+                ctx.world.depart(c, self.adapt_widths, ctx.telemetry);
                 self.idle.push(c as u32);
-                ctx.telemetry.inc("sessions.departures");
                 ctx.telemetry
                     .set_gauge("clients.active", ctx.world.active_clients() as f64);
             }

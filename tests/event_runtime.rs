@@ -7,6 +7,11 @@
 //! adapters must reproduce the old loops bit-for-bit for the default
 //! scenarios. If a change to the kernel or the adapters moves any output
 //! bit, these hashes move and the diff is intentional-or-bust.
+//!
+//! The two fault fingerprints at the bottom hold the exact and the
+//! incremental world's fault layers to the outputs they produced while
+//! each world still had its own session, re-allocation, drift and fault
+//! processes.
 
 use acorn_core::{AcornConfig, AcornController};
 use acorn_phy::ChannelWidth;
@@ -175,4 +180,157 @@ fn composite_scenario_exports_a_telemetry_snapshot() {
         let b = (f64::from_bits(w[1].time_bits), w[1].seq);
         assert!(a < b, "log out of order: {a:?} !< {b:?}");
     }
+}
+
+/// Byte-wise FNV-1a over a run's outputs, the way the repository
+/// benchmark fingerprints a simulation: event count, telemetry JSON,
+/// then the `Debug` renderings of the final state and the re-allocation
+/// log.
+struct Fnv(u64);
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100000001b3);
+        }
+        Ok(())
+    }
+}
+
+fn run_fingerprint(
+    events: u64,
+    telemetry: &acorn_events::TelemetrySnapshot,
+    final_state: &acorn_core::NetworkState,
+    realloc: &[acorn_events::ReallocRecord],
+) -> u64 {
+    use std::fmt::Write as _;
+    let mut h = Fnv(0xcbf29ce484222325);
+    for b in events.to_le_bytes() {
+        h.0 = (h.0 ^ b as u64).wrapping_mul(0x100000001b3);
+    }
+    h.write_str(&telemetry.to_json()).unwrap();
+    write!(h, "{final_state:?}{realloc:?}").unwrap();
+    h.0
+}
+
+/// Every fault the layer injects, at rates that make each one fire.
+fn heavy_faults(seed: u64) -> acorn_events::FaultPlan {
+    acorn_events::FaultPlan {
+        seed: seed ^ 0xFA17,
+        control_period_s: 30.0,
+        ap_mttf_s: Some(400.0),
+        ap_mttr_s: 600.0,
+        max_crashes: 2,
+        loss: 0.2,
+        corruption: 0.05,
+        delay_prob: 0.1,
+        delay_max_s: 45.0,
+        meas_nan: 0.02,
+        meas_outlier: 0.05,
+        meas_freeze: 0.05,
+        ..acorn_events::FaultPlan::default()
+    }
+}
+
+#[test]
+fn faulty_composite_is_pinned() {
+    // The resilience suite's acceptance scenario (churn + mobility +
+    // drift over a 3x3 grid, one AP crash, a lossy, corrupting and
+    // delaying control wire, measurement faults): pins the exact world's
+    // fault layer — IAPP, CSA, trackers, crash lifecycle, beacon
+    // gauntlet, silence detection — byte for byte.
+    use acorn_events::{CompositeScenario, DriftSpec, MobilitySpec};
+    use acorn_topology::{ClientId, Point, Trajectory};
+
+    let seed = 7;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let sessions = SessionGenerator::enterprise_default().generate(&mut rng, 3600.0);
+    let n_clients = sessions.len().max(2) + 1;
+    let wlan = enterprise_grid(3, 3, 50.0, n_clients, seed);
+    let mobile = ClientId(n_clients - 1);
+    let from = wlan.clients[mobile.0].pos;
+    let sc = CompositeScenario {
+        wlan,
+        sessions,
+        horizon_s: 3600.0,
+        reallocation_period_s: 300.0,
+        restarts: 2,
+        adapt_widths: true,
+        mobility: Some(MobilitySpec {
+            client: mobile,
+            trajectory: Trajectory {
+                from,
+                to: Point::new(from.x + 40.0, from.y),
+                speed_mps: 0.02,
+            },
+            sample_period_s: 120.0,
+        }),
+        drift: Some(DriftSpec {
+            period_s: 600.0,
+            phase_step_rad: 0.02,
+        }),
+        faults: Some(acorn_events::FaultPlan {
+            max_crashes: 1,
+            ..heavy_faults(seed)
+        }),
+        seed,
+        record_log: false,
+    };
+    let ctl = AcornController::new(AcornConfig::default());
+    let r = sc.run(&ctl);
+    let res = r.resilience.expect("faults were set");
+    assert!(res.crashes == 1 && res.rescans > 0 && res.parse_errors > 0);
+    let fp = run_fingerprint(r.stats.events, &r.telemetry, &r.final_state, &r.realloc);
+    assert_eq!(
+        fp, 0x5181e049c2ad2c93,
+        "faulty composite output moved: {fp:#018x}"
+    );
+}
+
+#[test]
+fn faulty_city_is_pinned() {
+    // A 16-AP city grid with session churn, drift and every fault kind:
+    // pins the incremental world's session process and fault layer —
+    // crash lifecycle, measurement gates on the cached SNRs, beacon
+    // gauntlet, silence detection and spatial re-scan — byte for byte.
+    use acorn_events::{CityScenario, DriftSpec};
+    use acorn_phy::{GoodputTable, LinkQualityEstimator};
+    use acorn_sim::scenario::city_grid;
+    use acorn_traces::AssociationDurations;
+    use std::sync::Arc;
+
+    let seed = 7;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let sessions = SessionGenerator {
+        arrival_rate_per_s: 1.0 / 20.0,
+        durations: AssociationDurations::default(),
+    }
+    .generate(&mut rng, 3600.0);
+    let sc = CityScenario {
+        wlan: city_grid(2, 2, sessions.len().max(1), seed),
+        sessions,
+        horizon_s: 3600.0,
+        reallocation_period_s: 300.0,
+        restarts: 2,
+        candidate_radius_m: 120.0,
+        adapt_widths: true,
+        drift: Some(DriftSpec {
+            period_s: 600.0,
+            phase_step_rad: 0.02,
+        }),
+        faults: Some(heavy_faults(seed)),
+        seed,
+        record_log: false,
+    };
+    let table = GoodputTable::build(LinkQualityEstimator::default(), -12.0, 48.0, 0.25);
+    let ctl = AcornController::with_table(AcornConfig::default(), Arc::new(table));
+    let r = sc.run(&ctl);
+    let res = r.resilience.expect("faults were set");
+    assert!(res.crashes >= 1 && res.rescans > 0 && res.parse_errors > 0);
+    assert!(res.outliers_rejected > 0 && res.measurement_faults > 0);
+    let fp = run_fingerprint(r.stats.events, &r.telemetry, &r.final_state, &r.realloc);
+    assert_eq!(
+        fp, 0x0e35011dd6007087,
+        "faulty city output moved: {fp:#018x}"
+    );
 }
