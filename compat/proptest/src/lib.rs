@@ -7,8 +7,10 @@
 //! `prop_assert!` / `prop_assert_eq!`. Cases are generated from a
 //! deterministic per-test seed (FNV-1a of the test name, XOR
 //! `PROPTEST_SEED`); `PROPTEST_CASES` (default 64) controls the case
-//! count. There is no shrinking: a failing case panics with the assert's
-//! message directly.
+//! count. There is no shrinking. A failing case panics with the assert's
+//! message, and on the way out its [`CaseGuard`] prints the test name, the
+//! case index and the `PROPTEST_SEED` / `PROPTEST_CASES` values that
+//! replay it.
 
 #![forbid(unsafe_code)]
 
@@ -28,12 +30,17 @@ impl TestRng {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        let seed = std::env::var("PROPTEST_SEED")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(0);
-        TestRng(StdRng::seed_from_u64(h ^ seed))
+        TestRng(StdRng::seed_from_u64(h ^ seed()))
     }
+}
+
+/// The run-wide seed mixed into every test's generator (`PROPTEST_SEED`,
+/// default 0).
+fn seed() -> u64 {
+    std::env::var("PROPTEST_SEED")
+        .ok()
+        .and_then(|v| v.trim().parse::<u64>().ok())
+        .unwrap_or(0)
 }
 
 /// Number of cases each property runs (`PROPTEST_CASES`, default 64).
@@ -43,6 +50,43 @@ pub fn cases() -> usize {
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1)
         .unwrap_or(64)
+}
+
+/// Names one case of a property while it runs. `proptest!` holds one per
+/// case; if the case panics, dropping the guard during the unwind prints
+/// the test name, the case index and the `PROPTEST_SEED` /
+/// `PROPTEST_CASES` that replay it to stderr, and the panic carries on.
+pub struct CaseGuard {
+    test: &'static str,
+    case: usize,
+}
+
+impl CaseGuard {
+    /// Guards case `case` (0-based) of the property `test`.
+    pub fn new(test: &'static str, case: usize) -> CaseGuard {
+        CaseGuard { test, case }
+    }
+
+    /// The failure report. Cases are drawn in order from one generator,
+    /// so the same seed and at least `case + 1` cases reach the same
+    /// inputs.
+    fn message(&self) -> String {
+        format!(
+            "proptest: {} failed at case {}; replay with PROPTEST_SEED={} PROPTEST_CASES={}",
+            self.test,
+            self.case,
+            seed(),
+            cases()
+        )
+    }
+}
+
+impl Drop for CaseGuard {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("{}", self.message());
+        }
+    }
 }
 
 /// A generator of values for one property argument.
@@ -287,6 +331,7 @@ macro_rules! proptest {
         fn $name() {
             let mut __rng = $crate::TestRng::for_test(stringify!($name));
             for __case in 0..$crate::cases() {
+                let __guard = $crate::CaseGuard::new(stringify!($name), __case);
                 $(let $p = $crate::Strategy::sample(&($s), &mut __rng);)+
                 $body
             }
@@ -318,6 +363,27 @@ mod tests {
             prop_assert!(v.iter().all(|&b| b < 4));
             prop_assert_eq!(even % 2, 0);
         }
+    }
+
+    proptest! {
+        fn never_holds(x in 0u32..10) {
+            prop_assert!(x > 100, "x = {}", x);
+        }
+    }
+
+    #[test]
+    fn a_failing_case_is_named_and_still_panics() {
+        let guard = crate::CaseGuard::new("never_holds", 0);
+        assert_eq!(
+            guard.message(),
+            format!(
+                "proptest: never_holds failed at case 0; replay with PROPTEST_SEED={} \
+                 PROPTEST_CASES={}",
+                crate::seed(),
+                crate::cases()
+            )
+        );
+        assert!(std::panic::catch_unwind(never_holds).is_err());
     }
 
     #[test]

@@ -209,16 +209,17 @@ impl AcornController {
 
     /// The delivery delay the §4.2 pipeline predicts for a link with the
     /// given 20 MHz-referenced SNR, at a width — the per-client `d_u`
-    /// ACORN beacons advertise.
+    /// ACORN beacons advertise. The exact pipeline searches only the asked
+    /// width; the table path looks up both, as its hit counters record.
     pub fn delay_from_snr(&self, snr20_db: f64, width: ChannelWidth) -> f64 {
-        let est = match &self.table {
-            Some(t) => t.estimate(snr20_db, ChannelWidth::Ht20),
-            None => self.config.estimator.estimate(snr20_db, ChannelWidth::Ht20),
+        let e = &self.config.estimator;
+        let point = match &self.table {
+            Some(t) => t.estimate(snr20_db, ChannelWidth::Ht20).rate_point(width),
+            None => e.best_rate_point(e.calibrate_snr(snr20_db, ChannelWidth::Ht20, width), width),
         };
-        let point = est.rate_point(width);
         delivery_delay_s(
             self.config.payload_bytes,
-            point.mcs.mcs().rate_bps(width, self.config.estimator.gi),
+            point.mcs.mcs().rate_bps(width, e.gi),
             point.per,
         )
     }
@@ -240,12 +241,6 @@ impl AcornController {
         }
     }
 
-    /// The client's probed delay at an AP operating at a width.
-    fn client_delay_s(&self, wlan: &Wlan, ap: ApId, client: ClientId, width: ChannelWidth) -> f64 {
-        let snr20 = wlan.snr_db(ap, client, ChannelWidth::Ht20);
-        self.delay_from_snr(snr20, width)
-    }
-
     /// Builds client `u`'s candidate set (its view after probing every
     /// in-range AP): beacon contents with `u` provisionally counted in.
     pub fn candidates_for(
@@ -263,7 +258,7 @@ impl AcornController {
                 continue;
             }
             let width = state.operating_width[i];
-            let d_u = self.client_delay_s(wlan, ap, client, width);
+            let d_u = self.delay_from_snr(snr20, width);
             out.push(Candidate {
                 ap,
                 k_including_u: b.n_clients + 1,
@@ -424,12 +419,9 @@ impl AcornController {
             let ap = ApId(i);
             // Compare at equal access share: the fallback stays within the
             // bond, so neighbours' contention with this AP is unchanged.
-            let t40 = model
-                .cell_airtime(ap, ChannelWidth::Ht40)
-                .cell_throughput_bps(1.0);
-            let t20 = model
-                .cell_airtime(ap, ChannelWidth::Ht20)
-                .cell_throughput_bps(1.0);
+            // The model already holds both contention-free throughputs.
+            let t40 = model.cell_base_bps(ap, ChannelWidth::Ht40);
+            let t20 = model.cell_base_bps(ap, ChannelWidth::Ht20);
             let (t_cur, t_alt, alt) = match state.operating_width[i] {
                 ChannelWidth::Ht40 => (t40, t20, ChannelWidth::Ht20),
                 ChannelWidth::Ht20 => (t20, t40, ChannelWidth::Ht40),

@@ -518,19 +518,14 @@ impl NetworkModel {
 
     /// Predicts the MAC-layer operating point of a client at a width —
     /// through the memoized table when one is attached, the exact §4.2
-    /// pipeline otherwise.
+    /// pipeline otherwise. Either way only the asked width is searched.
     pub fn client_link(&self, snr20_db: f64, width: ChannelWidth) -> ClientLink {
+        let snr = self
+            .estimator
+            .calibrate_snr(snr20_db, ChannelWidth::Ht20, width);
         let point = match &self.table {
-            Some(t) => {
-                let snr = self
-                    .estimator
-                    .calibrate_snr(snr20_db, ChannelWidth::Ht20, width);
-                t.rate_point(snr, width)
-            }
-            None => self
-                .estimator
-                .estimate(snr20_db, ChannelWidth::Ht20)
-                .rate_point(width),
+            Some(t) => t.rate_point(snr, width),
+            None => self.estimator.best_rate_point(snr, width),
         };
         ClientLink {
             rate_bps: point.mcs.mcs().rate_bps(width, self.estimator.gi),

@@ -8,7 +8,7 @@
 //! hysteresis, plus the exhaustive fixed-rate search used for Fig. 6(b).
 
 use acorn_phy::estimator::{LinkQualityEstimator, RatePoint};
-use acorn_phy::{ChannelWidth, McsIndex, MimoMode};
+use acorn_phy::{ChannelWidth, McsIndex};
 
 /// A stateful rate controller for one link.
 #[derive(Debug, Clone)]
@@ -59,23 +59,10 @@ impl RateController {
     }
 
     /// Evaluates a specific MCS at an SNR/width (mode implied by stream
-    /// count, as the hardware does).
+    /// count, as the hardware does) under the same error model `select`'s
+    /// search uses.
     pub fn evaluate(&self, mcs: McsIndex, snr_db: f64, width: ChannelWidth) -> RatePoint {
-        let m = mcs.mcs();
-        let mode = if m.n_ss == 1 {
-            MimoMode::Stbc
-        } else {
-            MimoMode::Sdm
-        };
-        let eff = mode.effective_snr_db(snr_db);
-        let per = m.per(eff, self.estimator.packet_bytes);
-        RatePoint {
-            mcs,
-            mode,
-            coded_ber: m.coded_ber(eff),
-            per,
-            goodput_bps: (1.0 - per) * m.rate_bps(width, self.estimator.gi),
-        }
+        self.estimator.rate_point_at(mcs, snr_db, width)
     }
 }
 
@@ -92,6 +79,7 @@ pub fn optimal_mcs_pair(estimator: &LinkQualityEstimator, snr20_db: f64) -> (Mcs
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acorn_phy::MimoMode;
 
     fn ctl() -> RateController {
         RateController::new(LinkQualityEstimator::default())
@@ -157,6 +145,30 @@ mod tests {
                 m40.value(),
                 m20.value()
             );
+        }
+    }
+
+    #[test]
+    fn evaluate_rescores_on_the_fading_curves_select_searched() {
+        // Under a fading estimator the current MCS must be re-scored on the
+        // same faded curves `best_rate_point` searched, or a second
+        // `select` at an unchanged SNR moves the reported point.
+        let e = LinkQualityEstimator {
+            fading_sigma_db: 3.0,
+            ..LinkQualityEstimator::default()
+        };
+        let mut c = RateController::new(e);
+        for i in 0..60 {
+            let snr = -5.0 + 0.75 * i as f64;
+            let best = e.best_rate_point(snr, ChannelWidth::Ht20);
+            assert_eq!(
+                c.evaluate(best.mcs, snr, ChannelWidth::Ht20),
+                best,
+                "snr {snr}"
+            );
+            c.reset();
+            let first = c.select(snr, ChannelWidth::Ht20);
+            assert_eq!(c.select(snr, ChannelWidth::Ht20), first, "snr {snr}");
         }
     }
 

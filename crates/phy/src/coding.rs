@@ -20,6 +20,8 @@
 //! PER then follows the paper's Eq. 6 under the independent-bit-error
 //! assumption: `PER = 1 − (1 − BER)^L` with `L` the packet length in bits.
 
+use std::sync::OnceLock;
+
 /// Convolutional code rates available in 802.11n (after puncturing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CodeRate {
@@ -74,35 +76,38 @@ impl CodeRate {
     }
 }
 
+/// The largest Hamming distance any [`CodeRate::distance_spectrum`]
+/// reaches (rate 1/2: `d_free = 10` plus ten more entries).
+const MAX_DISTANCE: usize = 20;
+
+/// `ln n!` for `0 ≤ n ≤ MAX_DISTANCE`, each entry the same left-to-right
+/// fold of `ln i` the series has always used, so every binomial
+/// coefficient below keeps its bits.
+fn ln_factorials() -> &'static [f64; MAX_DISTANCE + 1] {
+    static TABLE: OnceLock<[f64; MAX_DISTANCE + 1]> = OnceLock::new();
+    TABLE.get_or_init(|| std::array::from_fn(|n| (1..=n).map(|i| (i as f64).ln()).sum()))
+}
+
 /// Probability of a pairwise error event at Hamming distance `d` on a binary
-/// symmetric channel with crossover probability `p` (hard-decision Viterbi).
+/// symmetric channel with crossover probability `p ∈ (0, ½)`, given
+/// `lp = ln p` and `lq = ln(1 − p)` (hard-decision Viterbi).
 ///
 /// For odd `d`: `P2 = Σ_{k=(d+1)/2}^{d} C(d,k) p^k (1−p)^{d−k}`.
 /// For even `d` the tie term `½·C(d,d/2) p^{d/2}(1−p)^{d/2}` is added.
-fn pairwise_error_probability(d: u32, p: f64) -> f64 {
-    if p <= 0.0 {
-        return 0.0;
-    }
-    if p >= 0.5 {
-        return 0.5;
-    }
-    let d = d as i64;
-    let mut sum = 0.0;
+fn pairwise_error_probability(d: usize, lp: f64, lq: f64) -> f64 {
+    let lf = ln_factorials();
     // binomial term C(d,k) p^k (1-p)^(d-k), computed in log space to avoid
     // overflow for larger d.
-    let lp = p.ln();
-    let lq = (1.0 - p).ln();
-    let ln_fact = |n: i64| -> f64 { (1..=n).map(|i| (i as f64).ln()).sum() };
-    let lfd = ln_fact(d);
-    let start = d / 2 + 1;
-    for k in start..=d {
-        let ln_c = lfd - ln_fact(k) - ln_fact(d - k);
-        sum += (ln_c + k as f64 * lp + (d - k) as f64 * lq).exp();
+    let term = |k: usize| {
+        let ln_c = lf[d] - lf[k] - lf[d - k];
+        (ln_c + k as f64 * lp + (d - k) as f64 * lq).exp()
+    };
+    let mut sum = 0.0;
+    for k in d / 2 + 1..=d {
+        sum += term(k);
     }
-    if d % 2 == 0 {
-        let k = d / 2;
-        let ln_c = lfd - ln_fact(k) - ln_fact(d - k);
-        sum += 0.5 * (ln_c + k as f64 * lp + (d - k) as f64 * lq).exp();
+    if d.is_multiple_of(2) {
+        sum += 0.5 * term(d / 2);
     }
     sum.min(0.5)
 }
@@ -111,8 +116,61 @@ fn pairwise_error_probability(d: u32, p: f64) -> f64 {
 ///
 /// Union upper bound over the first terms of the distance spectrum,
 /// clamped to `[0, 0.5]`. Near `channel_ber = 0.5` the bound saturates at
-/// 0.5 (the decoder can do no worse than guessing on average).
+/// 0.5 (the decoder can do no worse than guessing on average). `ln p` and
+/// `ln(1 − p)` are taken once per call and the `ln n!` come from a table;
+/// [`coded_ber_reference`] is the same bound written term by term, and
+/// the two agree bit for bit.
 pub fn coded_ber(rate: CodeRate, channel_ber: f64) -> f64 {
+    if channel_ber <= 0.0 {
+        return 0.0;
+    }
+    let p = channel_ber.min(0.5);
+    let (lp, lq) = (p.ln(), (1.0 - p).ln());
+    let dfree = rate.free_distance() as usize;
+    let mut pb = 0.0;
+    for (i, &cd) in rate.distance_spectrum().iter().enumerate() {
+        if cd == 0.0 {
+            continue;
+        }
+        let p2 = if p >= 0.5 {
+            0.5
+        } else {
+            pairwise_error_probability(dfree + i, lp, lq)
+        };
+        pb += cd * p2;
+    }
+    pb.clamp(0.0, 0.5)
+}
+
+/// The union bound as first written: every pairwise term re-derives its
+/// `ln n!` folds and the channel's two logarithms. Kept as the test
+/// oracle that pins [`coded_ber`] bit for bit; nothing else calls it.
+pub fn coded_ber_reference(rate: CodeRate, channel_ber: f64) -> f64 {
+    fn pairwise_error_probability(d: u32, p: f64) -> f64 {
+        if p <= 0.0 {
+            return 0.0;
+        }
+        if p >= 0.5 {
+            return 0.5;
+        }
+        let d = d as i64;
+        let mut sum = 0.0;
+        let lp = p.ln();
+        let lq = (1.0 - p).ln();
+        let ln_fact = |n: i64| -> f64 { (1..=n).map(|i| (i as f64).ln()).sum() };
+        let lfd = ln_fact(d);
+        let start = d / 2 + 1;
+        for k in start..=d {
+            let ln_c = lfd - ln_fact(k) - ln_fact(d - k);
+            sum += (ln_c + k as f64 * lp + (d - k) as f64 * lq).exp();
+        }
+        if d % 2 == 0 {
+            let k = d / 2;
+            let ln_c = lfd - ln_fact(k) - ln_fact(d - k);
+            sum += 0.5 * (ln_c + k as f64 * lp + (d - k) as f64 * lq).exp();
+        }
+        sum.min(0.5)
+    }
     if channel_ber <= 0.0 {
         return 0.0;
     }
@@ -148,10 +206,19 @@ pub fn per_from_ber_bytes(ber: f64, packet_len_bytes: u32) -> f64 {
 mod tests {
     use super::*;
 
+    /// The pairwise term at crossover probability `p ∈ (0, ½]`.
+    fn p2(d: usize, p: f64) -> f64 {
+        pairwise_error_probability(d, p.ln(), (1.0 - p).ln())
+    }
+
     #[test]
-    fn pairwise_error_zero_and_half() {
-        assert_eq!(pairwise_error_probability(10, 0.0), 0.0);
-        assert_eq!(pairwise_error_probability(10, 0.5), 0.5);
+    fn pairwise_error_at_the_extremes() {
+        // A near-noiseless channel never confuses paths; at p = ½ the
+        // upper tail plus half the tie is exactly a coin flip.
+        assert_eq!(p2(10, 1e-300), 0.0);
+        for d in [4, 5, 6, 10, 20] {
+            assert!((p2(d, 0.5) - 0.5).abs() < 1e-12, "d={d}");
+        }
     }
 
     #[test]
@@ -160,7 +227,7 @@ mod tests {
             let mut prev = 0.0;
             for i in 1..50 {
                 let p = i as f64 * 0.01;
-                let v = pairwise_error_probability(d, p);
+                let v = p2(d, p);
                 assert!(v + 1e-15 >= prev, "d={d} p={p}");
                 prev = v;
             }
@@ -171,8 +238,17 @@ mod tests {
     fn pairwise_error_decreases_with_distance() {
         // Larger Hamming distance → more protection → lower error prob.
         let p = 0.01;
-        assert!(pairwise_error_probability(10, p) < pairwise_error_probability(6, p));
-        assert!(pairwise_error_probability(6, p) < pairwise_error_probability(4, p));
+        assert!(p2(10, p) < p2(6, p));
+        assert!(p2(6, p) < p2(4, p));
+    }
+
+    #[test]
+    fn ln_factorial_table_covers_every_spectrum() {
+        let d_max = |r: CodeRate| r.free_distance() as usize + r.distance_spectrum().len() - 1;
+        assert!(CodeRate::ALL.iter().all(|&r| d_max(r) <= MAX_DISTANCE));
+        assert_eq!(d_max(CodeRate::R12), MAX_DISTANCE);
+        assert_eq!(ln_factorials()[0], 0.0);
+        assert!((ln_factorials()[5] - 120f64.ln()).abs() < 1e-12);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! 2. **BER estimation** — "a BER estimation module calculates the
 //!    theoretical coded BER (from \[19\])" (via `Mcs::coded_ber`).
 //! 3. **PER estimation** — Eq. 6, `PER = 1 − (1 − BER)^L` under the
-//!    independent-bit-error assumption (via `Mcs::per`).
+//!    independent-bit-error assumption (`Mcs::per`, applied to the coded
+//!    BER step 2 already computed).
 //!
 //! "Note here that ACORN does not require the exact BER or PER values; it
 //! only needs a coarse estimate of the link quality i.e., a reasonable
@@ -19,6 +20,7 @@
 //! [`LinkClass`], derived by comparing the link's best achievable goodput
 //! with and without bonding.
 
+use crate::coding::per_from_ber_bytes;
 use crate::link::cb_snr_shift_db;
 use crate::mcs::{McsIndex, MimoMode};
 use crate::ofdm::{ChannelWidth, GuardInterval};
@@ -140,10 +142,12 @@ impl LinkQualityEstimator {
     }
 
     /// The (coded BER, PER) prediction for one MCS at a mode-effective
-    /// SNR — the single primitive both [`best_rate_point`]
-    /// (LinkQualityEstimator::best_rate_point) and the memoized
-    /// `GoodputTable` build call, so the exact and tabulated paths always
-    /// share the same error model (crisp AWGN or fading-averaged).
+    /// SNR — the single primitive both
+    /// [`best_rate_point`](LinkQualityEstimator::best_rate_point) and the
+    /// memoized `GoodputTable` build call, so the exact and tabulated
+    /// paths always share the same error model (crisp AWGN or
+    /// fading-averaged). The crisp PER is Eq. 6 on the coded BER just
+    /// computed, so the union bound runs once per call.
     pub fn error_rates(&self, mcs: &crate::mcs::Mcs, eff_snr_db: f64) -> (f64, f64) {
         if self.fading_sigma_db > 0.0 {
             (
@@ -151,10 +155,29 @@ impl LinkQualityEstimator {
                 crate::fading::faded_per(mcs, eff_snr_db, self.fading_sigma_db, self.packet_bytes),
             )
         } else {
-            (
-                mcs.coded_ber(eff_snr_db),
-                mcs.per(eff_snr_db, self.packet_bytes),
-            )
+            let coded_ber = mcs.coded_ber(eff_snr_db);
+            (coded_ber, per_from_ber_bytes(coded_ber, self.packet_bytes))
+        }
+    }
+
+    /// One MCS scored at a link SNR and width: the mode its stream count
+    /// implies (STBC for MCS 0–7, SDM for 8–15, as the hardware does), its
+    /// error rates under this estimator's model, and its expected goodput
+    /// `(1 − PER) · R`.
+    pub fn rate_point_at(&self, idx: McsIndex, snr_db: f64, width: ChannelWidth) -> RatePoint {
+        let mcs = idx.mcs();
+        let mode = if mcs.n_ss == 1 {
+            MimoMode::Stbc
+        } else {
+            MimoMode::Sdm
+        };
+        let (coded_ber, per) = self.error_rates(&mcs, mode.effective_snr_db(snr_db));
+        RatePoint {
+            mcs: idx,
+            mode,
+            coded_ber,
+            per,
+            goodput_bps: (1.0 - per) * mcs.rate_bps(width, self.gi),
         }
     }
 
@@ -162,29 +185,21 @@ impl LinkQualityEstimator {
     /// width — the model of the testbed's auto-rate behaviour used for
     /// prediction: maximize expected goodput `(1 − PER) · R` over MCS 0–7
     /// with STBC and MCS 8–15 with SDM.
+    ///
+    /// An MCS whose nominal rate `R` is at most the incumbent's goodput is
+    /// skipped unscored: PER lies in `[0, 1]` on both the crisp and the
+    /// faded branch, so its goodput cannot exceed `R` and could never pass
+    /// the strict `>` that replaces the incumbent. A NaN incumbent prunes
+    /// nothing (the comparison is false), exactly as it replaces nothing.
     pub fn best_rate_point(&self, snr_db: f64, width: ChannelWidth) -> RatePoint {
-        let rate_point = |idx: McsIndex| {
-            let mcs = idx.mcs();
-            let mode = if mcs.n_ss == 1 {
-                MimoMode::Stbc
-            } else {
-                MimoMode::Sdm
-            };
-            let eff_snr = mode.effective_snr_db(snr_db);
-            let (coded_ber, per) = self.error_rates(&mcs, eff_snr);
-            RatePoint {
-                mcs: idx,
-                mode,
-                coded_ber,
-                per,
-                goodput_bps: (1.0 - per) * mcs.rate_bps(width, self.gi),
-            }
-        };
         // Seed with MCS 0, then scan upward keeping the first candidate
         // on exact ties — same selection order as the auto-rate model.
-        let mut best = rate_point(McsIndex::new(0).unwrap_or(McsIndex::MAX));
+        let mut best = self.rate_point_at(McsIndex::new(0).unwrap_or(McsIndex::MAX), snr_db, width);
         for idx in McsIndex::all().skip(1) {
-            let candidate = rate_point(idx);
+            if idx.mcs().rate_bps(width, self.gi) <= best.goodput_bps {
+                continue;
+            }
+            let candidate = self.rate_point_at(idx, snr_db, width);
             if candidate.goodput_bps > best.goodput_bps {
                 best = candidate;
             }

@@ -20,6 +20,9 @@
 #      stay zero-allocation with a NullSink attached (measured under the
 #      counting allocator), and instrumented runs must be bit-identical
 #      to plain ones,
+#   6b. the kernel-equivalence gate, in release: the §4.2 estimator
+#      kernel and the lane-shaped baseband kernels must match their
+#      retained oracles bit for bit,
 #   7. the determinism + golden suites re-run under ACORN_THREADS = 1, 2
 #      and 8 — the engine's thread-count cap must never move an output
 #      bit, including the hard-coded pre-port fingerprints. The
@@ -104,6 +107,18 @@ echo "== goodput-table accuracy gate =="
 # coloring. The companion spatial_graph properties pin the grid-built
 # interference graph to the brute-force oracle, edge for edge.
 cargo test -q --offline --release --test table_accuracy --test spatial_graph
+
+echo
+echo "== kernel-equivalence gate (release) =="
+# The exact estimator kernel (ln n! table, one union bound per MCS,
+# rate-bound pruning) must equal the retained term-by-term union bound
+# and an unpruned 16-MCS scan over the full 1/64 dB SNR grid, and the
+# controller's one-width queries the two-width estimate, bit for bit.
+# The lane-shaped Viterbi and batched FFT kernels must equal their
+# scalar oracles. Release builds walk the full grids.
+cargo test -q --offline --release -p acorn-phy --test kernel_equivalence
+cargo test -q --offline --release -p acorn-core --test kernel_equivalence
+cargo test -q --offline --release -p acorn-baseband --test kernel_equivalence
 
 echo
 echo "== dynamic-channel-bonding gate =="
