@@ -41,6 +41,7 @@ use crate::modem::{demodulate_into, modulate_into};
 use crate::preamble::{build_preamble_into, detect_preamble, preamble_len};
 use crate::prefix::{cp_len_for, extend_with_cp};
 use crate::stbc::{alamouti_combine, Mimo2x2};
+pub use acorn_core::par::mix_seed;
 use acorn_core::par::par_map_n;
 use acorn_obs::{names, NullSink, Sink};
 use acorn_phy::{ChannelWidth, CodeRate, Modulation};
@@ -300,18 +301,6 @@ pub struct PacketOutcome {
     pub evm_n: usize,
 }
 
-/// Mixes a trial seed with a packet (or config) index into an independent
-/// RNG seed — a splitmix64 finalizer, so consecutive indices land far
-/// apart in seed space. This is the determinism contract's anchor: packet
-/// `i` always sees `StdRng::seed_from_u64(mix_seed(seed, i))` no matter
-/// which worker runs it.
-pub fn mix_seed(seed: u64, index: u64) -> u64 {
-    let mut z = seed ^ index.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Indices of the data subcarriers on the FFT grid, DC (bin 0) excluded,
 /// split symmetrically over positive and negative frequencies — the
 /// "subcarrier mapping" the paper changes to implement CB. Computed once
@@ -467,13 +456,12 @@ impl FrameWorkspace {
 
     /// Runs one packet per seed through the pipeline, appending a
     /// [`PacketOutcome`] per packet to `outcomes` (cleared first). This is
-    /// the batched engine entry: config validation, the [`ensure`]d
-    /// precomputations (FFT plan, training grid, preamble) and the obs
-    /// setup are hoisted out of the per-packet loop, so per-packet fixed
-    /// costs amortize over the batch. Packet `k` runs on
-    /// `StdRng::seed_from_u64(seeds[k])` — exactly what
-    /// [`run_packet`](FrameWorkspace::run_packet) would do — so the
-    /// outcomes are bit-identical to `seeds.iter().map(|&s|
+    /// the batched engine entry: config validation and the `ensure`d
+    /// precomputations (FFT plan, training grid, preamble) are hoisted out
+    /// of the per-packet loop, so per-packet fixed costs amortize over the
+    /// batch. Packet `k` runs on `StdRng::seed_from_u64(seeds[k])` —
+    /// exactly what [`run_packet`](FrameWorkspace::run_packet) would do —
+    /// so the outcomes are bit-identical to `seeds.iter().map(|&s|
     /// ws.run_packet(config, s))`, and zero allocations occur once the
     /// workspace is warm and `outcomes` has capacity.
     pub fn run_packets(
@@ -482,45 +470,7 @@ impl FrameWorkspace {
         seeds: &[u64],
         outcomes: &mut Vec<PacketOutcome>,
     ) -> Result<(), FrameError> {
-        self.run_packets_obs(config, seeds, outcomes, &NullSink)
-    }
-
-    /// [`run_packets`](FrameWorkspace::run_packets) with batch-level obs
-    /// accounting. The inner loop runs span-free ([`NullSink`]); after the
-    /// batch, each stage counter is bumped once by its packet count —
-    /// identical totals to running
-    /// [`run_packet_obs`](FrameWorkspace::run_packet_obs) per packet
-    /// (sync-failed packets never reach the receive/decode stages, and a
-    /// counter that would stay zero is never touched, keeping recorded
-    /// snapshots byte-identical), at one sink call per stage instead of
-    /// one per packet per stage.
-    pub fn run_packets_obs<S: Sink>(
-        &mut self,
-        config: &FrameConfig,
-        seeds: &[u64],
-        outcomes: &mut Vec<PacketOutcome>,
-        sink: &S,
-    ) -> Result<(), FrameError> {
-        self.run_batch(config, seeds, outcomes, 0, None)?;
-        if sink.enabled() {
-            let n = seeds.len() as u64;
-            let failures = outcomes.iter().filter(|o| o.sync_failed).count() as u64;
-            if n > 0 {
-                sink.add(names::BASEBAND_PACKETS, n);
-                sink.add(names::BASEBAND_STAGE_ENCODE, n);
-                sink.add(names::BASEBAND_STAGE_STREAMS, n);
-                sink.add(names::BASEBAND_STAGE_CHANNEL, n);
-                sink.add(names::BASEBAND_STAGE_SYNC, n);
-            }
-            if n > failures {
-                sink.add(names::BASEBAND_STAGE_RECEIVE, n - failures);
-                sink.add(names::BASEBAND_STAGE_DECODE, n - failures);
-            }
-            if failures > 0 {
-                sink.add(names::BASEBAND_SYNC_FAILURES, failures);
-            }
-        }
-        Ok(())
+        self.run_batch(config, seeds, outcomes, 0, None)
     }
 
     /// The shared batched loop: validates and [`ensure`]s once, then runs
@@ -1699,18 +1649,6 @@ mod tests {
                 assert_eq!(reused, fresh, "round {round}");
             }
         }
-    }
-
-    #[test]
-    fn mix_seed_separates_indices_and_seeds() {
-        // Not a PRNG-quality test — just that nearby inputs scatter.
-        let a = mix_seed(1, 0);
-        let b = mix_seed(1, 1);
-        let c = mix_seed(2, 0);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_ne!(b, c);
-        assert_eq!(mix_seed(1, 0), a, "pure function");
     }
 }
 

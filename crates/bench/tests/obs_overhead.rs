@@ -57,22 +57,17 @@ fn plain_and_null_sink_paths_are_bit_identical() {
 }
 
 #[test]
-fn batched_null_sink_path_is_allocation_free() {
+fn batched_path_is_allocation_free() {
     let cfg = warm_config();
     let mut ws = FrameWorkspace::new();
     let seeds: Vec<u64> = (0..16u64).map(|i| mix_seed(7, i)).collect();
     let mut outcomes = Vec::new();
     // Warm-up grows the outcome vector and workspace buffers.
-    ws.run_packets_obs(&cfg, &seeds, &mut outcomes, &NullSink)
-        .unwrap();
+    ws.run_packets(&cfg, &seeds, &mut outcomes).unwrap();
     let (allocs, _) = allocations_during(|| {
-        ws.run_packets_obs(&cfg, &seeds, &mut outcomes, &NullSink)
-            .unwrap();
+        ws.run_packets(&cfg, &seeds, &mut outcomes).unwrap();
     });
-    assert_eq!(
-        allocs, 0,
-        "batched instrumented path must stay zero-alloc with NullSink"
-    );
+    assert_eq!(allocs, 0, "batched packet path must stay zero-alloc");
 }
 
 #[test]

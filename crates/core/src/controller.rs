@@ -28,7 +28,6 @@ use acorn_obs::{names, Sink};
 use acorn_phy::estimator::LinkQualityEstimator;
 use acorn_phy::{ChannelWidth, GoodputTable};
 use acorn_topology::{ApId, ChannelAssignment, ChannelPlan, ClientId, Wlan};
-use acorn_traces::REALLOCATION_PERIOD_S;
 use std::sync::Arc;
 
 /// Controller configuration.
@@ -45,9 +44,6 @@ pub struct AcornConfig {
     /// Minimum HT20 SNR (dB) for an AP to enter a client's candidate set
     /// `A_u` (below this, association/probing is not viable).
     pub association_snr_floor_db: f64,
-    /// Channel re-allocation period `T` (seconds); the paper derives
-    /// 30 minutes from the CRAWDAD trace.
-    pub reallocation_period_s: f64,
     /// Relative hysteresis margin for the opportunistic width adaptation
     /// ([`AcornController::adapt_widths`]): a bonded AP switches its
     /// operating width only when the other width's predicted cell
@@ -67,7 +63,6 @@ impl Default for AcornConfig {
             payload_bytes: 1500,
             allocation: AllocationConfig::default(),
             association_snr_floor_db: -3.0,
-            reallocation_period_s: REALLOCATION_PERIOD_S,
             width_hysteresis: 0.05,
         }
     }
@@ -411,7 +406,6 @@ impl AcornController {
     /// assignment's full width, re-arming the comparison each epoch.
     pub fn adapt_widths(&self, wlan: &Wlan, state: &mut NetworkState) {
         let model = self.build_model(wlan, state);
-        let margin = self.config.width_hysteresis.max(0.0);
         for i in 0..state.assignments.len() {
             if state.assignments[i].width() != ChannelWidth::Ht40 {
                 continue;
@@ -422,20 +416,34 @@ impl AcornController {
             // The model already holds both contention-free throughputs.
             let t40 = model.cell_base_bps(ap, ChannelWidth::Ht40);
             let t20 = model.cell_base_bps(ap, ChannelWidth::Ht20);
-            let (t_cur, t_alt, alt) = match state.operating_width[i] {
-                ChannelWidth::Ht40 => (t40, t20, ChannelWidth::Ht20),
-                ChannelWidth::Ht20 => (t20, t40, ChannelWidth::Ht40),
+            state.operating_width[i] = self.choose_width(state.operating_width[i], t20, t40);
+        }
+    }
+
+    /// The §5.2 width rule for one bonded AP operating at `current`, given
+    /// its cell throughputs `t20`/`t40` at equal access share (or any
+    /// quantity proportional to them). With zero
+    /// [`width_hysteresis`](AcornConfig::width_hysteresis) it is the
+    /// paper's memoryless `t40 ≥ t20` (ties keep the bond); otherwise the
+    /// AP switches only when the other width beats the current one by
+    /// more than the margin.
+    pub fn choose_width(&self, current: ChannelWidth, t20: f64, t40: f64) -> ChannelWidth {
+        let margin = self.config.width_hysteresis.max(0.0);
+        if margin == 0.0 {
+            return if t40 >= t20 {
+                ChannelWidth::Ht40
+            } else {
+                ChannelWidth::Ht20
             };
-            if margin == 0.0 {
-                // Memoryless paper rule (ties prefer the bonded width).
-                state.operating_width[i] = if t40 >= t20 {
-                    ChannelWidth::Ht40
-                } else {
-                    ChannelWidth::Ht20
-                };
-            } else if t_alt > t_cur * (1.0 + margin) {
-                state.operating_width[i] = alt;
-            }
+        }
+        let (t_cur, t_alt, alt) = match current {
+            ChannelWidth::Ht40 => (t40, t20, ChannelWidth::Ht20),
+            ChannelWidth::Ht20 => (t20, t40, ChannelWidth::Ht40),
+        };
+        if t_alt > t_cur * (1.0 + margin) {
+            alt
+        } else {
+            current
         }
     }
 

@@ -7,8 +7,8 @@
 //! count, log, and route around — never as a process abort. This module
 //! replaces the `assert!`/`unwrap` edges that used to guard
 //! [`switch_plans`](crate::csa::switch_plans), the
-//! [`TrackerConfig`](crate::tracker::TrackerConfig) validation, the CSA
-//! countdown, and the model setters.
+//! [`TrackerConfig`](crate::tracker::TrackerConfig) validation and the
+//! CSA countdown.
 
 use crate::wire::WireError;
 
@@ -23,14 +23,6 @@ pub enum ControlError {
         old: usize,
         /// Length of the new assignment vector.
         new: usize,
-    },
-    /// The interference graph and the per-AP cell list disagree on the
-    /// number of APs.
-    CellCountMismatch {
-        /// APs in the interference graph.
-        graph: usize,
-        /// Cells supplied.
-        cells: usize,
     },
     /// A CSA countdown of zero beacons would switch without ever
     /// announcing — clients could never follow.
@@ -53,9 +45,6 @@ impl std::fmt::Display for ControlError {
         match self {
             ControlError::AssignmentLengthMismatch { old, new } => {
                 write!(f, "assignment vectors must align: {old} vs {new} APs")
-            }
-            ControlError::CellCountMismatch { graph, cells } => {
-                write!(f, "one cell per AP: graph has {graph}, got {cells} cells")
             }
             ControlError::ZeroCsaCountdown => {
                 write!(f, "CSA countdown must be at least 1 beacon")

@@ -22,8 +22,10 @@
 //! * [`scanning`] — the §4.2 per-channel scanning extension.
 //! * [`iapp`] — the IEEE 802.11F-style Inter-AP Protocol substrate for
 //!   distributed neighbour/contender discovery.
-//! * [`wire`] — the 802.11 wire format of the modified beacon (management
-//!   frame + vendor IE), with defensive parsing.
+//! * [`wire`] — the one 802.11 frame codec: the modified beacon
+//!   (management frame + vendor IE), IAPP announcements, and the FCS,
+//!   channel encoding and bounds-checked reader the control plane's
+//!   envelopes use, with defensive parsing.
 //! * [`csa`] — 802.11h-style channel-switch announcements so re-allocation
 //!   epochs deploy without stranding clients.
 //! * [`tracker`] — driver-style per-client SNR/association bookkeeping

@@ -15,7 +15,6 @@
 //! [`ThroughputModel`] trait so the allocation algorithm (and the
 //! baselines) stay independent of how throughputs are predicted.
 
-use crate::error::ControlError;
 use acorn_mac::airtime::{CellAirtime, ClientLink};
 use acorn_mac::contention::{access_share, access_share_with};
 use acorn_obs::{names, Sink};
@@ -236,12 +235,11 @@ pub struct ClientSnr {
 /// the model precomputes the `M = 1` value for every (AP, width) pair
 /// into a dense table at construction — Algorithm 2 evaluates candidates
 /// thousands of times per run and would otherwise re-derive every
-/// client's MCS/PER pipeline each time. The table is rebuilt
-/// automatically whenever [`set_estimator`](NetworkModel::set_estimator),
-/// [`set_payload_bytes`](NetworkModel::set_payload_bytes) or
-/// [`set_cells`](NetworkModel::set_cells) mutate its inputs, so the model
-/// is always consistent, holds no interior mutability, and is `Sync` —
-/// the parallel evaluation engine shares it across threads.
+/// client's MCS/PER pipeline each time. The model is built once from its
+/// inputs and never mutated in place (a changed deployment builds a new
+/// model), so the table is always consistent, the model holds no
+/// interior mutability, and it is `Sync` — the parallel evaluation
+/// engine shares it across threads.
 #[derive(Debug, Clone)]
 pub struct NetworkModel {
     /// AP-level interference graph (footnote 5 semantics).
@@ -276,9 +274,7 @@ impl NetworkModel {
         NetworkModel::with_config(graph, cells, LinkQualityEstimator::default(), 1500)
     }
 
-    /// Creates a fully configured model in one step (one cache build —
-    /// prefer this over `new` + setters when the estimator or payload
-    /// differ from the defaults).
+    /// Creates a model with a non-default estimator or payload size.
     pub fn with_config(
         graph: InterferenceGraph,
         cells: Vec<Vec<ClientSnr>>,
@@ -328,29 +324,6 @@ impl NetworkModel {
         model
     }
 
-    /// Fallible construction for inputs of runtime provenance (wire or
-    /// operator data): a graph/cells size mismatch is a typed
-    /// [`ControlError`] instead of an abort.
-    pub fn try_with_config(
-        graph: InterferenceGraph,
-        cells: Vec<Vec<ClientSnr>>,
-        estimator: LinkQualityEstimator,
-        payload_bytes: u32,
-    ) -> Result<NetworkModel, ControlError> {
-        if graph.len() != cells.len() {
-            return Err(ControlError::CellCountMismatch {
-                graph: graph.len(),
-                cells: cells.len(),
-            });
-        }
-        Ok(NetworkModel::with_config(
-            graph,
-            cells,
-            estimator,
-            payload_bytes,
-        ))
-    }
-
     /// Clients associated with each AP.
     pub fn cells(&self) -> &[Vec<ClientSnr>] {
         &self.cells
@@ -366,52 +339,9 @@ impl NetworkModel {
         self.payload_bytes
     }
 
-    /// Replaces the estimator and rebuilds the throughput table. Any
-    /// attached memoized table is detached — it baked in the previous
-    /// estimator; attach a fresh one via [`set_table`]
-    /// (NetworkModel::set_table) to restore memoization.
-    pub fn set_estimator(&mut self, estimator: LinkQualityEstimator) {
-        self.estimator = estimator;
-        self.table = None;
-        self.table_cursor = TableFlushCursor::at_attach(None);
-        self.rebuild_cell_base();
-    }
-
-    /// Replaces the airtime payload size and rebuilds the table.
-    pub fn set_payload_bytes(&mut self, payload_bytes: u32) {
-        self.payload_bytes = payload_bytes;
-        self.rebuild_cell_base();
-    }
-
-    /// Replaces the per-AP client lists and rebuilds the table. A size
-    /// mismatch is a typed error and leaves the model untouched.
-    pub fn set_cells(&mut self, cells: Vec<Vec<ClientSnr>>) -> Result<(), ControlError> {
-        if self.graph.len() != cells.len() {
-            return Err(ControlError::CellCountMismatch {
-                graph: self.graph.len(),
-                cells: cells.len(),
-            });
-        }
-        self.cells = cells;
-        self.rebuild_cell_base();
-        Ok(())
-    }
-
     /// The memoized goodput table, when one is attached.
     pub fn table(&self) -> Option<&Arc<GoodputTable>> {
         self.table.as_ref()
-    }
-
-    /// Attaches (or detaches) a memoized goodput table and rebuilds the
-    /// throughput cache through it. Attaching a table also adopts its
-    /// estimator configuration, keeping the two consistent.
-    pub fn set_table(&mut self, table: Option<Arc<GoodputTable>>) {
-        if let Some(t) = &table {
-            self.estimator = *t.estimator();
-        }
-        self.table_cursor = TableFlushCursor::at_attach(table.as_ref());
-        self.table = table;
-        self.rebuild_cell_base();
     }
 
     /// The model's own evaluation counters (rebuilds, delta evals,
@@ -778,52 +708,6 @@ mod tests {
     }
 
     #[test]
-    fn setters_rebuild_the_table() {
-        // The stale-cache footgun this refactor removes: mutating the
-        // payload after first use must change subsequent predictions.
-        let mut m = two_ap_model(&[25.0], &[20.0], false);
-        let a = vec![single(0), single(1)];
-        let before = m.total_bps(&a);
-        m.set_payload_bytes(256);
-        let after = m.total_bps(&a);
-        assert_ne!(before, after, "smaller frames pay more per-frame overhead");
-        m.set_payload_bytes(1500);
-        assert_eq!(m.total_bps(&a), before, "rebuild is deterministic");
-
-        let mut est = *m.estimator();
-        est.fading_sigma_db += 4.0;
-        m.set_estimator(est);
-        assert_ne!(m.total_bps(&a), before);
-
-        m.set_cells(vec![vec![], vec![]]).unwrap();
-        assert_eq!(m.total_bps(&a), 0.0);
-    }
-
-    #[test]
-    fn mismatched_cells_are_typed_errors_on_the_fallible_paths() {
-        use crate::error::ControlError;
-        let err = NetworkModel::try_with_config(
-            InterferenceGraph::new(2),
-            vec![vec![]],
-            LinkQualityEstimator::default(),
-            1500,
-        )
-        .err();
-        assert!(matches!(
-            err,
-            Some(ControlError::CellCountMismatch { graph: 2, cells: 1 })
-        ));
-        let mut m = two_ap_model(&[25.0], &[20.0], false);
-        let before = m.total_bps(&[single(0), single(1)]);
-        assert!(m.set_cells(vec![vec![]]).is_err());
-        assert_eq!(
-            m.total_bps(&[single(0), single(1)]),
-            before,
-            "failed set_cells must leave the model untouched"
-        );
-    }
-
-    #[test]
     fn empty_colour_sets_degrade_to_stay_put() {
         let m = two_ap_model(&[25.0], &[20.0], true);
         let a = vec![single(0), single(1)];
@@ -959,10 +843,15 @@ mod tests {
 
     #[test]
     fn stats_count_rebuilds_deltas_and_scans() {
-        let mut m = two_ap_model(&[25.0], &[20.0], true);
-        assert_eq!(m.stats().snapshot().rebuilds, 1, "construction builds once");
-        m.set_payload_bytes(256);
-        assert_eq!(m.stats().snapshot().rebuilds, 2);
+        let first = two_ap_model(&[25.0], &[20.0], true);
+        assert_eq!(
+            first.stats().snapshot().rebuilds,
+            1,
+            "construction builds once"
+        );
+        // A second model counts its own build, not the first one's.
+        let m = two_ap_model(&[25.0], &[20.0], true);
+        assert_eq!(m.stats().snapshot().rebuilds, 1);
 
         let a = vec![single(0), single(1)];
         let before = m.stats().snapshot();

@@ -1,11 +1,16 @@
-//! Wire format of the ACORN modified beacon.
+//! The one 802.11 frame codec every ACORN message rides on.
 //!
 //! §5.1: "The delay for each client is calculated and broadcast in a
 //! beacon ... along with the M_a values, the number of clients and the
 //! aggregate transmission delay of an AP." The paper's Click utility
 //! rides this in 802.11 beacon frames; this module defines the actual
 //! bytes: an 802.11 management-frame beacon carrying a vendor-specific
-//! information element (ID 221) with the ACORN payload.
+//! information element (ID 221) with the ACORN payload. IAPP
+//! [`Announcement`]s ride the same element in a vendor action frame, so
+//! the fault-injection layer pushes inter-AP traffic through the identical
+//! encode → corrupt → parse path; the control plane's zone envelopes
+//! (`acorn_ctrlplane::msg`) are built on [`seal`]/[`open`] (the FCS),
+//! [`put_assignment`] (the `(primary, width)` pair) and [`Reader`].
 //!
 //! Layout (all multi-byte fields little-endian, as on the 802.11 wire):
 //!
@@ -18,27 +23,30 @@
 //!           atd_us u32 | n_clients × delay_us u32
 //! ```
 //!
+//! An element holds at most 255 bytes (59 delays). A larger cell's element
+//! continues in 802.11 Fragment elements (ID 242, IEEE 802.11-2016
+//! §10.28.11) that the parser reassembles, borrowing the element in place
+//! when it is not fragmented; the u8 count caps a beacon at [`MAX_CLIENTS`].
+//!
 //! Delays are saturating microseconds (`u32::MAX` encodes ∞ — a dead
 //! link). Parsing is defensive: every malformed input maps to a typed
 //! [`WireError`], never a panic — property-tested against random bytes.
 //!
 //! Every frame ends in a 4-byte FCS (CRC-32, the 802.11 polynomial), so
 //! bit corruption in flight is *detected*: a flipped frame parses to
-//! [`WireError::BadFcs`], never to silently-wrong contents. The same
-//! module also frames IAPP [`Announcement`]s
-//! ([`serialize_announcement`]/[`parse_announcement`]) so the
-//! fault-injection layer can push inter-AP traffic through the identical
-//! encode → corrupt → parse path.
+//! [`WireError::BadFcs`], never to silently-wrong contents.
 
 use crate::beacon::Beacon;
 use crate::iapp::Announcement;
+use acorn_phy::ChannelWidth;
 use acorn_topology::{ApId, Channel20, ChannelAssignment};
+use std::borrow::Cow;
 
 /// 802.11 management / beacon frame-control value (version 0, type
 /// management, subtype beacon) in little-endian byte order.
 pub const FC_BEACON: [u8; 2] = [0x80, 0x00];
 /// 802.11 management / action frame-control value — the transport for
-/// IAPP announcements.
+/// IAPP announcements and control-plane envelopes.
 pub const FC_ACTION: [u8; 2] = [0xD0, 0x00];
 /// Vendor-specific information element ID.
 pub const IE_VENDOR: u8 = 221;
@@ -52,8 +60,8 @@ pub const ACORN_OUI_TYPE_IAPP: u8 = 0x02;
 pub const WIRE_VERSION: u8 = 1;
 /// Fixed-point scale of the access share (Q2.14-ish: share × 2^14).
 pub const SHARE_SCALE: f64 = 16384.0;
-/// Maximum clients one IE can carry (IE length is a u8).
-pub const MAX_CLIENTS: usize = (255 - IE_FIXED) / 4;
+/// Maximum clients one beacon can carry (the client count is a u8).
+pub const MAX_CLIENTS: usize = u8::MAX as usize;
 /// Trailing frame-check-sequence bytes on every serialized frame.
 pub const FCS_LEN: usize = 4;
 
@@ -69,6 +77,10 @@ const IE_IAPP: usize = 27;
 const HEADER: usize = 24 + 12;
 /// MAC header alone (action frames carry their IE directly).
 const MAC_HEADER: usize = 24;
+/// Fragment element ID: continues the preceding element past 255 bytes.
+const IE_FRAGMENT: u8 = 242;
+/// Most payload bytes one element (or fragment) carries.
+const ELEMENT_MAX: usize = 255;
 
 /// Typed parse failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,15 +99,19 @@ pub enum WireError {
     BadWidth(u8),
     /// Bonded assignment with an odd (illegal) primary channel.
     IllegalBond(u8),
-    /// The declared client count disagrees with the IE length.
+    /// The declared client (or message) count disagrees with the length.
     LengthMismatch,
-    /// Too many clients for one IE.
+    /// Too many clients for one beacon.
     TooManyClients(usize),
     /// The frame-check sequence does not match the frame contents —
     /// bits were corrupted in flight.
     BadFcs,
     /// Frame control is not an action frame (announcement parsing).
     NotAnAnnouncement,
+    /// Frame control / subtype bytes are not a control-plane envelope.
+    NotControl,
+    /// Unknown control-plane message tag byte.
+    BadTag(u8),
 }
 
 impl std::fmt::Display for WireError {
@@ -108,10 +124,12 @@ impl std::fmt::Display for WireError {
             WireError::BadVersion(v) => write!(f, "unsupported wire version {v}"),
             WireError::BadWidth(w) => write!(f, "bad width byte {w}"),
             WireError::IllegalBond(c) => write!(f, "illegal bond primary {c}"),
-            WireError::LengthMismatch => write!(f, "client count / length mismatch"),
-            WireError::TooManyClients(n) => write!(f, "{n} clients exceed one IE"),
+            WireError::LengthMismatch => write!(f, "declared count / length mismatch"),
+            WireError::TooManyClients(n) => write!(f, "{n} clients exceed one beacon"),
             WireError::BadFcs => write!(f, "frame check sequence mismatch"),
             WireError::NotAnAnnouncement => write!(f, "not an announcement frame"),
+            WireError::NotControl => write!(f, "not a control-plane envelope"),
+            WireError::BadTag(t) => write!(f, "unknown message tag {t:#04x}"),
         }
     }
 }
@@ -136,19 +154,19 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-fn append_fcs(out: &mut Vec<u8>) {
-    let fcs = crc32(out);
-    out.extend_from_slice(&fcs.to_le_bytes());
+/// Appends the FCS over everything in `frame`, completing it for the air.
+pub fn seal(mut frame: Vec<u8>) -> Vec<u8> {
+    let fcs = crc32(&frame);
+    frame.extend_from_slice(&fcs.to_le_bytes());
+    frame
 }
 
-/// Checks and strips the trailing FCS, returning the protected payload.
-fn check_fcs(frame: &[u8]) -> Result<&[u8], WireError> {
-    if frame.len() < FCS_LEN {
-        return Err(WireError::Truncated);
-    }
-    let (body, trailer) = frame.split_at(frame.len() - FCS_LEN);
-    let got = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-    if crc32(body) != got {
+/// Checks and strips the trailing FCS, returning the protected body.
+pub fn open(frame: &[u8]) -> Result<&[u8], WireError> {
+    let (body, trailer) = frame
+        .split_last_chunk::<FCS_LEN>()
+        .ok_or(WireError::Truncated)?;
+    if crc32(body) != u32::from_le_bytes(*trailer) {
         return Err(WireError::BadFcs);
     }
     Ok(body)
@@ -158,12 +176,181 @@ fn check_fcs(frame: &[u8]) -> Result<&[u8], WireError> {
 /// tooling/tests that splice or rewrite bytes of a serialized frame and
 /// need it to validate again.
 pub fn refresh_fcs(frame: &mut [u8]) {
-    if frame.len() < FCS_LEN {
-        return;
+    if let Some((body, trailer)) = frame.split_last_chunk_mut::<FCS_LEN>() {
+        *trailer = crc32(body).to_le_bytes();
     }
-    let n = frame.len() - FCS_LEN;
-    let fcs = crc32(&frame[..n]);
-    frame[n..].copy_from_slice(&fcs.to_le_bytes());
+}
+
+/// An assignment's `(primary channel index, width in MHz)` bytes — how
+/// every ACORN frame carries a channel.
+pub fn assignment_bytes(a: ChannelAssignment) -> [u8; 2] {
+    let width = match a.width() {
+        ChannelWidth::Ht20 => 20,
+        ChannelWidth::Ht40 => 40,
+    };
+    [a.primary().0, width]
+}
+
+/// Appends [`assignment_bytes`]`(a)`.
+pub fn put_assignment(out: &mut Vec<u8>, a: ChannelAssignment) {
+    out.extend_from_slice(&assignment_bytes(a));
+}
+
+/// A bounds-checked little-endian reader over a frame body: a read past
+/// the end is [`WireError::Truncated`], never a panic.
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
+        Reader { rest: bytes }
+    }
+
+    /// The next `N` bytes.
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (head, rest) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or(WireError::Truncated)?;
+        self.rest = rest;
+        Ok(*head)
+    }
+
+    /// The next byte.
+    pub fn u8(&mut self) -> Result<u8, WireError> {
+        self.array().map(|[b]| b)
+    }
+
+    /// The next little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, WireError> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// The next little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, WireError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// The next little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, WireError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// The next `(primary, width)` pair ([`assignment_bytes`]) as a legal
+    /// assignment: a width other than 20/40 is [`WireError::BadWidth`], a
+    /// bond on an odd primary [`WireError::IllegalBond`].
+    pub fn assignment(&mut self) -> Result<ChannelAssignment, WireError> {
+        match self.array()? {
+            [channel, 20] => Ok(ChannelAssignment::Single(Channel20(channel))),
+            [channel, 40] => {
+                ChannelAssignment::bonded(Channel20(channel)).ok_or(WireError::IllegalBond(channel))
+            }
+            [_, w] => Err(WireError::BadWidth(w)),
+        }
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+}
+
+/// Starts a frame: the 24-byte MAC header with frame control `fc`,
+/// broadcast from `bssid`.
+fn mac_header(fc: [u8; 2], bssid: [u8; 6], capacity: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(capacity);
+    out.extend_from_slice(&fc);
+    out.extend_from_slice(&[0, 0]); // duration
+    out.extend_from_slice(&[0xFF; 6]); // DA: broadcast
+    out.extend_from_slice(&bssid); // SA
+    out.extend_from_slice(&bssid); // BSSID
+    out.extend_from_slice(&[0, 0]); // sequence control
+    out
+}
+
+/// Appends the ACORN vendor element: OUI, `subtype` and version, then
+/// whatever `fields` writes. A payload past 255 bytes continues in
+/// Fragment elements.
+fn put_acorn_ie(out: &mut Vec<u8>, subtype: u8, fields: impl FnOnce(&mut Vec<u8>)) {
+    let mut at = out.len();
+    out.extend_from_slice(&[IE_VENDOR, 0]);
+    out.extend_from_slice(&ACORN_OUI);
+    out.extend_from_slice(&[subtype, WIRE_VERSION]);
+    fields(out);
+    loop {
+        let len = (out.len() - at - 2).min(ELEMENT_MAX);
+        out[at + 1] = len as u8;
+        at += 2 + len;
+        if at == out.len() {
+            return;
+        }
+        out.splice(at..at, [IE_FRAGMENT, 0]);
+    }
+}
+
+/// Splits the next element `(id, payload)` off the front of `rest`;
+/// `None` once fewer than its two header bytes remain.
+fn next_element<'a>(rest: &mut &'a [u8]) -> Result<Option<(u8, &'a [u8])>, WireError> {
+    let &[id, len, ref tail @ ..] = *rest else {
+        return Ok(None);
+    };
+    let (payload, after) = tail
+        .split_at_checked(len as usize)
+        .ok_or(WireError::Truncated)?;
+    *rest = after;
+    Ok(Some((id, payload)))
+}
+
+/// Opens `frame`, checks its frame control is `fc` (else `not_it`), and
+/// walks the elements after its first `fixed` body bytes to the first
+/// vendor element, whose payload it returns — reassembled from the
+/// Fragment elements that continue it, borrowed in place when none do.
+fn acorn_ie(
+    frame: &[u8],
+    fc: [u8; 2],
+    fixed: usize,
+    not_it: WireError,
+) -> Result<Cow<'_, [u8]>, WireError> {
+    let body = open(frame)?;
+    if body.len() < fixed {
+        return Err(WireError::Truncated);
+    }
+    if body[0..2] != fc {
+        return Err(not_it);
+    }
+    let mut rest = &body[fixed..];
+    while let Some((id, payload)) = next_element(&mut rest)? {
+        if id != IE_VENDOR {
+            continue;
+        }
+        let mut ie = Cow::Borrowed(payload);
+        let mut last = payload;
+        while last.len() == ELEMENT_MAX && rest.first() == Some(&IE_FRAGMENT) {
+            let Some((_, more)) = next_element(&mut rest)? else {
+                break;
+            };
+            ie.to_mut().extend_from_slice(more);
+            last = more;
+        }
+        return Ok(ie);
+    }
+    Err(WireError::MissingIe)
+}
+
+/// A reader past the OUI, `subtype` and version at the head of a vendor
+/// element.
+fn acorn_fields(ie: &[u8], subtype: u8) -> Result<Reader<'_>, WireError> {
+    let mut r = Reader::new(ie);
+    if r.array() != Ok(ACORN_OUI) || r.u8() != Ok(subtype) {
+        return Err(WireError::ForeignVendorIe);
+    }
+    match r.u8()? {
+        WIRE_VERSION => Ok(r),
+        v => Err(WireError::BadVersion(v)),
+    }
 }
 
 fn delay_to_us(d_s: f64) -> u32 {
@@ -184,55 +371,35 @@ fn us_to_delay(us: u32) -> f64 {
 /// Serializes a beacon into a full management frame. `bssid` stamps the
 /// SA/BSSID fields; `timestamp_us` the TSF field.
 ///
-/// Fails with [`WireError::TooManyClients`] if the delay list cannot fit
-/// one vendor IE (the paper's enterprise cells are far smaller).
+/// Fails with [`WireError::TooManyClients`] past [`MAX_CLIENTS`] delays.
 pub fn serialize_beacon(
     beacon: &Beacon,
     bssid: [u8; 6],
     timestamp_us: u64,
 ) -> Result<Vec<u8>, WireError> {
-    if beacon.client_delays_s.len() > MAX_CLIENTS {
-        return Err(WireError::TooManyClients(beacon.client_delays_s.len()));
-    }
     let n = beacon.client_delays_s.len();
+    if n > MAX_CLIENTS {
+        return Err(WireError::TooManyClients(n));
+    }
     let ie_len = IE_FIXED + 4 * n;
-    let mut out = Vec::with_capacity(HEADER + 2 + ie_len);
-
-    // MAC header.
-    out.extend_from_slice(&FC_BEACON);
-    out.extend_from_slice(&[0, 0]); // duration
-    out.extend_from_slice(&[0xFF; 6]); // DA: broadcast
-    out.extend_from_slice(&bssid); // SA
-    out.extend_from_slice(&bssid); // BSSID
-    out.extend_from_slice(&[0, 0]); // sequence control
-
+    let headers = 2 * ie_len.div_ceil(ELEMENT_MAX);
+    let mut out = mac_header(FC_BEACON, bssid, HEADER + headers + ie_len + FCS_LEN);
     // Beacon fixed part.
     out.extend_from_slice(&timestamp_us.to_le_bytes());
     out.extend_from_slice(&100u16.to_le_bytes()); // 100 TU interval
     out.extend_from_slice(&0x0001u16.to_le_bytes()); // ESS capability
-
-    // ACORN vendor IE.
-    out.push(IE_VENDOR);
-    out.push(ie_len as u8);
-    out.extend_from_slice(&ACORN_OUI);
-    out.push(ACORN_OUI_TYPE);
-    out.push(WIRE_VERSION);
-    out.extend_from_slice(&(beacon.ap.0 as u16).to_le_bytes());
-    let (channel, width) = match beacon.assignment {
-        ChannelAssignment::Single(c) => (c.0, 20u8),
-        ChannelAssignment::Bonded(c) => (c.0, 40u8),
-    };
-    out.push(channel);
-    out.push(width);
-    let share_q = (beacon.access_share.clamp(0.0, 1.0) * SHARE_SCALE).round() as u16;
-    out.extend_from_slice(&share_q.to_le_bytes());
-    out.push(n as u8);
-    out.extend_from_slice(&delay_to_us(beacon.atd_s).to_le_bytes());
-    for d in &beacon.client_delays_s {
-        out.extend_from_slice(&delay_to_us(*d).to_le_bytes());
-    }
-    append_fcs(&mut out);
-    Ok(out)
+    put_acorn_ie(&mut out, ACORN_OUI_TYPE, |out| {
+        out.extend_from_slice(&(beacon.ap.0 as u16).to_le_bytes());
+        put_assignment(out, beacon.assignment);
+        let share_q = (beacon.access_share.clamp(0.0, 1.0) * SHARE_SCALE).round() as u16;
+        out.extend_from_slice(&share_q.to_le_bytes());
+        out.push(n as u8);
+        out.extend_from_slice(&delay_to_us(beacon.atd_s).to_le_bytes());
+        for d in &beacon.client_delays_s {
+            out.extend_from_slice(&delay_to_us(*d).to_le_bytes());
+        }
+    });
+    Ok(seal(out))
 }
 
 /// Parses a management frame back into a [`Beacon`].
@@ -241,65 +408,28 @@ pub fn serialize_beacon(
 /// `parse(serialize(b))` matches `b` to those resolutions (asserted by
 /// the property tests); an infinite ATD/delay survives exactly.
 pub fn parse_beacon(frame: &[u8]) -> Result<Beacon, WireError> {
-    let body = check_fcs(frame)?;
-    if body.len() < HEADER {
-        return Err(WireError::Truncated);
-    }
-    if body[0..2] != FC_BEACON {
-        return Err(WireError::NotABeacon);
-    }
-    // Walk the IE list (the FCS trailer is already stripped).
-    let mut off = HEADER;
-    while off + 2 <= body.len() {
-        let id = body[off];
-        let len = body[off + 1] as usize;
-        let ie = body
-            .get(off + 2..off + 2 + len)
-            .ok_or(WireError::Truncated)?;
-        if id == IE_VENDOR {
-            return parse_acorn_ie(ie);
-        }
-        off += 2 + len;
-    }
-    Err(WireError::MissingIe)
-}
-
-fn parse_acorn_ie(body: &[u8]) -> Result<Beacon, WireError> {
-    if body.len() < IE_FIXED {
+    let ie = acorn_ie(frame, FC_BEACON, HEADER, WireError::NotABeacon)?;
+    if ie.len() < IE_FIXED {
         return Err(WireError::ForeignVendorIe);
     }
-    if body[0..3] != ACORN_OUI || body[3] != ACORN_OUI_TYPE {
-        return Err(WireError::ForeignVendorIe);
-    }
-    if body[4] != WIRE_VERSION {
-        return Err(WireError::BadVersion(body[4]));
-    }
-    let ap = ApId(u16::from_le_bytes([body[5], body[6]]) as usize);
-    let channel = body[7];
-    let assignment = match body[8] {
-        20 => ChannelAssignment::Single(Channel20(channel)),
-        40 => {
-            ChannelAssignment::bonded(Channel20(channel)).ok_or(WireError::IllegalBond(channel))?
-        }
-        w => return Err(WireError::BadWidth(w)),
-    };
-    let share = u16::from_le_bytes([body[9], body[10]]) as f64 / SHARE_SCALE;
-    let n = body[11] as usize;
-    let atd = us_to_delay(u32::from_le_bytes([body[12], body[13], body[14], body[15]]));
-    if body.len() != IE_FIXED + 4 * n {
+    let mut r = acorn_fields(&ie, ACORN_OUI_TYPE)?;
+    let ap = ApId(r.u16()? as usize);
+    let assignment = r.assignment()?;
+    let share = r.u16()? as f64 / SHARE_SCALE;
+    let n = r.u8()? as usize;
+    let atd_s = us_to_delay(r.u32()?);
+    if r.remaining() != 4 * n {
         return Err(WireError::LengthMismatch);
     }
-    let mut delays = Vec::with_capacity(n);
-    for i in 0..n {
-        let b = &body[IE_FIXED + 4 * i..IE_FIXED + 4 * i + 4];
-        delays.push(us_to_delay(u32::from_le_bytes([b[0], b[1], b[2], b[3]])));
-    }
+    let client_delays_s = (0..n)
+        .map(|_| r.u32().map(us_to_delay))
+        .collect::<Result<_, _>>()?;
     Ok(Beacon {
         ap,
         assignment,
         n_clients: n,
-        client_delays_s: delays,
-        atd_s: atd,
+        client_delays_s,
+        atd_s,
         access_share: share.clamp(f64::MIN_POSITIVE, 1.0),
     })
 }
@@ -310,90 +440,31 @@ fn parse_acorn_ie(body: &[u8]) -> Result<Beacon, WireError> {
 /// fault-injection layer corrupts, so inter-AP control traffic gets the
 /// same detection guarantees as beacons.
 pub fn serialize_announcement(ann: &Announcement, bssid: [u8; 6]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MAC_HEADER + 2 + IE_IAPP + FCS_LEN);
-    out.extend_from_slice(&FC_ACTION);
-    out.extend_from_slice(&[0, 0]); // duration
-    out.extend_from_slice(&[0xFF; 6]); // DA: broadcast
-    out.extend_from_slice(&bssid); // SA
-    out.extend_from_slice(&bssid); // BSSID
-    out.extend_from_slice(&[0, 0]); // sequence control
-
-    out.push(IE_VENDOR);
-    out.push(IE_IAPP as u8);
-    out.extend_from_slice(&ACORN_OUI);
-    out.push(ACORN_OUI_TYPE_IAPP);
-    out.push(WIRE_VERSION);
-    out.extend_from_slice(&(ann.from.0 as u16).to_le_bytes());
-    out.extend_from_slice(&ann.seq.to_le_bytes());
-    let (channel, width) = match ann.assignment {
-        ChannelAssignment::Single(c) => (c.0, 20u8),
-        ChannelAssignment::Bonded(c) => (c.0, 40u8),
-    };
-    out.push(channel);
-    out.push(width);
-    out.extend_from_slice(&(ann.n_clients.min(u16::MAX as usize) as u16).to_le_bytes());
-    out.extend_from_slice(&ann.sent_at_s.to_bits().to_le_bytes());
-    append_fcs(&mut out);
-    out
+    let mut out = mac_header(FC_ACTION, bssid, MAC_HEADER + 2 + IE_IAPP + FCS_LEN);
+    put_acorn_ie(&mut out, ACORN_OUI_TYPE_IAPP, |out| {
+        out.extend_from_slice(&(ann.from.0 as u16).to_le_bytes());
+        out.extend_from_slice(&ann.seq.to_le_bytes());
+        put_assignment(out, ann.assignment);
+        out.extend_from_slice(&(ann.n_clients.min(u16::MAX as usize) as u16).to_le_bytes());
+        out.extend_from_slice(&ann.sent_at_s.to_bits().to_le_bytes());
+    });
+    seal(out)
 }
 
 /// Parses an action frame back into an [`Announcement`]. Defensive like
 /// [`parse_beacon`]: every malformed input is a typed [`WireError`].
 pub fn parse_announcement(frame: &[u8]) -> Result<Announcement, WireError> {
-    let body = check_fcs(frame)?;
-    if body.len() < MAC_HEADER {
-        return Err(WireError::Truncated);
-    }
-    if body[0..2] != FC_ACTION {
-        return Err(WireError::NotAnAnnouncement);
-    }
-    let mut off = MAC_HEADER;
-    while off + 2 <= body.len() {
-        let id = body[off];
-        let len = body[off + 1] as usize;
-        let ie = body
-            .get(off + 2..off + 2 + len)
-            .ok_or(WireError::Truncated)?;
-        if id == IE_VENDOR {
-            return parse_iapp_ie(ie);
-        }
-        off += 2 + len;
-    }
-    Err(WireError::MissingIe)
-}
-
-fn parse_iapp_ie(body: &[u8]) -> Result<Announcement, WireError> {
-    if body.len() < 4 || body[0..3] != ACORN_OUI || body[3] != ACORN_OUI_TYPE_IAPP {
-        return Err(WireError::ForeignVendorIe);
-    }
-    if body.len() != IE_IAPP {
+    let ie = acorn_ie(frame, FC_ACTION, MAC_HEADER, WireError::NotAnAnnouncement)?;
+    let mut r = acorn_fields(&ie, ACORN_OUI_TYPE_IAPP)?;
+    if ie.len() != IE_IAPP {
         return Err(WireError::LengthMismatch);
     }
-    if body[4] != WIRE_VERSION {
-        return Err(WireError::BadVersion(body[4]));
-    }
-    let from = ApId(u16::from_le_bytes([body[5], body[6]]) as usize);
-    let mut seq_bytes = [0u8; 8];
-    seq_bytes.copy_from_slice(&body[7..15]);
-    let seq = u64::from_le_bytes(seq_bytes);
-    let channel = body[15];
-    let assignment = match body[16] {
-        20 => ChannelAssignment::Single(Channel20(channel)),
-        40 => {
-            ChannelAssignment::bonded(Channel20(channel)).ok_or(WireError::IllegalBond(channel))?
-        }
-        w => return Err(WireError::BadWidth(w)),
-    };
-    let n_clients = u16::from_le_bytes([body[17], body[18]]) as usize;
-    let mut at_bytes = [0u8; 8];
-    at_bytes.copy_from_slice(&body[19..27]);
-    let sent_at_s = f64::from_bits(u64::from_le_bytes(at_bytes));
     Ok(Announcement {
-        from,
-        seq,
-        assignment,
-        n_clients,
-        sent_at_s,
+        from: ApId(r.u16()? as usize),
+        seq: r.u64()?,
+        assignment: r.assignment()?,
+        n_clients: r.u16()? as usize,
+        sent_at_s: f64::from_bits(r.u64()?),
     })
 }
 
@@ -566,6 +637,31 @@ mod tests {
         );
         // And the maximum itself fits.
         assert!(serialize_beacon(&beacon(MAX_CLIENTS, false), [0; 6], 0).is_ok());
+    }
+
+    #[test]
+    fn large_cells_continue_in_fragment_elements() {
+        // 60 and 63 clients spill one fragment; 251 fills four elements
+        // exactly; 255 is the most the one-byte count can describe.
+        for n in [60, 63, 251, MAX_CLIENTS] {
+            let b = beacon(n, true);
+            let frame = serialize_beacon(&b, [4; 6], 1).unwrap();
+            let ie_len = IE_FIXED + 4 * n;
+            let headers = 2 * ie_len.div_ceil(255);
+            assert_eq!(frame.len(), HEADER + headers + ie_len + FCS_LEN, "n={n}");
+            assert_eq!(frame[HEADER..HEADER + 2], [IE_VENDOR, 255]);
+            assert_eq!(frame[HEADER + 2 + 255], IE_FRAGMENT);
+            let parsed = parse_beacon(&frame).unwrap();
+            assert_eq!(parsed.n_clients, n);
+            for (x, y) in parsed.client_delays_s.iter().zip(&b.client_delays_s) {
+                assert!((x - y).abs() < 2e-6);
+            }
+            // A fragment cut short is a typed error, not a short read.
+            let mut cut = frame[..frame.len() - FCS_LEN - 1].to_vec();
+            cut.extend_from_slice(&[0; FCS_LEN]);
+            refresh_fcs(&mut cut);
+            assert_eq!(parse_beacon(&cut), Err(WireError::Truncated), "n={n}");
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! deterministic event runtime of `acorn-events`:
 //!
 //! * [`msg`] — the typed message taxonomy ([`CtrlMsg`],
-//!   [`CtrlEnvelope`]) and its 802.11-style wire codec with CRC-32 FCS
-//!   and defensive, typed-error parsing ([`CtrlWireError`]).
+//!   [`CtrlEnvelope`]) and its envelope frame, built on the same
+//!   `acorn_core::wire` codec as beacons and IAPP announcements (CRC-32
+//!   FCS, defensive parsing that fails with a typed [`WireError`]).
 //! * [`zone`] — the [`ZoneController`] process: epoch catch-up replay,
 //!   reliable batched gossip (per-peer unacked maps, capped exponential
 //!   backoff, dedup-on-receive), and partition safe mode.
@@ -38,6 +39,7 @@
 //! [`PlaneConfig`] at any thread count.
 //!
 //! [`AcornController::reallocate`]: acorn_core::AcornController::reallocate
+//! [`WireError`]: acorn_core::WireError
 //! [`allocate`]: acorn_core::allocate
 
 #![forbid(unsafe_code)]
@@ -48,8 +50,8 @@ pub mod plane;
 pub mod zone;
 
 pub use msg::{
-    encode_envelope, fingerprint_slice, parse_envelope, CtrlEnvelope, CtrlMsg, CtrlWireError,
-    CTRL_SUBTYPE, CTRL_VERSION, SALT_CTRL,
+    encode_envelope, fingerprint_slice, parse_envelope, CtrlEnvelope, CtrlMsg, CTRL_SUBTYPE,
+    CTRL_VERSION, SALT_CTRL,
 };
 pub use plane::{
     centralized_twin, CrashWindow, DistributedPlane, NetState, PartitionWindow, PlaneConfig,

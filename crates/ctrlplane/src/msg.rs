@@ -11,20 +11,20 @@
 //!   (the CSA the neighbour zone would observe over the air);
 //! * [`CtrlMsg::Ack`] — cumulative acknowledgement of one envelope id.
 //!
-//! The wire encoding mirrors `acorn_core::wire`: a management-frame
-//! header, little-endian fields, and a CRC-32 FCS trailer. Parsing is
-//! defensive — every malformed input maps to a typed [`CtrlWireError`],
-//! never a panic, because envelopes cross the same loss/corruption
-//! gauntlet as data-plane beacons.
+//! The wire encoding is `acorn_core::wire`'s, the codec beacons and
+//! IAPP announcements use: action frame-control bytes, little-endian fields
+//! read through its bounds-checked [`Reader`], channels as its
+//! `(primary, width)` byte pair, and a CRC-32 FCS trailer added by
+//! [`seal`] and checked by [`open`]. Parsing is defensive — every
+//! malformed input maps to a typed [`WireError`], never a panic, because
+//! envelopes cross the same loss/corruption gauntlet as data-plane
+//! beacons.
 
-use acorn_core::wire::crc32;
-use acorn_topology::{Channel20, ChannelAssignment};
+use acorn_core::wire::{
+    assignment_bytes, open, put_assignment, seal, Reader, WireError, FCS_LEN, FC_ACTION,
+};
+use acorn_topology::ChannelAssignment;
 use serde::Serialize;
-use std::fmt;
-
-/// 802.11 frame control bytes for a management/action frame — the same
-/// two bytes the beacon codec uses for announcements.
-pub const FC_ACTION: [u8; 2] = [0xD0, 0x00];
 
 /// Vendor action subtype distinguishing control-plane envelopes from the
 /// CSA announcements (`0x01`/`0x02`) of `acorn_core::wire`.
@@ -45,50 +45,6 @@ const TAG_ACK: u8 = 0x04;
 /// Header bytes before the message list: FC (2) + subtype (1) +
 /// version (1) + from (2) + to (2) + msg id (8) + count (2).
 const HEADER_LEN: usize = 18;
-const FCS_LEN: usize = 4;
-
-/// A typed parse failure. Like `acorn_core::wire::WireError`, corruption
-/// is *detected*, not tolerated: a flipped bit lands in [`BadFcs`]
-/// (or an earlier structural variant) and the frame is dropped for the
-/// retransmit timer to recover.
-///
-/// [`BadFcs`]: CtrlWireError::BadFcs
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CtrlWireError {
-    /// Frame shorter than its fixed or declared layout.
-    Truncated,
-    /// Frame-control/subtype bytes are not a control-plane envelope.
-    NotControl,
-    /// Unknown encoding version.
-    BadVersion(u8),
-    /// Unknown message tag byte.
-    BadTag(u8),
-    /// Width byte is neither 20 nor 40.
-    BadWidth(u8),
-    /// A 40 MHz bond anchored on an odd channel index.
-    IllegalBond(u8),
-    /// Declared message count disagrees with the frame length.
-    LengthMismatch,
-    /// CRC-32 trailer does not match the body.
-    BadFcs,
-}
-
-impl fmt::Display for CtrlWireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CtrlWireError::Truncated => write!(f, "control frame truncated"),
-            CtrlWireError::NotControl => write!(f, "not a control-plane envelope"),
-            CtrlWireError::BadVersion(v) => write!(f, "unknown control version {v}"),
-            CtrlWireError::BadTag(t) => write!(f, "unknown message tag {t:#04x}"),
-            CtrlWireError::BadWidth(w) => write!(f, "illegal width byte {w}"),
-            CtrlWireError::IllegalBond(c) => write!(f, "illegal bond anchor {c}"),
-            CtrlWireError::LengthMismatch => write!(f, "message count disagrees with length"),
-            CtrlWireError::BadFcs => write!(f, "FCS check failed"),
-        }
-    }
-}
-
-impl std::error::Error for CtrlWireError {}
 
 /// One control-plane message. Channel assignments ride as
 /// `(primary index, width)` pairs — the same two bytes the beacon vendor
@@ -162,74 +118,15 @@ impl CtrlEnvelope {
     }
 }
 
-fn push_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_assignment(out: &mut Vec<u8>, a: ChannelAssignment) {
-    out.push(a.primary().0);
-    out.push(match a.width() {
-        acorn_phy::ChannelWidth::Ht20 => 20,
-        acorn_phy::ChannelWidth::Ht40 => 40,
-    });
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CtrlWireError> {
-        let end = self.at.checked_add(n).ok_or(CtrlWireError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(CtrlWireError::Truncated);
-        }
-        let s = &self.buf[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, CtrlWireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, CtrlWireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, CtrlWireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    fn assignment(&mut self) -> Result<ChannelAssignment, CtrlWireError> {
-        let channel = self.u8()?;
-        let width = self.u8()?;
-        match width {
-            20 => Ok(ChannelAssignment::Single(Channel20(channel))),
-            40 => ChannelAssignment::bonded(Channel20(channel))
-                .ok_or(CtrlWireError::IllegalBond(channel)),
-            w => Err(CtrlWireError::BadWidth(w)),
-        }
-    }
-}
-
 /// Encodes an envelope into its wire frame, FCS included.
 pub fn encode_envelope(env: &CtrlEnvelope) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + 20 * env.msgs.len() + FCS_LEN);
     out.extend_from_slice(&FC_ACTION);
-    out.push(CTRL_SUBTYPE);
-    out.push(CTRL_VERSION);
-    push_u16(&mut out, env.from);
-    push_u16(&mut out, env.to);
-    push_u64(&mut out, env.msg_id);
-    push_u16(&mut out, env.msgs.len() as u16);
+    out.extend_from_slice(&[CTRL_SUBTYPE, CTRL_VERSION]);
+    out.extend_from_slice(&env.from.to_le_bytes());
+    out.extend_from_slice(&env.to.to_le_bytes());
+    out.extend_from_slice(&env.msg_id.to_le_bytes());
+    out.extend_from_slice(&(env.msgs.len() as u16).to_le_bytes());
     for m in &env.msgs {
         match *m {
             CtrlMsg::BeaconDigest {
@@ -238,9 +135,9 @@ pub fn encode_envelope(env: &CtrlEnvelope) -> Vec<u8> {
                 n_clients,
             } => {
                 out.push(TAG_DIGEST);
-                push_u16(&mut out, ap);
-                push_assignment(&mut out, assignment);
-                push_u16(&mut out, n_clients);
+                out.extend_from_slice(&ap.to_le_bytes());
+                put_assignment(&mut out, assignment);
+                out.extend_from_slice(&n_clients.to_le_bytes());
             }
             CtrlMsg::IappState {
                 zone,
@@ -249,9 +146,9 @@ pub fn encode_envelope(env: &CtrlEnvelope) -> Vec<u8> {
                 safe_mode,
             } => {
                 out.push(TAG_IAPP);
-                push_u16(&mut out, zone);
-                push_u64(&mut out, epoch);
-                push_u64(&mut out, fingerprint);
+                out.extend_from_slice(&zone.to_le_bytes());
+                out.extend_from_slice(&epoch.to_le_bytes());
+                out.extend_from_slice(&fingerprint.to_le_bytes());
                 out.push(safe_mode as u8);
             }
             CtrlMsg::ProposedSwitch {
@@ -260,72 +157,64 @@ pub fn encode_envelope(env: &CtrlEnvelope) -> Vec<u8> {
                 epoch,
             } => {
                 out.push(TAG_SWITCH);
-                push_u16(&mut out, ap);
-                push_assignment(&mut out, assignment);
-                push_u64(&mut out, epoch);
+                out.extend_from_slice(&ap.to_le_bytes());
+                put_assignment(&mut out, assignment);
+                out.extend_from_slice(&epoch.to_le_bytes());
             }
             CtrlMsg::Ack { ack_of } => {
                 out.push(TAG_ACK);
-                push_u64(&mut out, ack_of);
+                out.extend_from_slice(&ack_of.to_le_bytes());
             }
         }
     }
-    let fcs = crc32(&out);
-    out.extend_from_slice(&fcs.to_le_bytes());
-    out
+    seal(out)
 }
 
 /// Parses a wire frame back into an envelope, verifying the FCS first —
-/// a corrupted frame fails [`CtrlWireError::BadFcs`] (or an earlier
+/// a corrupted frame fails [`WireError::BadFcs`] (or an earlier
 /// structural check) before any field is interpreted.
-pub fn parse_envelope(frame: &[u8]) -> Result<CtrlEnvelope, CtrlWireError> {
+pub fn parse_envelope(frame: &[u8]) -> Result<CtrlEnvelope, WireError> {
     if frame.len() < HEADER_LEN + FCS_LEN {
-        return Err(CtrlWireError::Truncated);
+        return Err(WireError::Truncated);
     }
-    let (body, trailer) = frame.split_at(frame.len() - FCS_LEN);
-    let fcs = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
-    if crc32(body) != fcs {
-        return Err(CtrlWireError::BadFcs);
+    let mut r = Reader::new(open(frame)?);
+    if r.array()? != FC_ACTION || r.u8()? != CTRL_SUBTYPE {
+        return Err(WireError::NotControl);
     }
-    let mut c = Cursor { buf: body, at: 0 };
-    if c.take(2)? != FC_ACTION || c.u8()? != CTRL_SUBTYPE {
-        return Err(CtrlWireError::NotControl);
-    }
-    let version = c.u8()?;
+    let version = r.u8()?;
     if version != CTRL_VERSION {
-        return Err(CtrlWireError::BadVersion(version));
+        return Err(WireError::BadVersion(version));
     }
-    let from = c.u16()?;
-    let to = c.u16()?;
-    let msg_id = c.u64()?;
-    let count = c.u16()? as usize;
+    let from = r.u16()?;
+    let to = r.u16()?;
+    let msg_id = r.u64()?;
+    let count = r.u16()? as usize;
     let mut msgs = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
-        let tag = c.u8()?;
-        let msg = match tag {
+        let msg = match r.u8()? {
             TAG_DIGEST => CtrlMsg::BeaconDigest {
-                ap: c.u16()?,
-                assignment: c.assignment()?,
-                n_clients: c.u16()?,
+                ap: r.u16()?,
+                assignment: r.assignment()?,
+                n_clients: r.u16()?,
             },
             TAG_IAPP => CtrlMsg::IappState {
-                zone: c.u16()?,
-                epoch: c.u64()?,
-                fingerprint: c.u64()?,
-                safe_mode: c.u8()? != 0,
+                zone: r.u16()?,
+                epoch: r.u64()?,
+                fingerprint: r.u64()?,
+                safe_mode: r.u8()? != 0,
             },
             TAG_SWITCH => CtrlMsg::ProposedSwitch {
-                ap: c.u16()?,
-                assignment: c.assignment()?,
-                epoch: c.u64()?,
+                ap: r.u16()?,
+                assignment: r.assignment()?,
+                epoch: r.u64()?,
             },
-            TAG_ACK => CtrlMsg::Ack { ack_of: c.u64()? },
-            t => return Err(CtrlWireError::BadTag(t)),
+            TAG_ACK => CtrlMsg::Ack { ack_of: r.u64()? },
+            t => return Err(WireError::BadTag(t)),
         };
         msgs.push(msg);
     }
-    if c.at != body.len() {
-        return Err(CtrlWireError::LengthMismatch);
+    if r.remaining() != 0 {
+        return Err(WireError::LengthMismatch);
     }
     Ok(CtrlEnvelope {
         from,
@@ -339,30 +228,12 @@ pub fn parse_envelope(frame: &[u8]) -> Result<CtrlEnvelope, CtrlWireError> {
 /// plan fingerprint zones gossip in [`CtrlMsg::IappState`] so peers can
 /// detect divergence without shipping the full slice.
 pub fn fingerprint_slice(assignments: &[ChannelAssignment]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for a in assignments {
-        for byte in [
-            a.primary().0,
-            match a.width() {
-                acorn_phy::ChannelWidth::Ht20 => 20,
-                acorn_phy::ChannelWidth::Ht40 => 40,
-            },
-        ] {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
-fn assignment_fields(a: ChannelAssignment) -> (u8, u8) {
-    (
-        a.primary().0,
-        match a.width() {
-            acorn_phy::ChannelWidth::Ht20 => 20,
-            acorn_phy::ChannelWidth::Ht40 => 40,
-        },
-    )
+    assignments
+        .iter()
+        .flat_map(|&a| assignment_bytes(a))
+        .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+            (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
 }
 
 // The vendored serde derive handles structs only, so the enum's tagged
@@ -377,7 +248,7 @@ impl Serialize for CtrlMsg {
                 assignment,
                 n_clients,
             } => {
-                let (channel, width_mhz) = assignment_fields(assignment);
+                let [channel, width_mhz] = assignment_bytes(assignment);
                 serde::write_object(
                     out,
                     indent,
@@ -413,7 +284,7 @@ impl Serialize for CtrlMsg {
                 assignment,
                 epoch,
             } => {
-                let (channel, width_mhz) = assignment_fields(assignment);
+                let [channel, width_mhz] = assignment_bytes(assignment);
                 serde::write_object(
                     out,
                     indent,
@@ -451,6 +322,8 @@ impl Serialize for CtrlEnvelope {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acorn_core::wire::refresh_fcs;
+    use acorn_topology::Channel20;
 
     fn sample() -> CtrlEnvelope {
         CtrlEnvelope {
@@ -516,14 +389,12 @@ mod tests {
     #[test]
     fn truncation_and_foreign_frames_are_rejected() {
         let frame = encode_envelope(&sample());
-        assert_eq!(parse_envelope(&frame[..10]), Err(CtrlWireError::Truncated));
-        assert_eq!(parse_envelope(&[]), Err(CtrlWireError::Truncated));
+        assert_eq!(parse_envelope(&frame[..10]), Err(WireError::Truncated));
+        assert_eq!(parse_envelope(&[]), Err(WireError::Truncated));
         let mut foreign = frame.clone();
         foreign[2] = 0x01; // a CSA announcement subtype, valid FCS
-        let body_len = foreign.len() - FCS_LEN;
-        let fcs = crc32(&foreign[..body_len]);
-        foreign[body_len..].copy_from_slice(&fcs.to_le_bytes());
-        assert_eq!(parse_envelope(&foreign), Err(CtrlWireError::NotControl));
+        refresh_fcs(&mut foreign);
+        assert_eq!(parse_envelope(&foreign), Err(WireError::NotControl));
     }
 
     #[test]
@@ -537,15 +408,12 @@ mod tests {
         let mut frame = encode_envelope(&env);
         let width_at = HEADER_LEN + 1 + 2 + 1;
         frame[width_at] = 40; // odd channel 3 now claims a bond
-        let body_len = frame.len() - FCS_LEN;
-        let fcs = crc32(&frame[..body_len]);
-        frame[body_len..].copy_from_slice(&fcs.to_le_bytes());
-        assert_eq!(parse_envelope(&frame), Err(CtrlWireError::IllegalBond(3)));
+        refresh_fcs(&mut frame);
+        assert_eq!(parse_envelope(&frame), Err(WireError::IllegalBond(3)));
 
         frame[width_at] = 80;
-        let fcs = crc32(&frame[..body_len]);
-        frame[body_len..].copy_from_slice(&fcs.to_le_bytes());
-        assert_eq!(parse_envelope(&frame), Err(CtrlWireError::BadWidth(80)));
+        refresh_fcs(&mut frame);
+        assert_eq!(parse_envelope(&frame), Err(WireError::BadWidth(80)));
     }
 
     #[test]

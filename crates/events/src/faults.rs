@@ -562,7 +562,7 @@ impl FaultCore {
                 access_share,
             };
             let Ok(frame) = serialize_beacon(&beacon, bssid(ap), self.round) else {
-                continue; // cell too large for one IE: skip this round
+                continue; // more clients than a beacon can count (255)
             };
             for client in clients {
                 match self

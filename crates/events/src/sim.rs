@@ -19,18 +19,7 @@
 use crate::queue::{EventId, EventQueue, Fired};
 use crate::telemetry::Telemetry;
 
-/// Derives an independent seed for work item `index` from a base seed
-/// (splitmix64 finalizer). Identical to the baseband engine's per-packet
-/// derivation, duplicated here so the event runtime stays independent of
-/// the PHY crates: event processes use it to give each firing its own
-/// statistically independent RNG stream, keyed by the event's globally
-/// unique sequence number.
-pub fn mix_seed(seed: u64, index: u64) -> u64 {
-    let mut z = seed ^ index.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+pub use acorn_core::par::mix_seed;
 
 /// Identifies a process within one simulation (its registration order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -365,17 +354,6 @@ mod tests {
         assert_eq!(log.entries[0].time_bits, 10.0f64.to_bits());
         assert_eq!(log.entries[0].kind, "\"tick\"");
         assert!(log.entries[0].seq < log.entries[1].seq);
-    }
-
-    #[test]
-    fn mix_seed_decorrelates_indices() {
-        let a = mix_seed(7, 0);
-        let b = mix_seed(7, 1);
-        let c = mix_seed(8, 0);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        // Matches the baseband engine's derivation (shared constants).
-        assert_eq!(mix_seed(7, 0), mix_seed(7, 0));
     }
 
     /// Two processes messaging each other through `send_at`.

@@ -35,7 +35,8 @@ fn main() {
     for c in 0..wlan.clients.len() {
         let beacons = ctl.beacons(&wlan, &state);
         for (i, b) in beacons.iter().enumerate() {
-            let frame = serialize_beacon(b, [i as u8; 6], c as u64).expect("fits one IE");
+            let frame = serialize_beacon(b, [i as u8; 6], c as u64)
+                .expect("a cell of at most 255 clients serializes");
             let parsed = parse_beacon(&frame).expect("own frame parses");
             assert_eq!(parsed.n_clients, b.n_clients);
         }

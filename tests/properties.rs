@@ -201,7 +201,9 @@ proptest! {
         channel in 0u8..12,
         bond in any::<bool>(),
         share in 0.05f64..1.0,
-        delays in proptest::collection::vec(1e-6f64..10.0, 0..20),
+        // Up to the one-byte client count's limit: past 59 delays the
+        // element continues in Fragment elements.
+        delays in proptest::collection::vec(1e-6f64..10.0, 0..=255),
     ) {
         use acorn::core::wire::{parse_beacon, serialize_beacon};
         use acorn::core::Beacon;

@@ -5,11 +5,12 @@
 
 use acorn_core::{AcornConfig, AcornController};
 use acorn_events::{
-    CompositeReport, CompositeScenario, DriftSpec, FaultPlan, MobilitySpec, ResilienceReport,
+    CityScenario, CompositeReport, CompositeScenario, DriftSpec, FaultPlan, MobilitySpec,
+    ResilienceReport,
 };
 use acorn_sim::scenario::enterprise_grid;
-use acorn_topology::{ClientId, Point, Trajectory};
-use acorn_traces::SessionGenerator;
+use acorn_topology::{ClientId, Point, Trajectory, Wlan};
+use acorn_traces::{Session, SessionGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -185,4 +186,76 @@ fn crash_without_restart_before_horizon_leaves_the_hole_open() {
     assert_eq!(r.crashes, 1, "{r:?}");
     assert_eq!(r.restarts, 0, "{r:?}");
     assert_eq!(r.mean_downtime_s, 0.0, "downtime closes only on restart");
+}
+
+/// One AP with `n` clients 5–15 m away, every one associated for the
+/// whole 600 s run under a benign fault plan.
+fn crowded_cell(n: usize) -> (Wlan, Vec<Session>, FaultPlan) {
+    let clients = (0..n)
+        .map(|i| {
+            let r = 5.0 + 10.0 * i as f64 / n as f64;
+            let phi = 2.399_963 * i as f64; // golden angle: no two clients stack
+            Point::new(r * phi.cos(), r * phi.sin())
+        })
+        .collect();
+    let wlan = Wlan::new(vec![Point::new(0.0, 0.0)], clients, 5);
+    let sessions = (0..n)
+        .map(|client| Session {
+            client,
+            start_s: 0.01 * client as f64,
+            duration_s: 600.0,
+        })
+        .collect();
+    let plan = FaultPlan {
+        seed: 5,
+        ..FaultPlan::default()
+    };
+    (wlan, sessions, plan)
+}
+
+#[test]
+fn a_cell_too_large_for_one_element_still_beacons_in_both_worlds() {
+    // 60 delays overflow one 255-byte vendor element; the beacon goes out
+    // in fragments, so the AP's clients keep hearing it and never
+    // declare it dead.
+    let ctl = AcornController::new(AcornConfig::default());
+    for n in [60, 200] {
+        let (wlan, sessions, plan) = crowded_cell(n);
+        let composite = CompositeScenario {
+            wlan: wlan.clone(),
+            sessions: sessions.clone(),
+            horizon_s: 600.0,
+            reallocation_period_s: 300.0,
+            restarts: 1,
+            adapt_widths: true,
+            mobility: None,
+            drift: None,
+            faults: Some(plan),
+            seed: 5,
+            record_log: false,
+        };
+        let city = CityScenario {
+            wlan,
+            sessions,
+            horizon_s: 600.0,
+            reallocation_period_s: 300.0,
+            restarts: 1,
+            candidate_radius_m: 120.0,
+            adapt_widths: true,
+            drift: None,
+            faults: Some(plan),
+            seed: 5,
+            record_log: false,
+        };
+        let reports = [
+            ("composite", composite.run(&ctl).resilience),
+            ("city", city.run(&ctl).resilience),
+        ];
+        for (world, r) in reports {
+            let r = r.expect("faults were set");
+            assert_eq!(r.rescans, 0, "{world}, {n} clients: {r:?}");
+            assert_eq!(r.parse_errors, 0, "{world}, {n} clients: {r:?}");
+            assert!(r.frames_sent > 0, "{world}, {n} clients: {r:?}");
+        }
+    }
 }
