@@ -25,7 +25,7 @@ use crate::par;
 use acorn_mac::contention::access_share;
 use acorn_mac::timing::delivery_delay_s;
 use acorn_obs::{names, Sink};
-use acorn_phy::estimator::LinkQualityEstimator;
+use acorn_phy::estimator::{LinkQualityEstimator, RatePoint};
 use acorn_phy::{ChannelWidth, GoodputTable};
 use acorn_topology::{ApId, ChannelAssignment, ChannelPlan, ClientId, Wlan};
 use std::sync::Arc;
@@ -212,11 +212,27 @@ impl AcornController {
             Some(t) => t.estimate(snr20_db, ChannelWidth::Ht20).rate_point(width),
             None => e.best_rate_point(e.calibrate_snr(snr20_db, ChannelWidth::Ht20, width), width),
         };
-        delivery_delay_s(
-            self.config.payload_bytes,
-            point.mcs.mcs().rate_bps(width, e.gi),
-            point.per,
-        )
+        self.delay_at(point, width)
+    }
+
+    /// [`delay_from_snr`](AcornController::delay_from_snr) at both widths,
+    /// indexed by `width as usize`, bit for bit: the table path reads both
+    /// from one `estimate` (the two lookups one width already costs), the
+    /// exact path searches each width once.
+    pub fn delays_from_snr(&self, snr20_db: f64) -> [f64; 2] {
+        let widths = [ChannelWidth::Ht20, ChannelWidth::Ht40];
+        match &self.table {
+            Some(t) => {
+                let est = t.estimate(snr20_db, ChannelWidth::Ht20);
+                widths.map(|w| self.delay_at(est.rate_point(w), w))
+            }
+            None => widths.map(|w| self.delay_from_snr(snr20_db, w)),
+        }
+    }
+
+    fn delay_at(&self, point: RatePoint, width: ChannelWidth) -> f64 {
+        let rate_bps = point.mcs.mcs().rate_bps(width, self.config.estimator.gi);
+        delivery_delay_s(self.config.payload_bytes, rate_bps, point.per)
     }
 
     /// The advertised delay for a *tracked* link at the controller

@@ -4,7 +4,10 @@
 //! [`NetworkModel::client_link`] and [`AcornController::delay_from_snr`]
 //! search only the width they are asked about; they must return exactly
 //! what the two-width [`LinkQualityEstimator::estimate`] reports at that
-//! width. [`AcornController::adapt_widths`] reads a bonded AP's two
+//! width. [`AcornController::delays_from_snr`], which fills the city
+//! world's advert cache, must return exactly `delay_from_snr` at each
+//! width, with and without a goodput table.
+//! [`AcornController::adapt_widths`] reads a bonded AP's two
 //! contention-free throughputs from the model's `cell_base` table instead
 //! of re-estimating its cell, which relies on that table holding exactly
 //! `cell_airtime(ap, w).cell_throughput_bps(1.0)`.
@@ -88,6 +91,36 @@ fn exact_queries_match_the_two_width_estimate() {
                     "delay_from_snr at {snr} dB, {width:?}, sigma {}",
                     e.fading_sigma_db
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn two_width_delays_match_the_one_width_queries() {
+    for e in estimators() {
+        let config = AcornConfig {
+            estimator: e,
+            ..AcornConfig::default()
+        };
+        // A narrow table, so the grid also walks its exact out-of-range
+        // path.
+        let table = Arc::new(GoodputTable::build(e, -12.0, 48.0, 0.25));
+        for ctl in [
+            AcornController::new(config),
+            AcornController::with_table(config, table),
+        ] {
+            for snr in snr_grid() {
+                let both = ctl.delays_from_snr(snr);
+                for width in WIDTHS {
+                    assert_eq!(
+                        both[width as usize].to_bits(),
+                        ctl.delay_from_snr(snr, width).to_bits(),
+                        "delays_from_snr at {snr} dB, {width:?}, sigma {}, table {}",
+                        e.fading_sigma_db,
+                        ctl.table().is_some()
+                    );
+                }
             }
         }
     }

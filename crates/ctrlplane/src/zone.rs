@@ -116,7 +116,7 @@ impl ZoneController {
             .faults
             .roll_copy(ctx.telemetry, &mut rng, &bytes, &CTRL_GAUNTLET);
         if let Some((frame, delay)) = rolled {
-            ctx.world.net.pending.insert(frame_id, frame);
+            ctx.world.net.pending.insert(frame_id, frame.into_owned());
             let t = now + self.cfg.link_latency_s + delay.unwrap_or(0.0);
             ctx.send_at(t, target, PlaneEvent::Deliver(frame_id));
         }

@@ -14,6 +14,10 @@
 //!   materialized (O(V+E)) when an epoch needs a model;
 //! * each associated client's HT20 SNR is cached: drift steps refresh it
 //!   and the fault layer's measurement gates write through it;
+//! * so is each cell's *advert* (DESIGN.md §13.4): its clients' delivery
+//!   delays and its ATD, at both widths, kept current wherever an SNR or
+//!   the cell's membership changes. Every reader but the epoch's width
+//!   pass uses it; the access share `M` stays computed on demand;
 //! * Algorithm 2 runs per connected component of the graph, with
 //!   SNR→goodput queries served by the controller's memoized
 //!   [`GoodputTable`](acorn_phy::GoodputTable) when one is attached.
@@ -61,9 +65,33 @@ pub struct Incremental {
     /// Cached HT20 SNR of each active client to its AP (refreshed on
     /// drift steps; meaningless for unassociated clients).
     client_snr20: Vec<f64>,
+    /// Each active client's delivery delay to its AP at both widths
+    /// (indexed by `width as usize`): `delays_from_snr` of its cached SNR.
+    client_delays: Vec<[f64; 2]>,
+    /// Each cell's ATD at both widths: its clients' cached delays summed
+    /// in association order.
+    cell_atd: Vec<[f64; 2]>,
     /// Associated-client count (the exact world scans `assoc`; at 10⁵
     /// clients that scan would dominate every event).
     active: usize,
+}
+
+/// Both widths, in `width as usize` order.
+const WIDTHS: [ChannelWidth; 2] = [ChannelWidth::Ht20, ChannelWidth::Ht40];
+
+/// The ATD at both widths of a cell's delays in association order: the
+/// one summation every cached and every fresh ATD comes from.
+fn atd_of<'a>(delays: impl Iterator<Item = &'a [f64; 2]> + Clone) -> [f64; 2] {
+    [0, 1].map(|w| delays.clone().map(|d| d[w]).sum())
+}
+
+impl Incremental {
+    /// Re-sums cell `ap`'s cached ATDs after a join, leave or member-SNR
+    /// change.
+    fn resum(&mut self, ap: usize) {
+        let delays = &self.client_delays;
+        self.cell_atd[ap] = atd_of(self.cells[ap].iter().map(|&c| &delays[c as usize]));
+    }
 }
 
 /// The incremental (city-scale) world.
@@ -105,6 +133,8 @@ impl CityWorld {
             via_adj: vec![BTreeMap::new(); n],
             cells: vec![Vec::new(); n],
             client_snr20: vec![f64::NEG_INFINITY; wlan.clients.len()],
+            client_delays: vec![[f64::INFINITY; 2]; wlan.clients.len()],
+            cell_atd: vec![atd_of([].iter()); n],
             active: 0,
         };
         World::with_locality(wlan, ctl, seed, local)
@@ -122,9 +152,50 @@ impl CityWorld {
     }
 
     /// Overwrites client `c`'s cached SNR — the measurement path a fault
-    /// process drives (its outlier/NaN gates decide what lands here).
+    /// process drives (its outlier/NaN gates decide what lands here) —
+    /// and, unless the value is bit-identical, its cached delays and its
+    /// cell's ATDs.
     pub fn set_client_snr20(&mut self, c: usize, snr20_db: f64) {
+        if self.local.client_snr20[c].to_bits() == snr20_db.to_bits() {
+            return;
+        }
         self.local.client_snr20[c] = snr20_db;
+        self.local.client_delays[c] = self.ctl.delays_from_snr(snr20_db);
+        if let Some(ap) = self.state.assoc[c] {
+            self.local.resum(ap.0);
+        }
+    }
+
+    /// Client `c`'s cached delivery delay to its AP at `width`.
+    pub(crate) fn client_delay_s(&self, c: usize, width: ChannelWidth) -> f64 {
+        self.local.client_delays[c][width as usize]
+    }
+
+    /// Whether the advert cache equals a fresh recomputation, bit for bit:
+    /// every active client's delays at both widths and every cell's ATDs
+    /// at both widths, from the cached SNRs with
+    /// [`AcornController::delay_from_snr`]. The soak watchdog's invariant
+    /// 6. Outside an epoch its table lookups feed no counter.
+    pub fn advert_cache_matches(&self) -> bool {
+        let bits = |d: &[f64; 2]| d.map(f64::to_bits);
+        (0..self.wlan.aps.len()).all(|ap| {
+            let fresh = self.fresh_delays(ap);
+            let cell = self.local.cells[ap].iter();
+            let cached = cell.map(|&c| &self.local.client_delays[c as usize]);
+            bits(&atd_of(fresh.iter())) == bits(&self.local.cell_atd[ap])
+                && cached.map(bits).eq(fresh.iter().map(bits))
+        })
+    }
+
+    /// Cell `ap`'s delays at both widths from fresh
+    /// [`AcornController::delay_from_snr`] lookups of the cached SNRs.
+    fn fresh_delays(&self, ap: usize) -> Vec<[f64; 2]> {
+        let cell = self.local.cells[ap].iter();
+        cell.map(|&c| {
+            let snr = self.local.client_snr20[c as usize];
+            WIDTHS.map(|w| self.ctl.delay_from_snr(snr, w))
+        })
+        .collect()
     }
 
     /// Materializes the current conflict graph — identical, edge for
@@ -167,29 +238,21 @@ impl CityWorld {
         1.0 / (con as f64 + 1.0)
     }
 
-    /// Sum of the cell's per-client delivery delays at `width` (the
-    /// beacon's ATD), from the cached HT20 SNRs.
-    fn cell_atd_s(&self, ap: usize, width: ChannelWidth) -> f64 {
-        self.local.cells[ap]
-            .iter()
-            .map(|&c| {
-                self.ctl
-                    .delay_from_snr(self.local.client_snr20[c as usize], width)
-            })
-            .sum()
+    /// Localized §5.2 width adaptation for one AP, from its cached ATDs.
+    pub fn adapt_width_local(&mut self, ap: usize) {
+        self.choose_width(ap, self.local.cell_atd[ap]);
     }
 
-    /// Localized §5.2 width adaptation for one AP
-    /// ([`AcornController::choose_width`]; cell throughput at equal
+    /// The §5.2 choice for a bonded, non-empty cell from its ATDs at both
+    /// widths ([`AcornController::choose_width`]; cell throughput at equal
     /// access share is `k·8·payload/ATD`, so widths compare by `1/ATD`).
-    pub fn adapt_width_local(&mut self, ap: usize) {
+    fn choose_width(&mut self, ap: usize, atd: [f64; 2]) {
         if self.state.assignments[ap].width() != ChannelWidth::Ht40
             || self.local.cells[ap].is_empty()
         {
             return;
         }
-        let t40 = self.cell_atd_s(ap, ChannelWidth::Ht40).recip();
-        let t20 = self.cell_atd_s(ap, ChannelWidth::Ht20).recip();
+        let [t20, t40] = atd.map(f64::recip);
         let current = self.state.operating_width[ap];
         self.state.operating_width[ap] = self.ctl.choose_width(current, t20, t40);
     }
@@ -259,8 +322,7 @@ impl CityWorld {
         if !self.ap_up[ap] || self.local.cells[ap].is_empty() {
             return 0.0;
         }
-        let width = self.state.operating_width[ap];
-        let atd = self.cell_atd_s(ap, width);
+        let atd = self.local.cell_atd[ap][self.state.operating_width[ap] as usize];
         if !(atd > 0.0) || !atd.is_finite() {
             return 0.0;
         }
@@ -276,7 +338,7 @@ impl Locality for Incremental {
     fn associate<S: Sink>(w: &mut CityWorld, c: usize, sink: &S) -> Option<(usize, f64)> {
         let pos = w.wlan.clients[c].pos;
         let mut candidates = Vec::new();
-        let mut snrs = Vec::new();
+        let mut links = Vec::new();
         for ap in w.local.grid.within(&pos, w.local.candidate_radius_m) {
             if !w.ap_up[ap] {
                 continue;
@@ -286,21 +348,23 @@ impl Locality for Incremental {
                 continue;
             }
             let width = w.state.operating_width[ap];
-            let d_u = w.ctl.delay_from_snr(snr20, width);
+            let delays = w.ctl.delays_from_snr(snr20);
+            let d_u = delays[width as usize];
             candidates.push(Candidate {
                 ap: ApId(ap),
                 k_including_u: w.local.cells[ap].len() + 1,
                 access_share: w.access_share(ap, false),
-                atd_including_u_s: w.cell_atd_s(ap, width) + d_u,
+                atd_including_u_s: w.local.cell_atd[ap][width as usize] + d_u,
                 delay_u_s: d_u,
             });
-            snrs.push(snr20);
+            links.push((snr20, delays));
         }
         let i = choose_ap(&candidates, sink)?;
         let ap = candidates[i].ap.0;
         w.state.assoc[c] = Some(ApId(ap));
-        w.local.client_snr20[c] = snrs[i];
+        (w.local.client_snr20[c], w.local.client_delays[c]) = links[i];
         w.local.cells[ap].push(c as u32);
+        w.local.resum(ap);
         w.local.active += 1;
         w.update_via_edges(c, ap, 1);
         Some((ap, candidates[i].delay_u_s))
@@ -311,6 +375,7 @@ impl Locality for Incremental {
         let ap = w.state.assoc[c]?.0;
         w.update_via_edges(c, ap, -1);
         w.local.cells[ap].retain(|&x| x as usize != c);
+        w.local.resum(ap);
         w.state.assoc[c] = None;
         w.local.active -= 1;
         Some(ap)
@@ -326,22 +391,38 @@ impl Locality for Incremental {
         }
     }
 
+    /// The epoch's width pass sums fresh [`AcornController::delay_from_snr`]
+    /// lookups rather than reading the cache: inside an epoch they count
+    /// into `phy.table.hits`, which every fingerprint hashes. The sums
+    /// equal the cached ATDs bit for bit.
     fn adapt_all(w: &mut CityWorld) {
         for ap in 0..w.wlan.aps.len() {
-            w.adapt_width_local(ap);
+            if w.state.assignments[ap].width() == ChannelWidth::Ht40 {
+                let atd = atd_of(w.fresh_delays(ap).iter());
+                debug_assert_eq!(
+                    atd.map(f64::to_bits),
+                    w.local.cell_atd[ap].map(f64::to_bits),
+                    "stale cached ATDs at AP {ap}"
+                );
+                w.choose_width(ap, atd);
+            }
         }
     }
 
-    /// Refreshes every active client's cached SNR (a drift step
-    /// decorrelated the shadowing draws).
+    /// Refreshes every active client's cached SNR, delays and cell ATDs
+    /// (a drift step decorrelated the shadowing draws).
     fn refresh_links(w: &mut CityWorld) {
-        for (ap, cell) in w.local.cells.iter().enumerate() {
+        let local = &mut w.local;
+        for (ap, cell) in local.cells.iter().enumerate() {
             for &c in cell {
                 let snr = w
                     .wlan
                     .snr_db(ApId(ap), ClientId(c as usize), ChannelWidth::Ht20);
-                w.local.client_snr20[c as usize] = snr;
+                local.client_snr20[c as usize] = snr;
+                local.client_delays[c as usize] = w.ctl.delays_from_snr(snr);
             }
+            let delays = &local.client_delays;
+            local.cell_atd[ap] = atd_of(cell.iter().map(|&c| &delays[c as usize]));
         }
     }
 
@@ -564,6 +645,31 @@ mod tests {
         );
         assert!(world.local.via_adj.iter().all(|m| m.is_empty()));
         assert_eq!(world.active_clients(), 0);
+    }
+
+    #[test]
+    fn a_stale_advert_cache_is_caught() {
+        let mut world = CityWorld::new(wlan(), table_ctl(), 120.0, 3);
+        let sink = RecordingSink::new();
+        for c in 0..world.wlan.clients.len() {
+            world.associate(c, &sink);
+        }
+        assert!(world.advert_cache_matches());
+        let ap = world.state.assoc[0].expect("client 0 found an AP").0;
+
+        // One ulp off one cell's HT40 ATD.
+        let atd = world.local.cell_atd[ap];
+        world.local.cell_atd[ap][1] = f64::from_bits(atd[1].to_bits() + 1);
+        assert!(
+            !world.advert_cache_matches(),
+            "a stale cell ATD went unseen"
+        );
+        world.local.cell_atd[ap] = atd;
+        assert!(world.advert_cache_matches());
+
+        // One client's HT20 delay off, its cell's sums intact.
+        world.local.client_delays[0][0] *= 1.5;
+        assert!(!world.advert_cache_matches(), "a stale delay went unseen");
     }
 
     #[test]

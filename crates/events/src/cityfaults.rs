@@ -5,9 +5,11 @@
 //! too expensive per event, and its fault process keeps that discipline:
 //! an AP crash touches only its own cell's clients (who detect beacon
 //! silence and re-scan through the spatial index), a measurement fault
-//! touches one cached SNR entry behind an outlier/NaN gate, and a beacon
-//! copy goes through the real `wire` encode → (corrupt) → parse path — so
-//! chaos at 1 000 APs costs O(faults), not O(network).
+//! touches one cached SNR entry (and, through it, that client's cached
+//! delays and its cell's ATDs) behind an outlier/NaN gate, and a beacon
+//! goes through the real `wire` encode → (corrupt) → parse path — so
+//! chaos at 1 000 APs costs O(faults), not O(network). A beacon's delays
+//! are read from the world's advert cache, never re-estimated here.
 //!
 //! What the process adds to the fault core it shares with
 //! [`FaultProcess`](crate::FaultProcess) (documented, not accidental):
@@ -85,14 +87,15 @@ impl CityFaultProcess {
             }
         }
 
-        // --- 2. Beacons: delays from the cached SNRs, access share over
-        // live neighbours.
+        // --- 2. Beacons: the cell's cached delays at its operating width,
+        // access share over live neighbours.
         let advert = |w: &CityWorld, ap: usize| {
-            let clients: Vec<usize> = w.cell_clients(ap).iter().map(|&c| c as usize).collect();
+            let cell = w.cell_clients(ap);
             let width = w.state.operating_width[ap];
-            let delays = clients
+            let clients = cell.iter().map(|&c| c as usize).collect();
+            let delays = cell
                 .iter()
-                .map(|&c| w.ctl.delay_from_snr(w.client_snr20_cached(c), width))
+                .map(|&c| w.client_delay_s(c as usize, width))
                 .collect();
             (clients, delays, w.access_share(ap, true))
         };

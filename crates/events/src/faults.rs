@@ -19,8 +19,13 @@
 //! lifecycle, the measurement draw, the per-client beacon gauntlet with
 //! its delayed-delivery queue, beacon-silence detection with the re-scan
 //! through the locality's Algorithm 1, and the per-round
-//! `resilience.network_bps` sample. [`FaultProcess`] adds what only the
-//! exact world models — IAPP, CSA, and per-client [`ClientTracker`]s;
+//! `resilience.network_bps` sample. Each AP's beacon (and, in the exact
+//! world, each IAPP announcement) is serialized once and parsed once per
+//! round: a copy the gauntlet leaves intact borrows the frame and is
+//! credited with that parse; only a corrupted copy is copied (and parsed
+//! on its own), and only a delayed one is copied into the delivery queue.
+//! [`FaultProcess`] adds what only the exact world models — IAPP, CSA,
+//! and per-client [`ClientTracker`]s;
 //! [`CityFaultProcess`](crate::CityFaultProcess) adds only the gates on
 //! its cached SNRs.
 //!
@@ -34,7 +39,7 @@ use crate::sim::{mix_seed, Ctx, Process};
 use crate::telemetry::{Histogram, Telemetry};
 use crate::world::{AcornEvent, Locality, World};
 use acorn_core::csa::CsaAction;
-use acorn_core::iapp::IappAgent;
+use acorn_core::iapp::{Announcement, IappAgent};
 use acorn_core::{
     parse_announcement, parse_beacon, serialize_announcement, serialize_beacon, switch_plans,
     ApCsa, Beacon, ClientCsa, ClientTracker, TrackerConfig,
@@ -43,6 +48,7 @@ use acorn_obs::{names, RecordingSink};
 use acorn_phy::ChannelWidth;
 use acorn_topology::{ApId, ChannelAssignment, ClientId};
 use serde::Serialize;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Stream salts: each fault decision draws from its own independent
@@ -146,27 +152,28 @@ impl FaultPlan {
 
     /// Rolls the per-copy message-fault gauntlet. Returns `None` if the
     /// copy is lost, `Some((frame, Some(dt)))` if it is delayed by `dt`,
-    /// and `Some((frame, None))` for immediate delivery. Corruption
-    /// mutates the frame (and breaks its FCS — deliberately *not*
-    /// repaired). Counters are reported under `counters`' names, so the
-    /// AP control round and the distributed control plane share one
+    /// and `Some((frame, None))` for immediate delivery. The copy borrows
+    /// `frame` unless corruption mutated it (breaking its FCS —
+    /// deliberately *not* repaired), so only a damaged copy is
+    /// [`Cow::Owned`]. Counters are reported under `counters`' names, so
+    /// the AP control round and the distributed control plane share one
     /// pipeline with distinct namespaces.
-    pub fn roll_copy(
+    pub fn roll_copy<'a>(
         &self,
         tel: &mut Telemetry,
         rng: &mut FaultRng,
-        frame: &[u8],
+        frame: &'a [u8],
         counters: &GauntletCounters,
-    ) -> Option<(Vec<u8>, Option<f64>)> {
+    ) -> Option<(Cow<'a, [u8]>, Option<f64>)> {
         tel.inc(counters.sent);
         if self.loss > 0.0 && rng.u01() < self.loss {
             tel.inc(counters.lost);
             return None;
         }
-        let mut frame = frame.to_vec();
+        let mut frame = Cow::Borrowed(frame);
         if self.corruption > 0.0 && rng.u01() < self.corruption {
             tel.inc(counters.corrupted);
-            corrupt_frame(&mut frame, rng);
+            corrupt_frame(frame.to_mut(), rng);
         }
         if self.delay_prob > 0.0 && rng.u01() < self.delay_prob {
             tel.inc(counters.delayed);
@@ -534,10 +541,11 @@ impl FaultCore {
 
     /// The beacon step: each live AP serializes ONE frame — its cell's
     /// clients, their advertised delays and its access share come from
-    /// `advert` — and every client gets an independent copy through the
-    /// gauntlet: lost, queued for late delivery, or parsed now. Only a
-    /// frame the real parser decodes counts as heard; `heard(ap, client)`
-    /// runs for each.
+    /// `advert` — and parses it once; every client gets an independent
+    /// copy through the gauntlet: lost, queued for late delivery, or
+    /// delivered now. An undamaged copy is credited with the one parse; a
+    /// corrupted one is parsed on its own. Only a frame the real parser
+    /// decodes counts as heard; `heard(ap, client)` runs for each.
     pub(crate) fn beacons<L: Locality>(
         &mut self,
         ctx: &mut Ctx<'_, World<L>, AcornEvent>,
@@ -564,17 +572,23 @@ impl FaultCore {
             let Ok(frame) = serialize_beacon(&beacon, bssid(ap), self.round) else {
                 continue; // more clients than a beacon can count (255)
             };
+            let decodes = parse_beacon(&frame).is_ok();
             for client in clients {
                 match self
                     .plan
                     .roll_copy(ctx.telemetry, &mut rng, &frame, &FAULT_GAUNTLET)
                 {
                     None => {}
-                    Some((frame, Some(dt))) => {
+                    Some((copy, Some(dt))) => {
+                        let frame = copy.into_owned();
                         self.queue(ctx, dt, Delivery::Beacon { frame, ap, client })
                     }
-                    Some((frame, None)) => {
-                        if self.hear(ctx.telemetry, &frame, client) {
+                    Some((copy, None)) => {
+                        let ok = match copy {
+                            Cow::Borrowed(_) => decodes,
+                            Cow::Owned(damaged) => parse_beacon(&damaged).is_ok(),
+                        };
+                        if self.hear(ctx.telemetry, ok, client) {
                             heard(ap, client);
                         }
                     }
@@ -583,17 +597,15 @@ impl FaultCore {
         }
     }
 
-    fn hear(&mut self, tel: &mut Telemetry, frame: &[u8], client: usize) -> bool {
-        match parse_beacon(frame) {
-            Ok(_) => {
-                self.last_heard_round[client] = self.round;
-                true
-            }
-            Err(_) => {
-                tel.inc("faults.parse_errors");
-                false
-            }
+    /// Credits `client` with a beacon copy that the parser decoded (`ok`)
+    /// or rejected.
+    fn hear(&mut self, tel: &mut Telemetry, ok: bool, client: usize) -> bool {
+        if ok {
+            self.last_heard_round[client] = self.round;
+        } else {
+            tel.inc("faults.parse_errors");
         }
+        ok
     }
 
     /// Delivers `delivery` `dt` seconds from now.
@@ -618,7 +630,8 @@ impl FaultCore {
         ap: usize,
         client: usize,
     ) -> bool {
-        ctx.world.state.assoc[client] == Some(ApId(ap)) && self.hear(ctx.telemetry, frame, client)
+        ctx.world.state.assoc[client] == Some(ApId(ap))
+            && self.hear(ctx.telemetry, parse_beacon(frame).is_ok(), client)
     }
 
     /// Whether client `c`'s AP has been silent for more than `miss_limit`
@@ -713,40 +726,52 @@ impl FaultProcess {
     }
 
     /// Sends one IAPP announcement copy to AP `to` through the gauntlet.
+    /// `parsed` is the one parse of `frame`: an undamaged copy is credited
+    /// with it, a corrupted one is parsed on its own.
     fn iapp_copy(
         &mut self,
         ctx: &mut Ctx<'_, AcornWorld, AcornEvent>,
         rng: &mut FaultRng,
         frame: &[u8],
+        parsed: Option<Announcement>,
         to: usize,
         rx_dbm: f64,
     ) {
+        let now = ctx.now();
         match self
             .core
             .plan
             .roll_copy(ctx.telemetry, rng, frame, &FAULT_GAUNTLET)
         {
             None => {}
-            Some((frame, Some(dt))) => {
+            Some((copy, Some(dt))) => {
+                let frame = copy.into_owned();
                 self.core
                     .queue(ctx, dt, Delivery::Iapp { frame, to, rx_dbm })
             }
-            Some((frame, None)) => self.deliver_iapp(ctx.telemetry, &frame, to, rx_dbm, ctx.now()),
+            Some((Cow::Borrowed(_), None)) => {
+                self.deliver_iapp(ctx.telemetry, parsed, to, rx_dbm, now)
+            }
+            Some((Cow::Owned(damaged), None)) => {
+                let parsed = parse_announcement(&damaged).ok();
+                self.deliver_iapp(ctx.telemetry, parsed, to, rx_dbm, now)
+            }
         }
     }
 
-    /// Delivers one IAPP announcement copy to an AP's agent.
+    /// Delivers one IAPP announcement copy, decoded (`Some`) or rejected
+    /// by the parser, to an AP's agent.
     fn deliver_iapp(
         &mut self,
         tel: &mut Telemetry,
-        frame: &[u8],
+        parsed: Option<Announcement>,
         to: usize,
         rx_dbm: f64,
         now: f64,
     ) {
-        match parse_announcement(frame) {
-            Ok(a) => self.agents[to].handle(&a, rx_dbm, now),
-            Err(_) => tel.inc("faults.parse_errors"),
+        match parsed {
+            Some(a) => self.agents[to].handle(&a, rx_dbm, now),
+            None => tel.inc("faults.parse_errors"),
         }
     }
 
@@ -856,13 +881,14 @@ impl FaultProcess {
             let n_cl = ctx.world.state.cell_clients(ApId(ap)).len();
             let ann = self.agents[ap].announce(eff, n_cl, now);
             let frame = serialize_announcement(&ann, bssid(ap));
+            let parsed = parse_announcement(&frame).ok();
             for to in 0..n_aps {
                 if to == ap || !ctx.world.ap_up[to] {
                     continue;
                 }
                 let rx = ctx.world.wlan.ap_to_ap_rx_dbm(ApId(ap), ApId(to));
                 if rx >= decode_floor_dbm {
-                    self.iapp_copy(ctx, &mut iapp_rng, &frame, to, rx);
+                    self.iapp_copy(ctx, &mut iapp_rng, &frame, parsed, to, rx);
                 }
             }
         }
@@ -886,8 +912,9 @@ impl FaultProcess {
                 let n_cl = ctx.world.state.cell_clients(target).len();
                 let reply = self.agents[target.0].announce(eff, n_cl, now);
                 let frame = serialize_announcement(&reply, bssid(target.0));
+                let parsed = parse_announcement(&frame).ok();
                 let rx = ctx.world.wlan.ap_to_ap_rx_dbm(target, ApId(ap));
-                self.iapp_copy(ctx, &mut iapp_rng, &frame, ap, rx);
+                self.iapp_copy(ctx, &mut iapp_rng, &frame, parsed, ap, rx);
             }
         }
 
@@ -946,7 +973,8 @@ impl Process<AcornWorld, AcornEvent> for FaultProcess {
                 }
                 Some(Delivery::Iapp { frame, to, rx_dbm }) => {
                     if ctx.world.ap_up[to] {
-                        self.deliver_iapp(ctx.telemetry, &frame, to, rx_dbm, ctx.now());
+                        let parsed = parse_announcement(&frame).ok();
+                        self.deliver_iapp(ctx.telemetry, parsed, to, rx_dbm, ctx.now());
                     }
                 }
                 None => {}

@@ -284,6 +284,25 @@ impl Series {
     }
 }
 
+/// Applies `write` to the metric under `name`, first inserting `new()`
+/// under an owned key when the name is new: a write to a known metric
+/// allocates nothing.
+fn upsert<V>(
+    map: &mut BTreeMap<String, V>,
+    name: &str,
+    new: impl FnOnce() -> V,
+    write: impl FnOnce(&mut V),
+) {
+    match map.get_mut(name) {
+        Some(v) => write(v),
+        None => {
+            let mut v = new();
+            write(&mut v);
+            map.insert(name.to_string(), v);
+        }
+    }
+}
+
 /// The telemetry recorder processes and sinks write into.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Telemetry {
@@ -338,7 +357,7 @@ impl Telemetry {
 
     /// Increments a counter by `n`.
     pub fn add(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
+        upsert(&mut self.counters, name, || 0, |c| *c += n);
     }
 
     /// Reads a counter (0 if never written).
@@ -348,7 +367,7 @@ impl Telemetry {
 
     /// Sets a gauge to its latest value.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+        upsert(&mut self.gauges, name, || value, |g| *g = value);
     }
 
     /// Reads a gauge.
@@ -360,11 +379,12 @@ impl Telemetry {
     /// window once the recorder's series cap is exceeded).
     pub fn record(&mut self, name: &str, t_s: f64, value: f64) {
         let cap = self.series_cap;
-        let s = self
-            .series
-            .entry(name.to_string())
-            .or_insert_with(|| Series::with_capacity(cap));
-        s.push(t_s, value);
+        upsert(
+            &mut self.series,
+            name,
+            || Series::with_capacity(cap),
+            |s| s.push(t_s, value),
+        );
     }
 
     /// Reads a series.
@@ -381,12 +401,12 @@ impl Telemetry {
     /// a default one (64 linear bins over `[0, 1)`) if the name is new,
     /// so ad-hoc metrics still land somewhere visible.
     pub fn observe(&mut self, name: &str, x: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| {
-                Histogram::linear(0.0, 1.0, 64).expect("static default histogram bounds")
-            })
-            .observe(x);
+        upsert(
+            &mut self.histograms,
+            name,
+            || Histogram::linear(0.0, 1.0, 64).expect("static default histogram bounds"),
+            |h| h.observe(x),
+        );
     }
 
     /// Reads a histogram.
@@ -404,10 +424,9 @@ impl Telemetry {
     /// default-capacity one when the name is new. NaN is counted in the
     /// sketch's `nan_rejected`, matching the histogram policy.
     pub fn sketch_observe(&mut self, name: &str, x: f64) {
-        self.sketches
-            .entry(name.to_string())
-            .or_default()
-            .observe(x);
+        upsert(&mut self.sketches, name, QuantileSketch::default, |s| {
+            s.observe(x)
+        });
     }
 
     /// Reads a sketch.

@@ -1,8 +1,9 @@
 //! Periodic goodput probe with bounded-memory recording.
 //!
 //! Once per period the probe evaluates the localized live-network
-//! goodput model ([`CityWorld::cell_bps_up`] summed over cells —
-//! O(neighbours) per cell, no full model build) and records it three
+//! goodput model ([`CityWorld::cell_bps_up`] summed over cells: the
+//! cell's cached ATD at its operating width, plus an O(neighbours) access
+//! share — no estimator lookup, no model build) and records it three
 //! ways:
 //!
 //! * `soak.network_bps` **series** — the recent window, ring-buffered

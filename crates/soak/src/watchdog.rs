@@ -21,6 +21,10 @@
 //!    epoch saw a hole (checked only when a fault layer is attached).
 //! 5. **Liveness gauge (5).** The fault layer's `faults.aps_down` gauge
 //!    must equal the world's actual down count.
+//! 6. **Advert twin (6).** The world's cached per-client delays and
+//!    per-cell ATDs must equal a fresh recomputation from the cached
+//!    SNRs, bit for bit ([`CityWorld::advert_cache_matches`]) — on the
+//!    graph twin's cadence. It records nothing unless it trips.
 //!
 //! On a violation the watchdog increments `watchdog.violations` (plus a
 //! per-code counter), freezes the first trip's coordinates into the
@@ -36,8 +40,9 @@ use acorn_topology::ApId;
 pub struct WatchdogSpec {
     /// Check period (s).
     pub period_s: f64,
-    /// Run the O(V+E) graph-twin recomputation every Nth check (the
-    /// cheap O(clients) checks run every time). 0 disables it.
+    /// Run the O(V+E) graph-twin and advert-twin recomputations every
+    /// Nth check (the cheap O(clients) checks run every time). 0
+    /// disables them.
     pub graph_check_every: u64,
     /// Stop the simulation at the first violation.
     pub fail_fast: bool,
@@ -170,11 +175,15 @@ impl Process<CityWorld, AcornEvent> for InvariantWatchdog {
             }
         }
 
-        // (1) Graph twin: incremental vs from-scratch, every Nth check.
+        // (1) Graph twin and (6) advert twin: incremental vs from-scratch,
+        // every Nth check.
         if self.spec.graph_check_every > 0 && self.checks % self.spec.graph_check_every == 0 {
             let w = &*ctx.world;
             let twin_ok = w.graph_snapshot() == w.wlan.interference_graph(&w.state.assoc);
             if !twin_ok && self.violate(ctx, 1, "graph") {
+                return;
+            }
+            if !ctx.world.advert_cache_matches() && self.violate(ctx, 6, "advert") {
                 return;
             }
             ctx.telemetry.inc("watchdog.graph_checks");

@@ -16,8 +16,9 @@
 #      exactly, and partitions must degrade per-zone only,
 #   5c. the chaos-soak smoke gate: short-horizon soak with internal
 #      ACORN_THREADS = 1/2/8 sweep (bit-identical logs + sketch
-#      fingerprints), sabotage negative test, bounded-telemetry growth,
-#      plane chaos heal, and the sketch property suite,
+#      fingerprints) under every watchdog invariant (the advert twin,
+#      invariant 6, included), sabotage negative test, bounded-telemetry
+#      growth, plane chaos heal, and the sketch property suite,
 #   6. the observability overhead gate: the baseband packet path must
 #      stay zero-allocation with a NullSink attached (measured under the
 #      counting allocator), and instrumented runs must be bit-identical
@@ -152,6 +153,13 @@ echo "== chaos-soak smoke gate =="
 # with replayable coordinates; sketch/series telemetry must stay
 # bounded as the horizon grows; and the distributed plane must heal
 # back to its centralized twin under periodic partition/crash windows.
+# Every soak run here checks the watchdog's invariants online, including
+# invariant 6: the city world's advert cache (cached per-client delays
+# and per-cell ATDs) equals a fresh recomputation bit for bit. The
+# property test that drives that cache through random joins, leaves,
+# SNR write-throughs, drift and AP crash/restart
+# (advert_cache_tracks_every_world_change in tests/properties.rs) runs
+# in the workspace test stage above.
 # The sketch property suite pins merge commutativity / associativity
 # and the deterministic rank-error bound against an exact ECDF.
 cargo test -q --offline --release --test soak

@@ -631,3 +631,124 @@ proptest! {
         prop_assert!(parse_envelope(&frame[..keep]).is_err());
     }
 }
+
+/// A small shadowed deployment for the advert-cache walk: six APs 60 m
+/// apart in a 3 x 2 grid, twelve clients scattered over it.
+fn advert_city(table: bool) -> acorn::events::CityWorld {
+    use acorn::core::{AcornConfig, AcornController};
+    use acorn::phy::GoodputTable;
+    use acorn::topology::{Point, Wlan};
+    use std::sync::{Arc, OnceLock};
+    static TABLE: OnceLock<Arc<GoodputTable>> = OnceLock::new();
+    let aps = (0..6)
+        .map(|i| Point::new(60.0 * (i % 3) as f64, 60.0 * (i / 3) as f64))
+        .collect();
+    let clients = (0..12)
+        .map(|i| Point::new(-20.0 + 13.0 * i as f64, 35.0 * (i % 3) as f64 - 5.0))
+        .collect();
+    let wlan = Wlan::new(aps, clients, 23);
+    let ctl = if table {
+        // A narrow range, so that drifted and injected SNRs also take the
+        // table's exact out-of-range path.
+        let t = TABLE.get_or_init(|| {
+            Arc::new(GoodputTable::build(
+                LinkQualityEstimator::default(),
+                -12.0,
+                48.0,
+                0.25,
+            ))
+        });
+        AcornController::with_table(AcornConfig::default(), Arc::clone(t))
+    } else {
+        AcornController::new(AcornConfig::default())
+    };
+    acorn::events::CityWorld::new(wlan, ctl, 120.0, 5)
+}
+
+/// What `CityWorld::cell_bps_up` computed before the advert cache: a fresh
+/// `delay_from_snr` per client of the cell, summed in association order.
+fn reference_cell_bps(w: &acorn::events::CityWorld, ap: usize) -> f64 {
+    let cell = w.cell_clients(ap);
+    if !w.ap_up[ap] || cell.is_empty() {
+        return 0.0;
+    }
+    let width = w.state.operating_width[ap];
+    let atd: f64 = cell
+        .iter()
+        .map(|&c| {
+            w.ctl
+                .delay_from_snr(w.client_snr20_cached(c as usize), width)
+        })
+        .sum();
+    if !(atd > 0.0) || !atd.is_finite() {
+        return 0.0;
+    }
+    let k = cell.len() as f64;
+    w.access_share(ap, true) * k * 8.0 * w.ctl.config.payload_bytes as f64 / atd
+}
+
+proptest! {
+    // The city world's advert cache (per-client delays and per-cell ATDs
+    // at both widths) stays bit-equal to a fresh recomputation through
+    // any mix of joins, leaves, SNR write-throughs (equal bits included),
+    // drift steps, epoch width passes and AP crash/restart with re-scan,
+    // and every cell's goodput equals the pre-cache formula bit for bit.
+    #[test]
+    fn advert_cache_tracks_every_world_change(
+        table in any::<bool>(),
+        steps in proptest::collection::vec(any::<u64>(), 1..40),
+    ) {
+        use acorn::core::NullSink;
+        use acorn::events::{Incremental, Locality, Telemetry};
+        let mut w = advert_city(table);
+        let mut tel = Telemetry::new();
+        let (n_aps, n_clients) = (w.wlan.aps.len(), w.wlan.clients.len());
+        for x in steps {
+            let c = (x >> 8) as usize % n_clients;
+            let ap = (x >> 8) as usize % n_aps;
+            let offset_db = ((x >> 24) % 81) as f64 / 2.0 - 20.0;
+            match x % 8 {
+                0 | 1 if w.state.assoc[c].is_none() => {
+                    w.arrive(c, true, &mut tel);
+                }
+                2 => {
+                    w.depart(c, true, &mut tel);
+                }
+                3 if w.state.assoc[c].is_some() => {
+                    let snr = w.client_snr20_cached(c) + offset_db;
+                    w.set_client_snr20(c, snr);
+                }
+                4 if w.state.assoc[c].is_some() => {
+                    let snr = w.client_snr20_cached(c);
+                    w.set_client_snr20(c, snr);
+                }
+                5 => {
+                    w.wlan.pathloss.drift_phase += 0.4;
+                    Incremental::refresh_links(&mut w);
+                }
+                6 => Incremental::adapt_all(&mut w),
+                7 if w.ap_up[ap] => {
+                    // A crash: the cell's clients find the silence and
+                    // re-scan over the live APs.
+                    w.ap_up[ap] = false;
+                    for c in w.cell_clients(ap).to_vec() {
+                        w.deassociate(c as usize);
+                        w.associate(c as usize, &NullSink);
+                    }
+                }
+                7 => w.ap_up[ap] = true,
+                _ => {}
+            }
+            prop_assert!(w.advert_cache_matches(), "stale advert after step {x:#x}");
+            for a in 0..n_aps {
+                prop_assert_eq!(
+                    w.cell_bps_up(a).to_bits(),
+                    reference_cell_bps(&w, a).to_bits(),
+                    "AP {} after step {:#x}",
+                    a,
+                    x
+                );
+            }
+        }
+    }
+}
