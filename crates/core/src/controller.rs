@@ -16,6 +16,11 @@
 //!   AP, using either of the two 20 MHz channels will not change the
 //!   interference on the neighboring APs"
 //!   ([`AcornController::adapt_widths`]).
+//!
+//! These functions re-derive the model from the deployment on every
+//! call: they are the offline API. The event runtime's worlds keep cells,
+//! conflict graph and per-cell adverts current instead, and its exact
+//! world is tested against these functions bit for bit.
 
 use crate::allocation::{allocate, random_initial, AllocSpec, AllocationConfig, AllocationResult};
 use crate::association::{choose_ap, Candidate};

@@ -48,6 +48,10 @@ pub mod theory;
 pub mod tracker;
 pub mod wire;
 
+/// `CellAirtime`'s cell-throughput formula from a cell's client count and
+/// ATD, for worlds that keep each cell's ATD current instead of its delay
+/// vector.
+pub use acorn_mac::airtime::cell_throughput_from_atd_bps;
 /// Every entry point takes its metric sink explicitly; this lets callers
 /// switch observability off without depending on `acorn-obs` themselves.
 pub use acorn_obs::NullSink;

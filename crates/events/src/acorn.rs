@@ -1,14 +1,21 @@
-//! The exact ACORN world: [`Exact`] locality, the walking-client
-//! [`MobilityProcess`] that only it supports, and the
+//! The exact ACORN world: the [`Exact`] locality and the
 //! [`CompositeScenario`] that wires the standard processes over it.
 //!
-//! [`Exact`] is the reference semantics. Every event re-derives what it
-//! reads from scratch: a client probes every live AP (through
-//! [`AcornController::candidates_for`]), the §5.2 width fallback runs
-//! network-wide after any association change, and an epoch evaluates
-//! the per-AP effective-width objective before rebuilding the model and
-//! running the paper's whole-network Algorithm 2. That is O(network) per
-//! event, which caps it at a few hundred APs;
+//! [`Exact`] is the reference semantics: a client probes every live AP,
+//! the §5.2 width fallback runs network-wide after any association
+//! change, and an epoch evaluates the per-AP effective-width objective
+//! before building the model and running the paper's whole-network
+//! Algorithm 2. It reads the structures the [`World`] maintains for
+//! every locality — the conflict graph, the cells and their adverts —
+//! and keeps only those decisions: cells list their clients in
+//! ascending index, the order
+//! [`NetworkState::cell_clients`](acorn_core::NetworkState::cell_clients)
+//! lists and [`AcornController::build_model`] sums in, so every
+//! candidate, width choice, goodput sample and epoch model
+//! equals the controller's offline API (`candidates_for`,
+//! `adapt_widths`, `total_throughput_bps`, `build_model`) bit for bit.
+//! Each event is still O(network) — every AP is probed and every bonded
+//! AP revisited — which caps it at a few hundred APs;
 //! [`Incremental`](crate::city::Incremental) localizes the same loop for
 //! city scale.
 //!
@@ -18,17 +25,19 @@
 //! thread-count determinism tests compare.
 
 use crate::faults::{run_with_golden_twin, FaultPlan, FaultProcess};
-use crate::sim::{Ctx, Process, Simulation};
+use crate::sim::Simulation;
 use crate::world::{
-    AcornEvent, DriftSpec, Locality, ReallocationTimer, ScenarioReport, SeedPolicy, SessionProcess,
-    World,
+    AcornEvent, DriftSpec, Locality, MobilityProcess, ReallocationTimer, ScenarioReport,
+    SeedPolicy, SessionProcess, World,
 };
-use acorn_core::{choose_ap, AcornController, NetworkModel};
+use acorn_core::{AcornController, NetworkModel};
 use acorn_obs::{names, RecordingSink, Sink};
-use acorn_topology::{ApId, ClientId, Trajectory, Wlan};
+use acorn_phy::ChannelWidth;
+use acorn_topology::{ClientId, Trajectory, Wlan};
 use acorn_traces::Session;
 
-/// The exact locality: no cached structures, every query network-wide.
+/// The exact locality: every query network-wide, cells in ascending
+/// client index.
 #[derive(Debug, Clone, Copy)]
 pub struct Exact;
 
@@ -45,21 +54,10 @@ impl AcornWorld {
 impl Locality for Exact {
     type Epoch = ();
     const PER_COMPONENT: bool = false;
+    const ASSOCIATION_ORDER: bool = false;
 
-    fn associate<S: Sink>(w: &mut AcornWorld, c: usize, sink: &S) -> Option<(usize, f64)> {
-        let mut candidates = w.ctl.candidates_for(&w.wlan, &w.state, ClientId(c));
-        candidates.retain(|cand| w.ap_up[cand.ap.0]);
-        let chosen = &candidates[choose_ap(&candidates, sink)?];
-        w.state.assoc[c] = Some(chosen.ap);
-        Some((chosen.ap.0, chosen.delay_u_s))
-    }
-
-    fn deassociate(w: &mut AcornWorld, c: usize) -> Option<usize> {
-        w.state.assoc[c].take().map(|ap| ap.0)
-    }
-
-    fn active_clients(w: &AcornWorld) -> usize {
-        w.state.assoc.iter().filter(|a| a.is_some()).count()
+    fn probe_scope(w: &AcornWorld, _c: usize) -> Vec<usize> {
+        (0..w.wlan.aps.len()).collect()
     }
 
     /// Network-wide after any association change, even one that found
@@ -68,16 +66,27 @@ impl Locality for Exact {
         Self::adapt_all(w);
     }
 
+    /// Every bonded AP compares its cell's contention-free goodput at
+    /// both widths, from the cached ATDs.
     fn adapt_all(w: &mut AcornWorld) {
-        w.ctl.adapt_widths(&w.wlan, &mut w.state);
+        for ap in 0..w.wlan.aps.len() {
+            if w.state.assignments[ap].width() == ChannelWidth::Ht40 {
+                let t20 = w.cell_bps(ap, ChannelWidth::Ht20, 1.0);
+                let t40 = w.cell_bps(ap, ChannelWidth::Ht40, 1.0);
+                let current = w.state.operating_width[ap];
+                w.state.operating_width[ap] = w.ctl.choose_width(current, t20, t40);
+            }
+        }
     }
 
-    fn refresh_links(_w: &mut AcornWorld) {}
-
+    /// Every live cell at its operating width, with its access share over
+    /// all its neighbours. With every AP up this sums every cell, so
+    /// fault-free runs keep their golden fingerprints.
     fn live_bps(w: &AcornWorld) -> f64 {
-        // With every AP up the mask sums every cell, so fault-free runs
-        // keep their golden fingerprints.
-        w.ctl.total_throughput_bps(&w.wlan, &w.state, &w.ap_up)
+        (0..w.wlan.aps.len())
+            .filter(|&ap| w.ap_up[ap])
+            .map(|ap| w.cell_bps(ap, w.state.operating_width[ap], w.access_share(ap, false)))
+            .sum()
     }
 
     fn open_epoch(_w: &AcornWorld) {}
@@ -87,63 +96,12 @@ impl Locality for Exact {
     }
 
     fn epoch_model(w: &AcornWorld, _epoch: ()) -> NetworkModel {
-        w.ctl.build_model(&w.wlan, &w.state)
+        w.build_model()
     }
 
     fn close_epoch(_model: &NetworkModel, total_bps: f64, sink: &RecordingSink) {
         sink.inc(names::CONTROLLER_EPOCHS);
         sink.gauge(names::CONTROLLER_TOTAL_BPS, total_bps);
-    }
-}
-
-/// Walks one client along a [`Trajectory`], re-sampling its position
-/// every `sample_period_s` (first sample at `t = 0`) and optionally
-/// letting its AP re-evaluate the §5.2 width fallback. Telemetry:
-/// `mobility.snr20_db` series (the mobile's best HT20 SNR over all APs)
-/// and a `mobility.samples` counter.
-pub struct MobilityProcess {
-    /// The walking client.
-    pub client: ClientId,
-    /// Its walk.
-    pub trajectory: Trajectory,
-    /// Position-update period (s).
-    pub sample_period_s: f64,
-    /// Horizon (s); samples past it never fire.
-    pub horizon_s: f64,
-    /// Run the width adaptation after each position update.
-    pub adapt_widths: bool,
-}
-
-impl Process<AcornWorld, AcornEvent> for MobilityProcess {
-    fn start(&mut self, ctx: &mut Ctx<'_, AcornWorld, AcornEvent>) {
-        assert!(
-            self.client.0 < ctx.world.wlan.clients.len(),
-            "mobile client {} has no position in the deployment",
-            self.client.0
-        );
-        ctx.schedule_at(0.0, AcornEvent::MobilitySample);
-    }
-
-    fn handle(&mut self, event: &AcornEvent, ctx: &mut Ctx<'_, AcornWorld, AcornEvent>) {
-        debug_assert_eq!(*event, AcornEvent::MobilitySample);
-        let t = ctx.now();
-        let w = &mut *ctx.world;
-        w.wlan.clients[self.client.0].pos = self.trajectory.position_at(t);
-        if self.adapt_widths {
-            Exact::adapt_all(w);
-        }
-        let snr = (0..w.wlan.aps.len())
-            .map(|i| {
-                w.wlan
-                    .snr_db(ApId(i), self.client, acorn_phy::ChannelWidth::Ht20)
-            })
-            .fold(f64::NEG_INFINITY, f64::max);
-        ctx.telemetry.record("mobility.snr20_db", t, snr);
-        ctx.telemetry.inc("mobility.samples");
-        let next = t + self.sample_period_s;
-        if next <= self.horizon_s {
-            ctx.schedule_at(next, AcornEvent::MobilitySample);
-        }
     }
 }
 

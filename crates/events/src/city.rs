@@ -1,32 +1,25 @@
 //! The incremental ACORN world: the [`Incremental`] locality and the
 //! [`CityScenario`] that runs the standard processes over it.
 //!
-//! [`Exact`](crate::acorn::Exact) re-derives the interference graph,
-//! every cell's SNR list, and every beacon on each event — O(network) per
-//! event, which caps it at a few hundred APs. [`Incremental`] keeps every
-//! event handler local:
+//! [`Incremental`] keeps every event handler local, on the structures
+//! the [`World`] maintains for both localities (the AP
+//! [`SpatialGrid`](acorn_topology::SpatialGrid), the reference-counted
+//! conflict graph, the cells and their adverts):
 //!
-//! * an AP [`SpatialGrid`] answers "which APs can hear this point?" in
-//!   O(neighbours), so candidate sets and edge updates never scan every AP;
-//! * the conflict graph is maintained *incrementally* — static AP–AP
-//!   edges from the grid at build time, client-mediated edges as
-//!   reference-counted entries updated on arrival/departure — and only
-//!   materialized (O(V+E)) when an epoch needs a model;
-//! * each associated client's HT20 SNR is cached: drift steps refresh it
-//!   and the fault layer's measurement gates write through it;
-//! * so is each cell's *advert* (DESIGN.md §13.4): its clients' delivery
-//!   delays and its ATD, at both widths, kept current wherever an SNR or
-//!   the cell's membership changes. Every reader but the epoch's width
-//!   pass uses it; the access share `M` stays computed on demand;
+//! * a client probes only the live APs within the candidate radius, a
+//!   radius query on the grid, so candidate sets never scan every AP;
+//! * a cell lists its clients in association order, and the §5.2 width
+//!   fallback after a cell change revisits only that cell;
+//! * the fault layer's measurement gates write through the cached SNRs
+//!   ([`CityWorld::set_client_snr20`]);
 //! * Algorithm 2 runs per connected component of the graph, with
 //!   SNR→goodput queries served by the controller's memoized
 //!   [`GoodputTable`](acorn_phy::GoodputTable) when one is attached.
 //!
 //! The [`world`](crate::world) module lists what this localizes relative
-//! to the exact world. Per-client mobility is not part of this scenario
-//! class: client positions are fixed for the run. The `City*` process
-//! names are aliases of the processes both worlds share, kept because
-//! existing callers build them by name.
+//! to the exact world. The `City*` process names are aliases of the
+//! processes both worlds share, kept because existing callers build them
+//! by name.
 //!
 //! Determinism is inherited wholesale: handlers are sequential, the
 //! client-edge multiset lives in `BTreeMap`s (ordered iteration), and the
@@ -37,61 +30,19 @@ use crate::cityfaults::CityFaultProcess;
 use crate::faults::{run_with_golden_twin, FaultPlan};
 use crate::sim::Simulation;
 use crate::world::{
-    AcornEvent, DriftProcess, DriftSpec, Locality, ReallocationTimer, ScenarioReport, SeedPolicy,
-    SessionProcess, World,
+    atd_of, AcornEvent, DriftProcess, DriftSpec, Locality, ReallocationTimer, ScenarioReport,
+    SeedPolicy, SessionProcess, World,
 };
-use acorn_core::{choose_ap, AcornController, Candidate, ClientSnr, NetworkModel, ThroughputModel};
-use acorn_obs::{RecordingSink, Sink};
+use acorn_core::{AcornController, NetworkModel, ThroughputModel};
+use acorn_obs::RecordingSink;
 use acorn_phy::ChannelWidth;
-use acorn_topology::{ApId, ClientId, InterferenceGraph, SpatialGrid, Wlan};
+use acorn_topology::Wlan;
 use acorn_traces::Session;
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
-/// The incremental locality's structures.
+/// The incremental locality's own parameter: the association candidate
+/// radius (m).
 pub struct Incremental {
-    /// Association candidate radius (m).
     candidate_radius_m: f64,
-    /// Spatial index over AP positions.
-    grid: SpatialGrid,
-    /// Static AP–AP conflict edges (both directions, ascending).
-    static_adj: Vec<Vec<u32>>,
-    /// Client-mediated conflict edges as reference counts: `via_adj[a]`
-    /// maps neighbour `b` to the number of associated clients currently
-    /// inducing the edge `a–b`. Symmetric.
-    via_adj: Vec<BTreeMap<u32, u32>>,
-    /// Active clients per AP, in association order.
-    cells: Vec<Vec<u32>>,
-    /// Cached HT20 SNR of each active client to its AP (refreshed on
-    /// drift steps; meaningless for unassociated clients).
-    client_snr20: Vec<f64>,
-    /// Each active client's delivery delay to its AP at both widths
-    /// (indexed by `width as usize`): `delays_from_snr` of its cached SNR.
-    client_delays: Vec<[f64; 2]>,
-    /// Each cell's ATD at both widths: its clients' cached delays summed
-    /// in association order.
-    cell_atd: Vec<[f64; 2]>,
-    /// Associated-client count (the exact world scans `assoc`; at 10⁵
-    /// clients that scan would dominate every event).
-    active: usize,
-}
-
-/// Both widths, in `width as usize` order.
-const WIDTHS: [ChannelWidth; 2] = [ChannelWidth::Ht20, ChannelWidth::Ht40];
-
-/// The ATD at both widths of a cell's delays in association order: the
-/// one summation every cached and every fresh ATD comes from.
-fn atd_of<'a>(delays: impl Iterator<Item = &'a [f64; 2]> + Clone) -> [f64; 2] {
-    [0, 1].map(|w| delays.clone().map(|d| d[w]).sum())
-}
-
-impl Incremental {
-    /// Re-sums cell `ap`'s cached ATDs after a join, leave or member-SNR
-    /// change.
-    fn resum(&mut self, ap: usize) {
-        let delays = &self.client_delays;
-        self.cell_atd[ap] = atd_of(self.cells[ap].iter().map(|&c| &delays[c as usize]));
-    }
 }
 
 /// The incremental (city-scale) world.
@@ -113,42 +64,8 @@ impl CityWorld {
             candidate_radius_m > 0.0,
             "candidate radius must be positive"
         );
-        let r = wlan.radio.carrier_sense_range_m;
-        let ap_points: Vec<_> = wlan.aps.iter().map(|a| a.pos).collect();
-        let grid = SpatialGrid::build(&ap_points, r.max(1.0));
-        let n = wlan.aps.len();
-        let static_adj: Vec<Vec<u32>> = (0..n)
-            .map(|i| {
-                grid.within(&wlan.aps[i].pos, r)
-                    .into_iter()
-                    .filter(|&j| j != i)
-                    .map(|j| j as u32)
-                    .collect()
-            })
-            .collect();
-        let local = Incremental {
-            candidate_radius_m,
-            grid,
-            static_adj,
-            via_adj: vec![BTreeMap::new(); n],
-            cells: vec![Vec::new(); n],
-            client_snr20: vec![f64::NEG_INFINITY; wlan.clients.len()],
-            client_delays: vec![[f64::INFINITY; 2]; wlan.clients.len()],
-            cell_atd: vec![atd_of([].iter()); n],
-            active: 0,
-        };
+        let local = Incremental { candidate_radius_m };
         World::with_locality(wlan, ctl, seed, local)
-    }
-
-    /// The clients currently in `ap`'s cell, in association order.
-    pub fn cell_clients(&self, ap: usize) -> &[u32] {
-        &self.local.cells[ap]
-    }
-
-    /// The cached HT20 SNR of client `c` to its AP (meaningless for
-    /// unassociated clients).
-    pub fn client_snr20_cached(&self, c: usize) -> f64 {
-        self.local.client_snr20[c]
     }
 
     /// Overwrites client `c`'s cached SNR — the measurement path a fault
@@ -156,91 +73,14 @@ impl CityWorld {
     /// and, unless the value is bit-identical, its cached delays and its
     /// cell's ATDs.
     pub fn set_client_snr20(&mut self, c: usize, snr20_db: f64) {
-        if self.local.client_snr20[c].to_bits() == snr20_db.to_bits() {
-            return;
+        if self.client_snr20_cached(c).to_bits() != snr20_db.to_bits() {
+            self.set_link(c, snr20_db);
         }
-        self.local.client_snr20[c] = snr20_db;
-        self.local.client_delays[c] = self.ctl.delays_from_snr(snr20_db);
-        if let Some(ap) = self.state.assoc[c] {
-            self.local.resum(ap.0);
-        }
-    }
-
-    /// Client `c`'s cached delivery delay to its AP at `width`.
-    pub(crate) fn client_delay_s(&self, c: usize, width: ChannelWidth) -> f64 {
-        self.local.client_delays[c][width as usize]
-    }
-
-    /// Whether the advert cache equals a fresh recomputation, bit for bit:
-    /// every active client's delays at both widths and every cell's ATDs
-    /// at both widths, from the cached SNRs with
-    /// [`AcornController::delay_from_snr`]. The soak watchdog's invariant
-    /// 6. Outside an epoch its table lookups feed no counter.
-    pub fn advert_cache_matches(&self) -> bool {
-        let bits = |d: &[f64; 2]| d.map(f64::to_bits);
-        (0..self.wlan.aps.len()).all(|ap| {
-            let fresh = self.fresh_delays(ap);
-            let cell = self.local.cells[ap].iter();
-            let cached = cell.map(|&c| &self.local.client_delays[c as usize]);
-            bits(&atd_of(fresh.iter())) == bits(&self.local.cell_atd[ap])
-                && cached.map(bits).eq(fresh.iter().map(bits))
-        })
-    }
-
-    /// Cell `ap`'s delays at both widths from fresh
-    /// [`AcornController::delay_from_snr`] lookups of the cached SNRs.
-    fn fresh_delays(&self, ap: usize) -> Vec<[f64; 2]> {
-        let cell = self.local.cells[ap].iter();
-        cell.map(|&c| {
-            let snr = self.local.client_snr20[c as usize];
-            WIDTHS.map(|w| self.ctl.delay_from_snr(snr, w))
-        })
-        .collect()
-    }
-
-    /// Materializes the current conflict graph — identical, edge for
-    /// edge, to `wlan.interference_graph(&state.assoc)`: the static grid
-    /// edges plus every positively-referenced client-mediated edge.
-    pub fn graph_snapshot(&self) -> InterferenceGraph {
-        let n = self.wlan.aps.len();
-        let mut g = InterferenceGraph::new(n);
-        for (i, nbs) in self.local.static_adj.iter().enumerate() {
-            for &j in nbs.iter().filter(|&&j| (j as usize) > i) {
-                g.add_edge(ApId(i), ApId(j as usize));
-            }
-        }
-        for (a, nbs) in self.local.via_adj.iter().enumerate() {
-            for (&b, &count) in nbs.range((a as u32 + 1)..) {
-                debug_assert!(count > 0, "zero-count edge left in via_adj");
-                g.add_edge(ApId(a), ApId(b as usize));
-            }
-        }
-        g
-    }
-
-    /// The paper's `M = 1/(|con|+1)` access share of `ap` under the
-    /// current dynamic graph and *effective* assignments. With
-    /// `live_only`, only live conflicting neighbours count — dead APs
-    /// don't transmit, so they cost no airtime.
-    pub fn access_share(&self, ap: usize, live_only: bool) -> f64 {
-        let own = self.state.effective_assignment(ApId(ap));
-        let static_adj = &self.local.static_adj[ap];
-        let conflicts = |j: u32| {
-            (!live_only || self.ap_up[j as usize])
-                && own.conflicts(self.state.effective_assignment(ApId(j as usize)))
-        };
-        // Client-mediated neighbours already in static range count once.
-        let con = static_adj.iter().filter(|&&j| conflicts(j)).count()
-            + self.local.via_adj[ap]
-                .keys()
-                .filter(|&&j| static_adj.binary_search(&j).is_err() && conflicts(j))
-                .count();
-        1.0 / (con as f64 + 1.0)
     }
 
     /// Localized §5.2 width adaptation for one AP, from its cached ATDs.
     pub fn adapt_width_local(&mut self, ap: usize) {
-        self.choose_width(ap, self.local.cell_atd[ap]);
+        self.choose_width(ap, self.cell_atd[ap]);
     }
 
     /// The §5.2 choice for a bonded, non-empty cell from its ATDs at both
@@ -248,7 +88,7 @@ impl CityWorld {
     /// access share is `k·8·payload/ATD`, so widths compare by `1/ATD`).
     fn choose_width(&mut self, ap: usize, atd: [f64; 2]) {
         if self.state.assignments[ap].width() != ChannelWidth::Ht40
-            || self.local.cells[ap].is_empty()
+            || self.cell_clients(ap).is_empty()
         {
             return;
         }
@@ -257,76 +97,20 @@ impl CityWorld {
         self.state.operating_width[ap] = self.ctl.choose_width(current, t20, t40);
     }
 
-    /// Adds (+1) or removes (−1) the client-mediated edges client `c`
-    /// induces between its owner `ap` and every other AP in carrier-sense
-    /// range of the client.
-    fn update_via_edges(&mut self, c: usize, ap: usize, delta: i32) {
-        let r = self.wlan.radio.carrier_sense_range_m;
-        let local = &mut self.local;
-        for j in local.grid.within(&self.wlan.clients[c].pos, r) {
-            if j == ap {
-                continue;
-            }
-            for (x, y) in [(ap, j), (j, ap)] {
-                if delta > 0 {
-                    *local.via_adj[x].entry(y as u32).or_insert(0) += 1;
-                } else {
-                    let e = local.via_adj[x]
-                        .get_mut(&(y as u32))
-                        .expect("departing client's edge must exist");
-                    *e -= 1;
-                    if *e == 0 {
-                        local.via_adj[x].remove(&(y as u32));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Builds the throughput model from the maintained structures (the
-    /// exact world's `build_model` re-derives cells by scanning every
-    /// client per AP — O(aps·clients) — which this path exists to avoid).
-    pub fn build_model(&self) -> NetworkModel {
-        let graph = self.graph_snapshot();
-        let cells: Vec<Vec<ClientSnr>> = self
-            .local
-            .cells
-            .iter()
-            .map(|cell| {
-                cell.iter()
-                    .map(|&c| ClientSnr {
-                        client: c as usize,
-                        snr20_db: self.local.client_snr20[c as usize],
-                    })
-                    .collect()
-            })
-            .collect();
-        match self.ctl.table() {
-            Some(t) => {
-                NetworkModel::with_table(graph, cells, Arc::clone(t), self.ctl.config.payload_bytes)
-            }
-            None => NetworkModel::with_config(
-                graph,
-                cells,
-                self.ctl.config.estimator,
-                self.ctl.config.payload_bytes,
-            ),
-        }
-    }
-
     /// One live cell's goodput under the localized model:
-    /// `share · k · 8 · payload / ATD` at the cell's operating width.
-    /// Zero for dead or empty cells. O(neighbours) — cheap enough for
-    /// per-tick soak probes, unlike a full model build.
+    /// `share · k · 8 · payload / ATD` at the cell's operating width, with
+    /// the share over live neighbours only. Zero for dead or empty cells.
+    /// O(neighbours) — cheap enough for per-tick soak probes, unlike a
+    /// full model build.
     pub fn cell_bps_up(&self, ap: usize) -> f64 {
-        if !self.ap_up[ap] || self.local.cells[ap].is_empty() {
+        if !self.ap_up[ap] || self.cell_clients(ap).is_empty() {
             return 0.0;
         }
-        let atd = self.local.cell_atd[ap][self.state.operating_width[ap] as usize];
+        let atd = self.cell_atd[ap][self.state.operating_width[ap] as usize];
         if !(atd > 0.0) || !atd.is_finite() {
             return 0.0;
         }
-        let k = self.local.cells[ap].len() as f64;
+        let k = self.cell_clients(ap).len() as f64;
         self.access_share(ap, true) * k * 8.0 * self.ctl.config.payload_bytes as f64 / atd
     }
 }
@@ -334,55 +118,11 @@ impl CityWorld {
 impl Locality for Incremental {
     type Epoch = NetworkModel;
     const PER_COMPONENT: bool = true;
+    const ASSOCIATION_ORDER: bool = true;
 
-    fn associate<S: Sink>(w: &mut CityWorld, c: usize, sink: &S) -> Option<(usize, f64)> {
-        let pos = w.wlan.clients[c].pos;
-        let mut candidates = Vec::new();
-        let mut links = Vec::new();
-        for ap in w.local.grid.within(&pos, w.local.candidate_radius_m) {
-            if !w.ap_up[ap] {
-                continue;
-            }
-            let snr20 = w.wlan.snr_db(ApId(ap), ClientId(c), ChannelWidth::Ht20);
-            if snr20 < w.ctl.config.association_snr_floor_db {
-                continue;
-            }
-            let width = w.state.operating_width[ap];
-            let delays = w.ctl.delays_from_snr(snr20);
-            let d_u = delays[width as usize];
-            candidates.push(Candidate {
-                ap: ApId(ap),
-                k_including_u: w.local.cells[ap].len() + 1,
-                access_share: w.access_share(ap, false),
-                atd_including_u_s: w.local.cell_atd[ap][width as usize] + d_u,
-                delay_u_s: d_u,
-            });
-            links.push((snr20, delays));
-        }
-        let i = choose_ap(&candidates, sink)?;
-        let ap = candidates[i].ap.0;
-        w.state.assoc[c] = Some(ApId(ap));
-        (w.local.client_snr20[c], w.local.client_delays[c]) = links[i];
-        w.local.cells[ap].push(c as u32);
-        w.local.resum(ap);
-        w.local.active += 1;
-        w.update_via_edges(c, ap, 1);
-        Some((ap, candidates[i].delay_u_s))
-    }
-
-    /// Unwinds a departing client's edges and cell entry.
-    fn deassociate(w: &mut CityWorld, c: usize) -> Option<usize> {
-        let ap = w.state.assoc[c]?.0;
-        w.update_via_edges(c, ap, -1);
-        w.local.cells[ap].retain(|&x| x as usize != c);
-        w.local.resum(ap);
-        w.state.assoc[c] = None;
-        w.local.active -= 1;
-        Some(ap)
-    }
-
-    fn active_clients(w: &CityWorld) -> usize {
-        w.local.active
+    fn probe_scope(w: &CityWorld, c: usize) -> Vec<usize> {
+        w.grid
+            .within(&w.wlan.clients[c].pos, w.local.candidate_radius_m)
     }
 
     fn adapt_after_change(w: &mut CityWorld, ap: Option<usize>) {
@@ -401,28 +141,11 @@ impl Locality for Incremental {
                 let atd = atd_of(w.fresh_delays(ap).iter());
                 debug_assert_eq!(
                     atd.map(f64::to_bits),
-                    w.local.cell_atd[ap].map(f64::to_bits),
+                    w.cell_atd[ap].map(f64::to_bits),
                     "stale cached ATDs at AP {ap}"
                 );
                 w.choose_width(ap, atd);
             }
-        }
-    }
-
-    /// Refreshes every active client's cached SNR, delays and cell ATDs
-    /// (a drift step decorrelated the shadowing draws).
-    fn refresh_links(w: &mut CityWorld) {
-        let local = &mut w.local;
-        for (ap, cell) in local.cells.iter().enumerate() {
-            for &c in cell {
-                let snr = w
-                    .wlan
-                    .snr_db(ApId(ap), ClientId(c as usize), ChannelWidth::Ht20);
-                local.client_snr20[c as usize] = snr;
-                local.client_delays[c as usize] = w.ctl.delays_from_snr(snr);
-            }
-            let delays = &local.client_delays;
-            local.cell_atd[ap] = atd_of(cell.iter().map(|&c| &delays[c as usize]));
         }
     }
 
@@ -552,6 +275,7 @@ mod tests {
     use acorn_phy::estimator::LinkQualityEstimator;
     use acorn_phy::GoodputTable;
     use acorn_topology::Point;
+    use std::sync::Arc;
 
     /// Two 2-AP districts 400 m apart (mirroring the `city_grid` layout
     /// without depending on `acorn-sim`), clients near each district.
@@ -643,7 +367,7 @@ mod tests {
             world.graph_snapshot(),
             world.wlan.interference_graph(&vec![None; 6])
         );
-        assert!(world.local.via_adj.iter().all(|m| m.is_empty()));
+        assert!(world.via_adj.iter().all(|m| m.is_empty()));
         assert_eq!(world.active_clients(), 0);
     }
 
@@ -658,17 +382,17 @@ mod tests {
         let ap = world.state.assoc[0].expect("client 0 found an AP").0;
 
         // One ulp off one cell's HT40 ATD.
-        let atd = world.local.cell_atd[ap];
-        world.local.cell_atd[ap][1] = f64::from_bits(atd[1].to_bits() + 1);
+        let atd = world.cell_atd[ap];
+        world.cell_atd[ap][1] = f64::from_bits(atd[1].to_bits() + 1);
         assert!(
             !world.advert_cache_matches(),
             "a stale cell ATD went unseen"
         );
-        world.local.cell_atd[ap] = atd;
+        world.cell_atd[ap] = atd;
         assert!(world.advert_cache_matches());
 
         // One client's HT20 delay off, its cell's sums intact.
-        world.local.client_delays[0][0] *= 1.5;
+        world.client_delays[0][0] *= 1.5;
         assert!(!world.advert_cache_matches(), "a stale delay went unseen");
     }
 

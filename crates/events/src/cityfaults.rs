@@ -95,7 +95,7 @@ impl CityFaultProcess {
             let clients = cell.iter().map(|&c| c as usize).collect();
             let delays = cell
                 .iter()
-                .map(|&c| w.client_delay_s(c as usize, width))
+                .map(|&c| w.client_delays[c as usize][width as usize])
                 .collect();
             (clients, delays, w.access_share(ap, true))
         };

@@ -850,7 +850,7 @@ impl FaultProcess {
         // sample), access share from the AP's IAPP view.
         let (trackers, agents, client_csa) = (&self.trackers, &self.agents, &mut self.client_csa);
         let advert = |w: &AcornWorld, ap: usize| {
-            let clients: Vec<usize> = w.state.cell_clients(ApId(ap)).iter().map(|c| c.0).collect();
+            let clients: Vec<usize> = w.cell_clients(ap).iter().map(|&c| c as usize).collect();
             let width = w.state.operating_width[ap];
             let delays = clients
                 .iter()
@@ -878,7 +878,7 @@ impl FaultProcess {
                 continue;
             }
             let eff = ctx.world.state.effective_assignment(ApId(ap));
-            let n_cl = ctx.world.state.cell_clients(ApId(ap)).len();
+            let n_cl = ctx.world.cell_clients(ap).len();
             let ann = self.agents[ap].announce(eff, n_cl, now);
             let frame = serialize_announcement(&ann, bssid(ap));
             let parsed = parse_announcement(&frame).ok();
@@ -909,7 +909,7 @@ impl FaultProcess {
                 // The probed neighbour answers with a fresh unicast
                 // announcement, through the same gauntlet.
                 let eff = ctx.world.state.effective_assignment(target);
-                let n_cl = ctx.world.state.cell_clients(target).len();
+                let n_cl = ctx.world.cell_clients(target.0).len();
                 let reply = self.agents[target.0].announce(eff, n_cl, now);
                 let frame = serialize_announcement(&reply, bssid(target.0));
                 let parsed = parse_announcement(&frame).ok();

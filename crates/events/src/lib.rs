@@ -43,9 +43,7 @@ pub mod sim;
 pub mod telemetry;
 pub mod world;
 
-pub use acorn::{
-    AcornWorld, CompositeReport, CompositeScenario, Exact, MobilityProcess, MobilitySpec,
-};
+pub use acorn::{AcornWorld, CompositeReport, CompositeScenario, Exact, MobilitySpec};
 pub use city::{
     CityDriftProcess, CityReallocationTimer, CityReport, CityScenario, CitySessionProcess,
     CityWorld, Incremental,
@@ -62,6 +60,6 @@ pub use sim::{
 };
 pub use telemetry::{Histogram, Series, Telemetry, TelemetrySnapshot};
 pub use world::{
-    AcornEvent, DriftProcess, DriftSpec, Locality, ReallocRecord, ReallocationTimer,
-    ScenarioReport, SeedPolicy, SessionProcess, World,
+    AcornEvent, DriftProcess, DriftSpec, Locality, MobilityProcess, ReallocRecord,
+    ReallocationTimer, ScenarioReport, SeedPolicy, SessionProcess, World,
 };

@@ -14,27 +14,40 @@
 //!   engine's thread pool via [`AcornController::reallocate`], and
 //!   per-epoch seeds come from a [`SeedPolicy`], so results are
 //!   bit-identical at any `ACORN_THREADS`.
+//! * [`MobilityProcess`] — one client walking a [`Trajectory`].
 //! * [`DriftProcess`] — slow environmental shadowing drift (the
 //!   [`drift_phase`](acorn_topology::pathloss::LogDistance::drift_phase)
 //!   rotation): link gains decorrelate over hours while every draw stays a
 //!   pure function of the seed.
 //!
+//! The world also keeps, once for every locality, the structures each
+//! event reads instead of re-deriving them: an AP [`SpatialGrid`], the
+//! conflict graph as static AP–AP edges plus reference-counted
+//! client-mediated edges (materialized by [`World::graph_snapshot`] only
+//! when an epoch builds its model), each AP's cell, and each cell's
+//! *advert* (DESIGN.md §13.4) — every associated client's cached HT20
+//! SNR and delivery delays at both widths, and the cell's ATD at both
+//! widths. One join and one leave ([`World::associate`],
+//! [`World::deassociate`]), one [`World::refresh_links`] and one
+//! [`World::move_client`] write them.
+//!
 //! An AP's access share depends only on its conflict-graph neighbours
 //! (the coupling Bellalta et al., arXiv:1412.0929, model), so worlds
 //! differ only in what they treat as local. A [`Locality`] decides which
-//! APs a client probes, which cells a width pass revisits, whether link
-//! SNRs are cached, and how an epoch evaluates its objective:
+//! APs a client probes, in which order a cell sums its ATD, which cells a
+//! width pass revisits, and how an epoch evaluates its objective:
 //!
 //! | | [`Exact`] ([`AcornWorld`](crate::AcornWorld)) | [`Incremental`] ([`CityWorld`](crate::CityWorld)) |
 //! |---|---|---|
 //! | Algorithm 1 probes | every live AP | live APs within the candidate radius |
+//! | cell order | ascending client index | association order |
 //! | §5.2 after a cell change | every AP, even when no AP was found | the changed cell |
-//! | drift step | nothing cached | refreshes the cached SNRs |
 //! | epoch objective | per-AP effective widths over live APs | the epoch model at assigned widths |
-//! | epoch model | rebuilt after the objective | built from the maintained graph first |
+//! | epoch model | built after the objective | built first |
 //! | Algorithm 2 | whole network | per connected component |
 //!
-//! Both adapt every AP's width after an epoch.
+//! Both build the epoch model with [`World::build_model`] and adapt every
+//! AP's width after an epoch.
 //!
 //! [`Exact`]: crate::acorn::Exact
 //! [`Incremental`]: crate::city::Incremental
@@ -42,39 +55,43 @@
 use crate::faults::ResilienceReport;
 use crate::sim::{mix_seed, Ctx, EventLog, Process, RunStats, Simulation};
 use crate::telemetry::{Histogram, Telemetry, TelemetrySnapshot};
-use acorn_core::{AcornController, NetworkModel, NetworkState};
+use acorn_core::{
+    cell_throughput_from_atd_bps, choose_ap, AcornController, Candidate, ClientSnr, NetworkModel,
+    NetworkState,
+};
 use acorn_obs::{names, RecordingSink, Sink};
 use acorn_phy::ChannelWidth;
-use acorn_topology::{ApId, ChannelAssignment, Wlan};
+use acorn_topology::{
+    ApId, ChannelAssignment, ClientId, InterferenceGraph, Point, SpatialGrid, Trajectory, Wlan,
+};
 use acorn_traces::Session;
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
-/// What differs between ACORN worlds. Everything else — the state, the
-/// processes, safe mode, the fault core — is written once over
-/// [`World<L>`].
+/// What differs between ACORN worlds. Everything else — the state and its
+/// maintained structures, the processes, safe mode, the fault core — is
+/// written once over [`World<L>`].
 pub trait Locality: Sized {
     /// What an epoch evaluates its before/after objective on.
     type Epoch;
     /// Whether Algorithm 2 runs per connected component of the conflict
     /// graph rather than as one whole-network greedy.
     const PER_COMPONENT: bool;
+    /// Whether a cell lists its clients in association order rather than
+    /// in ascending client index. A cell's ATD sums its clients' delays
+    /// in this order.
+    const ASSOCIATION_ORDER: bool;
 
-    /// Algorithm 1 for unassociated client `c` over this locality's
-    /// candidate set. Dead APs don't beacon, so they are never candidates.
-    /// Returns the chosen AP and the client's own delivery delay there;
-    /// candidate-ranking metrics go to `sink`.
-    fn associate<S: Sink>(w: &mut World<Self>, c: usize, sink: &S) -> Option<(usize, f64)>;
-    /// Removes client `c`; returns its former AP.
-    fn deassociate(w: &mut World<Self>, c: usize) -> Option<usize>;
-    /// Clients currently associated.
-    fn active_clients(w: &World<Self>) -> usize;
+    /// The APs unassociated client `c` probes for Algorithm 1, in
+    /// ascending index. [`World::candidates`] drops the dead ones and
+    /// those below the association SNR floor.
+    fn probe_scope(w: &World<Self>, c: usize) -> Vec<usize>;
     /// The §5.2 width fallback after an association change at `ap`
     /// (`None`: the change involved no AP).
     fn adapt_after_change(w: &mut World<Self>, ap: Option<usize>);
     /// The §5.2 width fallback at every AP (after an epoch).
     fn adapt_all(w: &mut World<Self>);
-    /// Brings cached link state up to date after a drift step.
-    fn refresh_links(w: &mut World<Self>);
     /// Network goodput over live APs: the fault layer's per-round sample.
     fn live_bps(w: &World<Self>) -> f64;
     /// Opens a re-allocation epoch.
@@ -89,12 +106,15 @@ pub trait Locality: Sized {
 
 /// The shared world every ACORN process operates on.
 pub struct World<L> {
-    /// The deployment (mutable: mobility moves clients, drift rotates the
-    /// shadowing phase).
+    /// The deployment. Client positions and the shadowing phase change
+    /// only through [`World::move_client`] and [`DriftProcess`], which
+    /// keep the cached links current.
     pub wlan: Wlan,
     /// The controller (its table, plan, and Algorithm 1/2 knobs).
     pub ctl: AcornController,
     /// Its mutable network state (assignments, associations, widths).
+    /// Associations change only through [`World::associate`] and
+    /// [`World::deassociate`].
     pub state: NetworkState,
     /// One record per re-allocation epoch, in firing order.
     pub realloc_log: Vec<ReallocRecord>,
@@ -104,15 +124,61 @@ pub struct World<L> {
     /// deployed; safe mode restores it instead of re-optimizing on a
     /// partial view of the network.
     pub last_good: Option<(Vec<ChannelAssignment>, Vec<ChannelWidth>)>,
-    /// The locality's own structures.
+    /// Spatial index over AP positions.
+    pub(crate) grid: SpatialGrid,
+    /// Static AP–AP conflict edges (both directions, ascending).
+    static_adj: Vec<Vec<u32>>,
+    /// Client-mediated conflict edges as reference counts: `via_adj[a]`
+    /// maps neighbour `b` to the number of associated clients currently
+    /// inducing the edge `a–b`. Symmetric.
+    pub(crate) via_adj: Vec<BTreeMap<u32, u32>>,
+    /// Associated clients per AP, in the order
+    /// [`Locality::ASSOCIATION_ORDER`] selects.
+    cells: Vec<Vec<u32>>,
+    /// Cached HT20 SNR of each associated client to its AP (meaningless
+    /// for unassociated clients).
+    client_snr20: Vec<f64>,
+    /// Each associated client's delivery delay to its AP at both widths
+    /// (indexed by `width as usize`): `delays_from_snr` of its cached SNR.
+    pub(crate) client_delays: Vec<[f64; 2]>,
+    /// Each cell's ATD at both widths: its clients' cached delays summed
+    /// in cell order.
+    pub(crate) cell_atd: Vec<[f64; 2]>,
+    /// Associated-client count (a scan of `assoc` would dominate every
+    /// event at 10⁵ clients).
+    active: usize,
+    /// The locality's own parameters.
     pub(crate) local: L,
 }
 
+/// Both widths, in `width as usize` order.
+const WIDTHS: [ChannelWidth; 2] = [ChannelWidth::Ht20, ChannelWidth::Ht40];
+
+/// The ATD at both widths of a cell's delays in cell order: the one
+/// summation every cached and every fresh ATD comes from.
+pub(crate) fn atd_of<'a>(delays: impl Iterator<Item = &'a [f64; 2]> + Clone) -> [f64; 2] {
+    [0, 1].map(|w| delays.clone().map(|d| d[w]).sum())
+}
+
 impl<L: Locality> World<L> {
-    /// A world with a fresh controller state seeded from `seed`.
+    /// A world with a fresh controller state seeded from `seed`: spatial
+    /// index, static AP–AP edges, empty cells.
     pub(crate) fn with_locality(wlan: Wlan, ctl: AcornController, seed: u64, local: L) -> Self {
         let state = ctl.new_state(&wlan, seed);
+        let r = wlan.radio.carrier_sense_range_m;
+        let ap_points: Vec<Point> = wlan.aps.iter().map(|a| a.pos).collect();
+        let grid = SpatialGrid::build(&ap_points, r.max(1.0));
         let n_aps = wlan.aps.len();
+        let static_adj = (0..n_aps)
+            .map(|i| {
+                grid.within(&wlan.aps[i].pos, r)
+                    .into_iter()
+                    .filter(|&j| j != i)
+                    .map(|j| j as u32)
+                    .collect()
+            })
+            .collect();
+        let n_clients = wlan.clients.len();
         World {
             wlan,
             ctl,
@@ -120,13 +186,21 @@ impl<L: Locality> World<L> {
             realloc_log: Vec::new(),
             ap_up: vec![true; n_aps],
             last_good: None,
+            grid,
+            static_adj,
+            via_adj: vec![BTreeMap::new(); n_aps],
+            cells: vec![Vec::new(); n_aps],
+            client_snr20: vec![f64::NEG_INFINITY; n_clients],
+            client_delays: vec![[f64::INFINITY; 2]; n_clients],
+            cell_atd: vec![atd_of([].iter()); n_aps],
+            active: 0,
             local,
         }
     }
 
     /// Clients currently associated.
     pub fn active_clients(&self) -> usize {
-        L::active_clients(self)
+        self.active
     }
 
     /// Whether every AP is up.
@@ -139,20 +213,259 @@ impl<L: Locality> World<L> {
         self.ap_up.iter().filter(|&&u| !u).count()
     }
 
+    /// The clients currently in `ap`'s cell, in cell order.
+    pub fn cell_clients(&self, ap: usize) -> &[u32] {
+        &self.cells[ap]
+    }
+
+    /// The cached HT20 SNR of client `c` to its AP (meaningless for
+    /// unassociated clients).
+    pub fn client_snr20_cached(&self, c: usize) -> f64 {
+        self.client_snr20[c]
+    }
+
+    /// Whether the advert cache equals a fresh recomputation, bit for bit:
+    /// every active client's delays at both widths and every cell's ATDs
+    /// at both widths, from the cached SNRs with
+    /// [`AcornController::delay_from_snr`]. The soak watchdog's invariant
+    /// 6. Outside an epoch its table lookups feed no counter.
+    pub fn advert_cache_matches(&self) -> bool {
+        let bits = |d: &[f64; 2]| d.map(f64::to_bits);
+        (0..self.wlan.aps.len()).all(|ap| {
+            let fresh = self.fresh_delays(ap);
+            let cached = self.cells[ap]
+                .iter()
+                .map(|&c| &self.client_delays[c as usize]);
+            bits(&atd_of(fresh.iter())) == bits(&self.cell_atd[ap])
+                && cached.map(bits).eq(fresh.iter().map(bits))
+        })
+    }
+
+    /// Cell `ap`'s delays at both widths from fresh
+    /// [`AcornController::delay_from_snr`] lookups of the cached SNRs.
+    pub(crate) fn fresh_delays(&self, ap: usize) -> Vec<[f64; 2]> {
+        let cell = self.cells[ap].iter();
+        cell.map(|&c| {
+            let snr = self.client_snr20[c as usize];
+            WIDTHS.map(|w| self.ctl.delay_from_snr(snr, w))
+        })
+        .collect()
+    }
+
+    /// Materializes the current conflict graph — identical, edge for
+    /// edge, to `wlan.interference_graph(&state.assoc)`: the static grid
+    /// edges plus every positively-referenced client-mediated edge.
+    pub fn graph_snapshot(&self) -> InterferenceGraph {
+        let mut g = InterferenceGraph::new(self.wlan.aps.len());
+        for (i, nbs) in self.static_adj.iter().enumerate() {
+            for &j in nbs.iter().filter(|&&j| (j as usize) > i) {
+                g.add_edge(ApId(i), ApId(j as usize));
+            }
+        }
+        for (a, nbs) in self.via_adj.iter().enumerate() {
+            for (&b, &count) in nbs.range((a as u32 + 1)..) {
+                debug_assert!(count > 0, "zero-count edge left in via_adj");
+                g.add_edge(ApId(a), ApId(b as usize));
+            }
+        }
+        g
+    }
+
+    /// The paper's `M = 1/(|con|+1)` access share of `ap` under the
+    /// current conflict graph and *effective* assignments. With
+    /// `live_only`, only live conflicting neighbours count — dead APs
+    /// don't transmit, so they cost no airtime.
+    pub fn access_share(&self, ap: usize, live_only: bool) -> f64 {
+        let own = self.state.effective_assignment(ApId(ap));
+        let static_adj = &self.static_adj[ap];
+        let conflicts = |j: u32| {
+            (!live_only || self.ap_up[j as usize])
+                && own.conflicts(self.state.effective_assignment(ApId(j as usize)))
+        };
+        // Client-mediated neighbours already in static range count once.
+        let con = static_adj.iter().filter(|&&j| conflicts(j)).count()
+            + self.via_adj[ap]
+                .keys()
+                .filter(|&&j| static_adj.binary_search(&j).is_err() && conflicts(j))
+                .count();
+        1.0 / (con as f64 + 1.0)
+    }
+
+    /// Cell `ap`'s goodput at `width` and access share `m`, from its
+    /// cached ATD through `CellAirtime`'s own formula
+    /// ([`cell_throughput_from_atd_bps`]).
+    pub(crate) fn cell_bps(&self, ap: usize, width: ChannelWidth, m: f64) -> f64 {
+        let atd = self.cell_atd[ap][width as usize];
+        cell_throughput_from_atd_bps(self.cells[ap].len(), atd, self.ctl.config.payload_bytes, m)
+    }
+
+    /// Builds the throughput model from the maintained graph and the
+    /// cached SNRs, cells in cell order — the one model build of an epoch.
+    pub fn build_model(&self) -> NetworkModel {
+        let graph = self.graph_snapshot();
+        let cells: Vec<Vec<ClientSnr>> = self
+            .cells
+            .iter()
+            .map(|cell| {
+                cell.iter()
+                    .map(|&c| ClientSnr {
+                        client: c as usize,
+                        snr20_db: self.client_snr20[c as usize],
+                    })
+                    .collect()
+            })
+            .collect();
+        let payload = self.ctl.config.payload_bytes;
+        match self.ctl.table() {
+            Some(t) => NetworkModel::with_table(graph, cells, Arc::clone(t), payload),
+            None => NetworkModel::with_config(graph, cells, self.ctl.config.estimator, payload),
+        }
+    }
+
+    /// Algorithm 1's candidate set for unassociated client `c`: each live
+    /// AP of the locality's probe scope whose HT20 SNR clears the
+    /// association floor, with `c` provisionally counted in — one
+    /// [`AcornController::delay_from_snr`] at the AP's operating width,
+    /// the cell's size and cached ATD, and the AP's access share over all
+    /// its neighbours.
+    pub fn candidates(&self, c: usize) -> Vec<Candidate> {
+        let mut out = Vec::new();
+        for ap in L::probe_scope(self, c) {
+            if !self.ap_up[ap] {
+                continue;
+            }
+            let snr20 = self.wlan.snr_db(ApId(ap), ClientId(c), ChannelWidth::Ht20);
+            if snr20 < self.ctl.config.association_snr_floor_db {
+                continue;
+            }
+            let width = self.state.operating_width[ap];
+            let d_u = self.ctl.delay_from_snr(snr20, width);
+            out.push(Candidate {
+                ap: ApId(ap),
+                k_including_u: self.cells[ap].len() + 1,
+                access_share: self.access_share(ap, false),
+                atd_including_u_s: self.cell_atd[ap][width as usize] + d_u,
+                delay_u_s: d_u,
+            });
+        }
+        out
+    }
+
     /// Algorithm 1 for unassociated client `c` over the locality's
-    /// candidate set. Returns the chosen AP and the client's own delivery
-    /// delay there, recording candidate metrics into `sink`.
+    /// candidate set, then the join: its cell entry, its client-mediated
+    /// edges and its cached link. Dead APs don't beacon, so they are
+    /// never candidates. Returns the chosen AP and the client's own
+    /// delivery delay there, recording candidate metrics into `sink`.
     pub fn associate<S: Sink>(&mut self, c: usize, sink: &S) -> Option<(usize, f64)> {
         debug_assert!(
             self.state.assoc[c].is_none(),
             "client {c} is already associated"
         );
-        L::associate(self, c, sink)
+        let candidates = self.candidates(c);
+        let chosen = &candidates[choose_ap(&candidates, sink)?];
+        let (ap, delay) = (chosen.ap.0, chosen.delay_u_s);
+        self.state.assoc[c] = Some(ApId(ap));
+        let cell = &mut self.cells[ap];
+        let at = if L::ASSOCIATION_ORDER {
+            cell.len()
+        } else {
+            cell.partition_point(|&x| (x as usize) < c)
+        };
+        cell.insert(at, c as u32);
+        self.active += 1;
+        self.update_via_edges(c, ap, 1);
+        self.refresh_link(c, ap);
+        Some((ap, delay))
     }
 
-    /// Removes client `c`. Returns its former AP.
+    /// Removes client `c`: unwinds its edges and its cell entry. Returns
+    /// its former AP.
     pub fn deassociate(&mut self, c: usize) -> Option<usize> {
-        L::deassociate(self, c)
+        let ap = self.state.assoc[c]?.0;
+        self.update_via_edges(c, ap, -1);
+        self.cells[ap].retain(|&x| x as usize != c);
+        self.resum(ap);
+        self.state.assoc[c] = None;
+        self.active -= 1;
+        Some(ap)
+    }
+
+    /// Moves client `c` to `pos`. An associated client leaves its
+    /// client-mediated edges, moves, rejoins them from its new position
+    /// and re-reads its link.
+    pub fn move_client(&mut self, c: usize, pos: Point) {
+        let Some(ApId(ap)) = self.state.assoc[c] else {
+            self.wlan.clients[c].pos = pos;
+            return;
+        };
+        self.update_via_edges(c, ap, -1);
+        self.wlan.clients[c].pos = pos;
+        self.update_via_edges(c, ap, 1);
+        self.refresh_link(c, ap);
+    }
+
+    /// Re-reads every associated client's HT20 SNR and refreshes its
+    /// cached delays and its cell's ATDs (a drift step decorrelated the
+    /// shadowing draws).
+    pub fn refresh_links(&mut self) {
+        for (ap, cell) in self.cells.iter().enumerate() {
+            for &c in cell {
+                let c = c as usize;
+                let snr = self.wlan.snr_db(ApId(ap), ClientId(c), ChannelWidth::Ht20);
+                self.client_snr20[c] = snr;
+                self.client_delays[c] = self.ctl.delays_from_snr(snr);
+            }
+            let delays = &self.client_delays;
+            self.cell_atd[ap] = atd_of(cell.iter().map(|&c| &delays[c as usize]));
+        }
+    }
+
+    /// Re-reads client `c`'s HT20 SNR to its AP `ap` and caches it.
+    fn refresh_link(&mut self, c: usize, ap: usize) {
+        let snr = self.wlan.snr_db(ApId(ap), ClientId(c), ChannelWidth::Ht20);
+        self.set_link(c, snr);
+    }
+
+    /// Caches client `c`'s HT20 SNR and its delays at both widths, and
+    /// re-sums its cell's ATDs if it is associated.
+    pub(crate) fn set_link(&mut self, c: usize, snr20_db: f64) {
+        self.client_snr20[c] = snr20_db;
+        self.client_delays[c] = self.ctl.delays_from_snr(snr20_db);
+        if let Some(ap) = self.state.assoc[c] {
+            self.resum(ap.0);
+        }
+    }
+
+    /// Re-sums cell `ap`'s cached ATDs after a join, leave or member-SNR
+    /// change.
+    fn resum(&mut self, ap: usize) {
+        let delays = &self.client_delays;
+        self.cell_atd[ap] = atd_of(self.cells[ap].iter().map(|&c| &delays[c as usize]));
+    }
+
+    /// Adds (+1) or removes (−1) the client-mediated edges client `c`
+    /// induces between its owner `ap` and every other AP in carrier-sense
+    /// range of the client.
+    fn update_via_edges(&mut self, c: usize, ap: usize, delta: i32) {
+        let r = self.wlan.radio.carrier_sense_range_m;
+        for j in self.grid.within(&self.wlan.clients[c].pos, r) {
+            if j == ap {
+                continue;
+            }
+            for (x, y) in [(ap, j), (j, ap)] {
+                if delta > 0 {
+                    *self.via_adj[x].entry(y as u32).or_insert(0) += 1;
+                } else {
+                    let e = self.via_adj[x]
+                        .get_mut(&(y as u32))
+                        .expect("departing client's edge must exist");
+                    *e -= 1;
+                    if *e == 0 {
+                        self.via_adj[x].remove(&(y as u32));
+                    }
+                }
+            }
+        }
     }
 
     /// A session starts: Algorithm 1 places client `c`, then (with
@@ -190,15 +503,15 @@ impl<L: Locality> World<L> {
     /// Safe mode: a partial network means a partial view — any
     /// re-optimization now would chase phantom interference. Restores
     /// the last plan a healthy epoch deployed and sheds the risky 40 MHz
-    /// bonds of live APs within carrier-sense range of a dead one.
+    /// bonds of live APs within carrier-sense range of a dead one (the
+    /// static AP–AP edges).
     fn enter_safe_mode(&mut self) {
         if let Some((assignments, widths)) = self.last_good.clone() {
             self.state.assignments = assignments;
             self.state.operating_width = widths;
         }
-        let graph = self.wlan.ap_only_interference_graph();
-        for ap in 0..self.wlan.aps.len() {
-            if self.ap_up[ap] && graph.neighbors(ApId(ap)).any(|n| !self.ap_up[n.0]) {
+        for (ap, nbs) in self.static_adj.iter().enumerate() {
+            if self.ap_up[ap] && nbs.iter().any(|&n| !self.ap_up[n as usize]) {
                 self.state.operating_width[ap] = ChannelWidth::Ht20;
             }
         }
@@ -496,9 +809,10 @@ impl<L: Locality> Process<World<L>, AcornEvent> for ReallocationTimer {
 /// [`drift_phase`](acorn_topology::pathloss::LogDistance::drift_phase) by
 /// `phase_step_rad`, smoothly decorrelating every link's shadowing draw
 /// from its initial value while keeping the marginal distribution — and
-/// full determinism — intact, then lets the locality refresh what it
-/// caches. Models the hours-scale environment changes (doors, furniture,
-/// crowds) that motivate periodic re-allocation in the first place.
+/// full determinism — intact, then refreshes the world's cached links
+/// ([`World::refresh_links`]). Models the hours-scale environment changes
+/// (doors, furniture, crowds) that motivate periodic re-allocation in the
+/// first place.
 /// Telemetry: `drift.phase_rad` gauge, `drift.steps` counter.
 pub struct DriftProcess {
     /// Drift step period (s).
@@ -520,13 +834,62 @@ impl<L: Locality> Process<World<L>, AcornEvent> for DriftProcess {
         debug_assert_eq!(*event, AcornEvent::DriftStep);
         let t = ctx.now();
         ctx.world.wlan.pathloss.drift_phase += self.phase_step_rad;
-        L::refresh_links(ctx.world);
+        ctx.world.refresh_links();
         let phase = ctx.world.wlan.pathloss.drift_phase;
         ctx.telemetry.set_gauge("drift.phase_rad", phase);
         ctx.telemetry.inc("drift.steps");
         let next = t + self.period_s;
         if next <= self.horizon_s {
             ctx.schedule_at(next, AcornEvent::DriftStep);
+        }
+    }
+}
+
+/// Walks one client along a [`Trajectory`], re-sampling its position
+/// every `sample_period_s` (first sample at `t = 0`) through
+/// [`World::move_client`] and optionally letting the locality re-run the
+/// §5.2 width fallback at the walker's AP. Telemetry: `mobility.snr20_db`
+/// series (the mobile's best HT20 SNR over all APs) and a
+/// `mobility.samples` counter.
+pub struct MobilityProcess {
+    /// The walking client.
+    pub client: ClientId,
+    /// Its walk.
+    pub trajectory: Trajectory,
+    /// Position-update period (s).
+    pub sample_period_s: f64,
+    /// Horizon (s); samples past it never fire.
+    pub horizon_s: f64,
+    /// Run the width adaptation after each position update.
+    pub adapt_widths: bool,
+}
+
+impl<L: Locality> Process<World<L>, AcornEvent> for MobilityProcess {
+    fn start(&mut self, ctx: &mut Ctx<'_, World<L>, AcornEvent>) {
+        assert!(
+            self.client.0 < ctx.world.wlan.clients.len(),
+            "mobile client {} has no position in the deployment",
+            self.client.0
+        );
+        ctx.schedule_at(0.0, AcornEvent::MobilitySample);
+    }
+
+    fn handle(&mut self, event: &AcornEvent, ctx: &mut Ctx<'_, World<L>, AcornEvent>) {
+        debug_assert_eq!(*event, AcornEvent::MobilitySample);
+        let t = ctx.now();
+        let w = &mut *ctx.world;
+        w.move_client(self.client.0, self.trajectory.position_at(t));
+        if self.adapt_widths {
+            L::adapt_after_change(w, w.state.assoc[self.client.0].map(|ap| ap.0));
+        }
+        let snr = (0..w.wlan.aps.len())
+            .map(|i| w.wlan.snr_db(ApId(i), self.client, ChannelWidth::Ht20))
+            .fold(f64::NEG_INFINITY, f64::max);
+        ctx.telemetry.record("mobility.snr20_db", t, snr);
+        ctx.telemetry.inc("mobility.samples");
+        let next = t + self.sample_period_s;
+        if next <= self.horizon_s {
+            ctx.schedule_at(next, AcornEvent::MobilitySample);
         }
     }
 }

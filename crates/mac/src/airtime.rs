@@ -66,19 +66,12 @@ impl CellAirtime {
     /// infinite (a completely dead link stalls round-robin service — the
     /// extreme form of the anomaly).
     pub fn per_client_throughput_bps(&self, m: f64) -> f64 {
-        if self.delays_s.is_empty() {
-            return 0.0;
-        }
-        let atd = self.atd_s();
-        if !atd.is_finite() || atd <= 0.0 {
-            return 0.0;
-        }
-        m.clamp(0.0, 1.0) * 8.0 * self.payload_bytes as f64 / atd
+        per_client_bps(self.n_clients(), self.atd_s(), self.payload_bytes, m)
     }
 
     /// Aggregate cell throughput `K·X` (bits/s).
     pub fn cell_throughput_bps(&self, m: f64) -> f64 {
-        self.n_clients() as f64 * self.per_client_throughput_bps(m)
+        cell_throughput_from_atd_bps(self.n_clients(), self.atd_s(), self.payload_bytes, m)
     }
 
     /// Per-client throughput if client `u` were removed — the
@@ -90,6 +83,26 @@ impl CellAirtime {
         }
         m.clamp(0.0, 1.0) * 8.0 * self.payload_bytes as f64 / rest
     }
+}
+
+/// `X = m·L/ATD` for a cell of `n_clients` whose delays sum to `atd_s`.
+fn per_client_bps(n_clients: usize, atd_s: f64, payload_bytes: u32, m: f64) -> f64 {
+    if n_clients == 0 || !atd_s.is_finite() || atd_s <= 0.0 {
+        return 0.0;
+    }
+    m.clamp(0.0, 1.0) * 8.0 * payload_bytes as f64 / atd_s
+}
+
+/// [`CellAirtime::cell_throughput_bps`] from the cell's client count and
+/// ATD alone, bit for bit: what a cell whose ATD is kept current delivers
+/// at access share `m`, without its delay vector.
+pub fn cell_throughput_from_atd_bps(
+    n_clients: usize,
+    atd_s: f64,
+    payload_bytes: u32,
+    m: f64,
+) -> f64 {
+    n_clients as f64 * per_client_bps(n_clients, atd_s, payload_bytes, m)
 }
 
 /// Convenience: aggregate throughput of a cell given client links, payload

@@ -102,9 +102,14 @@ fn pairwise_error_probability(d: usize, lp: f64, lq: f64) -> f64 {
         let ln_c = lf[d] - lf[k] - lf[d - k];
         (ln_c + k as f64 * lp + (d - k) as f64 * lq).exp()
     };
+    // Every term is non-negative, so the sum never falls back below the
+    // clamp once it reaches it.
     let mut sum = 0.0;
     for k in d / 2 + 1..=d {
         sum += term(k);
+        if sum >= 0.5 {
+            return 0.5;
+        }
     }
     if d.is_multiple_of(2) {
         sum += 0.5 * term(d / 2);
@@ -138,6 +143,9 @@ pub fn coded_ber(rate: CodeRate, channel_ber: f64) -> f64 {
             pairwise_error_probability(dfree + i, lp, lq)
         };
         pb += cd * p2;
+        if pb >= 0.5 {
+            return 0.5; // no later term can lower the bound
+        }
     }
     pb.clamp(0.0, 0.5)
 }

@@ -10,7 +10,12 @@
 #   5. the root test suite (tier-1: reproduction guards, properties,
 #      determinism, resilience, event-runtime goldens, and the wire-bytes
 #      goldens of every beacon, IAPP announcement and control-plane
-#      envelope frame in tests/wire_golden.rs),
+#      envelope frame in tests/wire_golden.rs). The properties include
+#      the exact world's twin (exact_world_twins_the_controller: its
+#      maintained cells, graph and adverts against the controller's
+#      from-scratch API, bit for bit); the goldens include an
+#      associated walker with and without faults
+#      (associated_walker_is_pinned),
 #   5b. the distributed golden-twin gate: the zone-controller plane's
 #      benign-path allocation must equal the centralized controller's
 #      exactly, and partitions must degrade per-zone only,
@@ -116,7 +121,8 @@ cargo test -q --offline --release --test table_accuracy --test spatial_graph
 echo
 echo "== kernel-equivalence gate (release) =="
 # The exact estimator kernel (ln n! table, one union bound per MCS,
-# rate-bound pruning) must equal the retained term-by-term union bound
+# rate-bound pruning, the union bound's exit once its running sum
+# reaches the 0.5 clamp) must equal the retained term-by-term union bound
 # and an unpruned 16-MCS scan over the full 1/64 dB SNR grid, and the
 # controller's one-width queries the two-width estimate, bit for bit.
 # The lane-shaped Viterbi and batched FFT kernels must equal their

@@ -287,6 +287,89 @@ fn faulty_composite_is_pinned() {
     );
 }
 
+/// A composite whose walker holds sessions: the 3x3 grid of
+/// `faulty_composite_is_pinned`, with the client of the trace's longest
+/// session walking 150 m diagonally across the floor, so its link SNRs
+/// and its client-mediated conflict edges change while it is associated.
+/// Returns the scenario and the walker.
+fn walker_composite(
+    faults: Option<acorn_events::FaultPlan>,
+) -> (acorn_events::CompositeScenario, usize) {
+    use acorn_events::{CompositeScenario, DriftSpec, MobilitySpec};
+    use acorn_topology::{ClientId, Point, Trajectory};
+
+    let seed = 11;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let sessions = SessionGenerator::enterprise_default().generate(&mut rng, 3600.0);
+    let walker = sessions
+        .iter()
+        .max_by(|a, b| a.duration_s.total_cmp(&b.duration_s))
+        .expect("the trace has sessions")
+        .client;
+    let wlan = enterprise_grid(3, 3, 50.0, sessions.len(), seed);
+    let from = wlan.clients[walker].pos;
+    let sc = CompositeScenario {
+        wlan,
+        sessions,
+        horizon_s: 3600.0,
+        reallocation_period_s: 600.0,
+        restarts: 2,
+        adapt_widths: true,
+        mobility: Some(MobilitySpec {
+            client: ClientId(walker),
+            trajectory: Trajectory {
+                from,
+                to: Point::new(from.x + 120.0, from.y + 90.0),
+                speed_mps: 0.05,
+            },
+            sample_period_s: 60.0,
+        }),
+        drift: Some(DriftSpec {
+            period_s: 600.0,
+            phase_step_rad: 0.02,
+        }),
+        faults,
+        seed,
+        record_log: true,
+    };
+    (sc, walker)
+}
+
+#[test]
+fn associated_walker_is_pinned() {
+    // Pins the exact world's mobility path for a walker that is
+    // associated while it moves (the walkers of the goldens above and of
+    // the repository benchmark are spare slots with no session), with
+    // and without the fault layer.
+    let ctl = AcornController::new(AcornConfig::default());
+    for (faulty, expect) in [(false, 0xfa066ca2d7dcfb53u64), (true, 0xcb0811e60bcaba39)] {
+        let plan = faulty.then(|| acorn_events::FaultPlan {
+            max_crashes: 1,
+            ..heavy_faults(11)
+        });
+        let (sc, walker) = walker_composite(plan);
+        let r = sc.run(&ctl);
+        // Mobility samples that fire while the walker's session is live:
+        // every AP of the floor is within its association range, so it
+        // holds an AP at each of them.
+        let (arrive, depart) = (format!("Arrive({walker})"), format!("Depart({walker})"));
+        let (mut live, mut samples) = (false, 0);
+        for e in &r.log.as_ref().expect("the log was recorded").entries {
+            if e.kind == arrive || e.kind == depart {
+                live = e.kind == arrive;
+            } else if live && e.kind == "MobilitySample" {
+                samples += 1;
+            }
+        }
+        assert!(samples >= 10, "walker held a session at {samples} samples");
+        let fp = run_fingerprint(r.stats.events, &r.telemetry, &r.final_state, &r.realloc);
+        assert_eq!(
+            fp, expect,
+            "walker composite (faults: {faulty}) moved: {fp:#018x}"
+        );
+    }
+}
+
 #[test]
 fn faulty_city_is_pinned() {
     // A 16-AP city grid with session churn, drift and every fault kind:

@@ -632,24 +632,15 @@ proptest! {
     }
 }
 
-/// A small shadowed deployment for the advert-cache walk: six APs 60 m
-/// apart in a 3 x 2 grid, twelve clients scattered over it.
-fn advert_city(table: bool) -> acorn::events::CityWorld {
+/// The controller of the world walks: the exact estimator, or one shared
+/// goodput table over a narrow range, so that drifted, walked and
+/// injected SNRs also take the table's exact out-of-range path.
+fn walk_ctl(table: bool) -> acorn::core::AcornController {
     use acorn::core::{AcornConfig, AcornController};
     use acorn::phy::GoodputTable;
-    use acorn::topology::{Point, Wlan};
     use std::sync::{Arc, OnceLock};
     static TABLE: OnceLock<Arc<GoodputTable>> = OnceLock::new();
-    let aps = (0..6)
-        .map(|i| Point::new(60.0 * (i % 3) as f64, 60.0 * (i / 3) as f64))
-        .collect();
-    let clients = (0..12)
-        .map(|i| Point::new(-20.0 + 13.0 * i as f64, 35.0 * (i % 3) as f64 - 5.0))
-        .collect();
-    let wlan = Wlan::new(aps, clients, 23);
-    let ctl = if table {
-        // A narrow range, so that drifted and injected SNRs also take the
-        // table's exact out-of-range path.
+    if table {
         let t = TABLE.get_or_init(|| {
             Arc::new(GoodputTable::build(
                 LinkQualityEstimator::default(),
@@ -661,8 +652,46 @@ fn advert_city(table: bool) -> acorn::events::CityWorld {
         AcornController::with_table(AcornConfig::default(), Arc::clone(t))
     } else {
         AcornController::new(AcornConfig::default())
-    };
-    acorn::events::CityWorld::new(wlan, ctl, 120.0, 5)
+    }
+}
+
+/// A small shadowed deployment for the advert-cache walk: six APs 60 m
+/// apart in a 3 x 2 grid, twelve clients scattered over it.
+fn advert_city(table: bool) -> acorn::events::CityWorld {
+    use acorn::topology::{Point, Wlan};
+    let aps = (0..6)
+        .map(|i| Point::new(60.0 * (i % 3) as f64, 60.0 * (i / 3) as f64))
+        .collect();
+    let clients = (0..12)
+        .map(|i| Point::new(-20.0 + 13.0 * i as f64, 35.0 * (i % 3) as f64 - 5.0))
+        .collect();
+    let wlan = Wlan::new(aps, clients, 23);
+    acorn::events::CityWorld::new(wlan, walk_ctl(table), 120.0, 5)
+}
+
+/// The exact world's twin walk: nine APs 50 m apart in a 3 x 3 grid,
+/// fourteen shadowed clients scattered over and around it.
+fn twin_world(table: bool) -> acorn::events::AcornWorld {
+    use acorn::topology::{Point, Wlan};
+    let aps = (0..9)
+        .map(|i| Point::new(50.0 * (i % 3) as f64, 50.0 * (i / 3) as f64))
+        .collect();
+    let clients = (0..14)
+        .map(|i| Point::new(-25.0 + 11.0 * i as f64, 30.0 * (i % 4) as f64 - 10.0))
+        .collect();
+    let wlan = Wlan::new(aps, clients, 29);
+    acorn::events::AcornWorld::new(wlan, walk_ctl(table), 5)
+}
+
+/// A candidate's fields as bit patterns.
+fn candidate_bits(c: &acorn::core::Candidate) -> (usize, usize, u64, u64, u64) {
+    (
+        c.ap.0,
+        c.k_including_u,
+        c.access_share.to_bits(),
+        c.atd_including_u_s.to_bits(),
+        c.delay_u_s.to_bits(),
+    )
 }
 
 /// What `CityWorld::cell_bps_up` computed before the advert cache: a fresh
@@ -724,7 +753,7 @@ proptest! {
                 }
                 5 => {
                     w.wlan.pathloss.drift_phase += 0.4;
-                    Incremental::refresh_links(&mut w);
+                    w.refresh_links();
                 }
                 6 => Incremental::adapt_all(&mut w),
                 7 if w.ap_up[ap] => {
@@ -750,5 +779,171 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    // The exact world reads the cells, conflict graph and advert cache it
+    // maintains where it used to rebuild the model on every event.
+    // Through any mix of arrivals, departures, drift, walks of associated
+    // and unassociated clients, AP crash with re-scan, restart and
+    // epochs, every read equals the controller's from-scratch API bit for
+    // bit: cells, graph, advert cache, Algorithm 1 candidates, the
+    // live-network sample, the width pass and the epoch model.
+    #[test]
+    fn exact_world_twins_the_controller(
+        table in any::<bool>(),
+        steps in proptest::collection::vec(any::<u64>(), 1..40),
+    ) {
+        use acorn::core::NullSink;
+        use acorn::events::{Exact, Locality, Telemetry};
+        use acorn::phy::ChannelWidth;
+        use acorn::topology::{ApId, ClientId, Point};
+        let mut w = twin_world(table);
+        let mut tel = Telemetry::new();
+        let (n_aps, n_clients) = (w.wlan.aps.len(), w.wlan.clients.len());
+        for x in steps {
+            let c = (x >> 8) as usize % n_clients;
+            let ap = (x >> 8) as usize % n_aps;
+            let pos = Point::new(((x >> 16) % 160) as f64 - 30.0, ((x >> 32) % 160) as f64 - 30.0);
+            // The first client from `c` on whose association is `assoc`.
+            let first = |w: &acorn::events::AcornWorld, assoc: bool| {
+                (0..n_clients)
+                    .map(|i| (c + i) % n_clients)
+                    .find(|&i| w.state.assoc[i].is_some() == assoc)
+            };
+            match x % 10 {
+                0 | 1 if w.state.assoc[c].is_none() => {
+                    w.arrive(c, true, &mut tel);
+                }
+                2 => {
+                    w.depart(c, true, &mut tel);
+                }
+                3 => {
+                    w.wlan.pathloss.drift_phase += 0.4;
+                    w.refresh_links();
+                }
+                4 | 5 => {
+                    if let Some(walker) = first(&w, x % 10 == 4) {
+                        w.move_client(walker, pos);
+                    }
+                }
+                6 if w.ap_up[ap] => {
+                    // A crash: the cell's clients find the silence and
+                    // re-scan over the live APs.
+                    w.ap_up[ap] = false;
+                    for c in w.cell_clients(ap).to_vec() {
+                        w.deassociate(c as usize);
+                        w.associate(c as usize, &NullSink);
+                    }
+                }
+                6 => w.ap_up[ap] = true,
+                7 => {
+                    let model = w.build_model();
+                    w.ctl.reallocate(&model, &mut w.state, 1, x, false, &NullSink);
+                }
+                _ => {}
+            }
+            for a in 0..n_aps {
+                let cell: Vec<usize> = w.cell_clients(a).iter().map(|&c| c as usize).collect();
+                let scan: Vec<usize> = w.state.cell_clients(ApId(a)).iter().map(|c| c.0).collect();
+                prop_assert_eq!(cell, scan, "cell {} after step {:#x}", a, x);
+            }
+            prop_assert!(
+                w.graph_snapshot() == w.wlan.interference_graph(&w.state.assoc),
+                "graph after step {x:#x}"
+            );
+            prop_assert!(w.advert_cache_matches(), "stale advert after step {x:#x}");
+            if let Some(u) = first(&w, false) {
+                let ours: Vec<_> = w.candidates(u).iter().map(candidate_bits).collect();
+                let theirs: Vec<_> = w
+                    .ctl
+                    .candidates_for(&w.wlan, &w.state, ClientId(u))
+                    .iter()
+                    .filter(|cand| w.ap_up[cand.ap.0])
+                    .map(candidate_bits)
+                    .collect();
+                prop_assert_eq!(ours, theirs, "candidates of {} after step {:#x}", u, x);
+            }
+            prop_assert_eq!(
+                Exact::live_bps(&w).to_bits(),
+                w.ctl.total_throughput_bps(&w.wlan, &w.state, &w.ap_up).to_bits(),
+                "live goodput after step {:#x}",
+                x
+            );
+            let mut twin = w.state.clone();
+            w.ctl.adapt_widths(&w.wlan, &mut twin);
+            Exact::adapt_all(&mut w);
+            prop_assert_eq!(&w.state.operating_width, &twin.operating_width);
+            let (ours, theirs) = (w.build_model(), w.ctl.build_model(&w.wlan, &w.state));
+            for a in 0..n_aps {
+                for width in [ChannelWidth::Ht20, ChannelWidth::Ht40] {
+                    prop_assert_eq!(
+                        ours.cell_base_bps(ApId(a), width).to_bits(),
+                        theirs.cell_base_bps(ApId(a), width).to_bits(),
+                        "AP {} at {:?} after step {:#x}",
+                        a,
+                        width,
+                        x
+                    );
+                }
+            }
+        }
+    }
+
+    // The incremental world under the generic `MobilityProcess`: an
+    // associated walker's client-mediated edges and cached link follow
+    // it, so the maintained graph and advert cache stay equal to their
+    // from-scratch twins through the walk, drift and session churn.
+    #[test]
+    fn city_walker_keeps_graph_and_adverts_current(
+        table in any::<bool>(),
+        walk in any::<u64>(),
+    ) {
+        use acorn::events::{DriftProcess, MobilityProcess, SessionProcess, Simulation};
+        use acorn::topology::{ClientId, Point, Trajectory};
+        use acorn::traces::Session;
+        let mut sim = Simulation::new(advert_city(table));
+        let n_clients = sim.world.wlan.clients.len();
+        let walker = (walk % n_clients as u64) as usize;
+        let sessions = (0..n_clients)
+            .map(|c| Session {
+                client: c,
+                start_s: 5.0 * c as f64,
+                duration_s: if c == walker { 1e4 } else { 300.0 + 40.0 * c as f64 },
+            })
+            .collect();
+        let from = sim.world.wlan.clients[walker].pos;
+        let to = Point::new(((walk >> 8) % 200) as f64 - 40.0, ((walk >> 24) % 140) as f64 - 40.0);
+        sim.add_process(Box::new(SessionProcess {
+            sessions,
+            horizon_s: 1200.0,
+            adapt_widths: true,
+        }));
+        sim.add_process(Box::new(MobilityProcess {
+            client: ClientId(walker),
+            trajectory: Trajectory { from, to, speed_mps: 0.25 },
+            sample_period_s: 30.0,
+            horizon_s: 1200.0,
+            adapt_widths: true,
+        }));
+        sim.add_process(Box::new(DriftProcess {
+            period_s: 250.0,
+            horizon_s: 1200.0,
+            phase_step_rad: 0.4,
+        }));
+        let mut associated = 0;
+        for k in 1..=40 {
+            sim.run(30.0 * k as f64);
+            let w = &sim.world;
+            associated += usize::from(w.state.assoc[walker].is_some());
+            prop_assert!(
+                w.graph_snapshot() == w.wlan.interference_graph(&w.state.assoc),
+                "graph at {} s",
+                30 * k
+            );
+            prop_assert!(w.advert_cache_matches(), "stale advert at {} s", 30 * k);
+        }
+        prop_assert!(associated >= 30, "walker associated at {associated} of 40 samples");
     }
 }
