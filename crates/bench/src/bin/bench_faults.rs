@@ -135,7 +135,6 @@ fn main() {
         ap_mttr_s: 600.0,
         max_crashes: 1,
         delay_max_s: 45.0,
-        outlier_db: 25.0,
         ..FaultPlan::default()
     };
     let levels = vec![

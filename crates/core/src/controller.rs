@@ -785,9 +785,9 @@ mod tests {
 
     #[test]
     fn stale_tracked_links_advertise_infinite_delay() {
-        use crate::tracker::{ClientTracker, TrackerConfig};
+        use crate::tracker::ClientTracker;
         let c = controller();
-        let mut t = ClientTracker::new(TrackerConfig::default(), 100.0).unwrap();
+        let mut t = ClientTracker::new(100.0);
         t.observe_snr(25.0, 100.0).unwrap();
         let fresh = c.tracked_delay_s(&t, 101.0, ChannelWidth::Ht20);
         assert!(fresh.is_finite() && fresh > 0.0);

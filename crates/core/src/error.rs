@@ -6,9 +6,8 @@
 //! surface as *recoverable* faults — a [`ControlError`] the caller can
 //! count, log, and route around — never as a process abort. This module
 //! replaces the `assert!`/`unwrap` edges that used to guard
-//! [`switch_plans`](crate::csa::switch_plans), the
-//! [`TrackerConfig`](crate::tracker::TrackerConfig) validation and the
-//! CSA countdown.
+//! [`switch_plans`](crate::csa::switch_plans) and the CSA countdown, and
+//! types the tracker's rejection of a non-finite SNR report.
 
 use crate::wire::WireError;
 
@@ -27,13 +26,6 @@ pub enum ControlError {
     /// A CSA countdown of zero beacons would switch without ever
     /// announcing — clients could never follow.
     ZeroCsaCountdown,
-    /// Tracker EWMA weight outside `(0, 1]`.
-    BadTrackerAlpha(f64),
-    /// Tracker outlier window of zero samples.
-    EmptyTrackerWindow,
-    /// A tracker threshold (outlier gate or staleness horizon) that is
-    /// not a finite, positive number.
-    BadTrackerThreshold(&'static str),
     /// A measurement (SNR report) that is NaN or infinite.
     NonFiniteMeasurement(f64),
     /// A frame failed wire-level validation.
@@ -48,15 +40,6 @@ impl std::fmt::Display for ControlError {
             }
             ControlError::ZeroCsaCountdown => {
                 write!(f, "CSA countdown must be at least 1 beacon")
-            }
-            ControlError::BadTrackerAlpha(a) => {
-                write!(f, "tracker alpha {a} outside (0, 1]")
-            }
-            ControlError::EmptyTrackerWindow => {
-                write!(f, "tracker outlier window must hold at least 1 sample")
-            }
-            ControlError::BadTrackerThreshold(which) => {
-                write!(f, "tracker {which} must be finite and positive")
             }
             ControlError::NonFiniteMeasurement(x) => {
                 write!(f, "non-finite measurement {x}")

@@ -63,7 +63,7 @@ pub use csa::{switch_plans, ApCsa, ClientCsa, CsaAction, SwitchPlan};
 pub use error::ControlError;
 pub use model::{ClientSnr, ModelStats, ModelStatsSnapshot, NetworkModel, ThroughputModel};
 pub use theory::{approximation_ratio, worst_case_bound_bps, y_star_bps};
-pub use tracker::{ClientTracker, TrackerConfig};
+pub use tracker::ClientTracker;
 pub use wire::{
     crc32, parse_announcement, parse_beacon, refresh_fcs, serialize_announcement, serialize_beacon,
     WireError,

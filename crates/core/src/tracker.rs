@@ -5,63 +5,28 @@
 //! per client by using dedicated functions implemented in our card's
 //! driver." Raw per-frame SNR readings are noisy; the delays ACORN
 //! advertises in beacons should reflect the *link*, not the last frame.
-//! [`ClientTracker`] provides the standard treatment: EWMA smoothing with
-//! median-of-recent outlier rejection, staleness detection, and the
-//! association-time clock.
+//! [`ClientTracker`] provides the standard treatment: EWMA smoothing
+//! (α = 0.2) with median-of-recent outlier rejection (10 dB off the median
+//! of the last 8 samples), staleness detection (5 s without a sample), and
+//! the association-time clock.
 
 use crate::error::ControlError;
 use std::collections::VecDeque;
 
-/// Tracker configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrackerConfig {
-    /// EWMA weight of a new (accepted) sample, in `(0, 1]`.
-    pub alpha: f64,
-    /// Samples deviating more than this from the median of the recent
-    /// window are rejected as outliers (dB).
-    pub outlier_db: f64,
-    /// Recent-sample window used for the outlier median.
-    pub window: usize,
-    /// A link with no samples for this long is stale and should be
-    /// re-probed before its estimate is trusted (seconds).
-    pub staleness_s: f64,
-}
-
-impl Default for TrackerConfig {
-    fn default() -> Self {
-        TrackerConfig {
-            alpha: 0.2,
-            outlier_db: 10.0,
-            window: 8,
-            staleness_s: 5.0,
-        }
-    }
-}
-
-impl TrackerConfig {
-    /// Validates the configuration, returning the first violation as a
-    /// typed [`ControlError`].
-    pub fn validate(&self) -> Result<(), ControlError> {
-        if !(self.alpha > 0.0 && self.alpha <= 1.0) {
-            return Err(ControlError::BadTrackerAlpha(self.alpha));
-        }
-        if self.window < 1 {
-            return Err(ControlError::EmptyTrackerWindow);
-        }
-        if !(self.outlier_db.is_finite() && self.outlier_db > 0.0) {
-            return Err(ControlError::BadTrackerThreshold("outlier_db"));
-        }
-        if !(self.staleness_s.is_finite() && self.staleness_s > 0.0) {
-            return Err(ControlError::BadTrackerThreshold("staleness_s"));
-        }
-        Ok(())
-    }
-}
+/// EWMA weight of a new (accepted) sample.
+const ALPHA: f64 = 0.2;
+/// Samples deviating more than this from the median of the recent window
+/// are rejected as outliers (dB).
+const OUTLIER_DB: f64 = 10.0;
+/// Recent-sample window used for the outlier median.
+const WINDOW: usize = 8;
+/// A link with no samples for this long is stale and should be re-probed
+/// before its estimate is trusted (s).
+const STALENESS_S: f64 = 5.0;
 
 /// Smoothed link state for one client.
 #[derive(Debug, Clone)]
 pub struct ClientTracker {
-    config: TrackerConfig,
     associated_at_s: f64,
     ewma_snr_db: Option<f64>,
     recent: VecDeque<f64>,
@@ -71,20 +36,16 @@ pub struct ClientTracker {
 }
 
 impl ClientTracker {
-    /// Starts tracking a client that associated at `now_s`. A malformed
-    /// configuration is a recoverable [`ControlError`], not an abort —
-    /// tracker configs may come from operator input.
-    pub fn new(config: TrackerConfig, now_s: f64) -> Result<ClientTracker, ControlError> {
-        config.validate()?;
-        Ok(ClientTracker {
-            config,
+    /// Starts tracking a client that associated at `now_s`.
+    pub fn new(now_s: f64) -> ClientTracker {
+        ClientTracker {
             associated_at_s: now_s,
             ewma_snr_db: None,
-            recent: VecDeque::with_capacity(config.window),
+            recent: VecDeque::with_capacity(WINDOW),
             last_sample_s: now_s,
             samples: 0,
             rejected: 0,
-        })
+        }
     }
 
     /// Feeds one per-frame SNR reading. Returns `Ok(true)` if the sample
@@ -98,21 +59,21 @@ impl ClientTracker {
         self.samples += 1;
         // Outlier test against the median of the recent window (only once
         // the window has some substance; early samples are all accepted).
-        if self.recent.len() >= self.config.window / 2 + 1 {
+        if self.recent.len() > WINDOW / 2 {
             let mut sorted: Vec<f64> = self.recent.iter().copied().collect();
             sorted.sort_by(f64::total_cmp);
             let median = sorted[sorted.len() / 2];
-            if (snr_db - median).abs() > self.config.outlier_db {
+            if (snr_db - median).abs() > OUTLIER_DB {
                 self.rejected += 1;
                 return Ok(false);
             }
         }
-        if self.recent.len() == self.config.window {
+        if self.recent.len() == WINDOW {
             self.recent.pop_front();
         }
         self.recent.push_back(snr_db);
         self.ewma_snr_db = Some(match self.ewma_snr_db {
-            Some(prev) => prev + self.config.alpha * (snr_db - prev),
+            Some(prev) => prev + ALPHA * (snr_db - prev),
             None => snr_db,
         });
         self.last_sample_s = now_s;
@@ -125,7 +86,7 @@ impl ClientTracker {
     }
 
     /// The staleness-gated estimate the *controller boundary* must use: a
-    /// link with no fresh samples inside `staleness_s` yields `None`, so
+    /// link with no fresh samples inside `STALENESS_S` yields `None`, so
     /// its advertised delay degrades to ∞ (`u32::MAX` on the wire)
     /// instead of a confidently-wrong last EWMA value.
     pub fn fresh_snr_db(&self, now_s: f64) -> Option<f64> {
@@ -138,7 +99,7 @@ impl ClientTracker {
 
     /// Whether the estimate is stale at `now_s`.
     pub fn is_stale(&self, now_s: f64) -> bool {
-        self.ewma_snr_db.is_none() || now_s - self.last_sample_s > self.config.staleness_s
+        self.ewma_snr_db.is_none() || now_s - self.last_sample_s > STALENESS_S
     }
 
     /// Association duration so far — the quantity Fig. 9's trace records.
@@ -157,7 +118,7 @@ mod tests {
     use super::*;
 
     fn tracker() -> ClientTracker {
-        ClientTracker::new(TrackerConfig::default(), 100.0).unwrap()
+        ClientTracker::new(100.0)
     }
 
     #[test]
@@ -266,34 +227,5 @@ mod tests {
         let t = tracker();
         assert_eq!(t.association_time_s(100.0), 0.0);
         assert_eq!(t.association_time_s(1900.0), 1800.0);
-    }
-
-    #[test]
-    fn bad_configs_are_typed_errors() {
-        let bad_alpha = TrackerConfig {
-            alpha: 0.0,
-            ..TrackerConfig::default()
-        };
-        assert_eq!(
-            ClientTracker::new(bad_alpha, 0.0).err(),
-            Some(ControlError::BadTrackerAlpha(0.0))
-        );
-        let no_window = TrackerConfig {
-            window: 0,
-            ..TrackerConfig::default()
-        };
-        assert_eq!(
-            ClientTracker::new(no_window, 0.0).err(),
-            Some(ControlError::EmptyTrackerWindow)
-        );
-        let nan_gate = TrackerConfig {
-            outlier_db: f64::NAN,
-            ..TrackerConfig::default()
-        };
-        assert_eq!(
-            ClientTracker::new(nan_gate, 0.0).err(),
-            Some(ControlError::BadTrackerThreshold("outlier_db"))
-        );
-        assert!(TrackerConfig::default().validate().is_ok());
     }
 }

@@ -40,6 +40,10 @@ pub const CTRL_GAUNTLET: GauntletCounters = GauntletCounters {
     delayed: names::CTRL_FRAMES_DELAYED,
 };
 
+/// APs within this distance (m) of a foreign zone's AP count as border
+/// cells: gossiped in digests, forced to 20 MHz in safe mode.
+const BORDER_MARGIN_M: f64 = 600.0;
+
 /// The control plane's event alphabet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlaneEvent {
@@ -95,20 +99,9 @@ pub struct PlaneConfig {
     pub horizon_s: f64,
     /// Random restarts per zone per epoch (Algorithm 2 hedging).
     pub restarts: usize,
-    /// One-way control-link latency (seconds).
-    pub link_latency_s: f64,
-    /// Initial retransmit timeout (seconds).
-    pub rto_base_s: f64,
-    /// Retransmit backoff cap (seconds).
-    pub rto_cap_s: f64,
-    /// Resend attempts before an envelope expires.
-    pub max_attempts: u32,
     /// Peer heartbeats may lag this many epochs before the peer counts
     /// as unheard for the safe-mode quorum.
     pub stale_epochs: u64,
-    /// APs within this distance of a foreign zone's AP count as border
-    /// cells (gossiped in digests, forced to 20 MHz in safe mode).
-    pub border_margin_m: f64,
     /// The wire fault gauntlet for control frames.
     pub faults: FaultPlan,
     /// Partition windows. Windows may repeat or overlap; a zone is
@@ -130,12 +123,7 @@ impl Default for PlaneConfig {
             first_epoch_at_s: 60.0,
             horizon_s: 60.0 + 4.0 * 1800.0,
             restarts: 2,
-            link_latency_s: 0.05,
-            rto_base_s: 5.0,
-            rto_cap_s: 60.0,
-            max_attempts: 8,
             stale_epochs: 2,
-            border_margin_m: 600.0,
             faults: FaultPlan::default(),
             partitions: Vec::new(),
             crashes: Vec::new(),
@@ -309,7 +297,7 @@ impl DistributedPlane {
                     .filter(|&a| {
                         wlan.aps.iter().enumerate().any(|(b, ap_b)| {
                             zone_of_ap[b] != zone_of_ap[a]
-                                && wlan.aps[a].pos.distance(&ap_b.pos) <= cfg.border_margin_m
+                                && wlan.aps[a].pos.distance(&ap_b.pos) <= BORDER_MARGIN_M
                         })
                     })
                     .collect()
@@ -354,7 +342,7 @@ impl DistributedPlane {
     /// Runs every epoch within the horizon *and* drains all remaining
     /// deliveries, acks, and retransmit timers. Terminates because the
     /// epoch chain is horizon-bounded and unacked envelopes expire
-    /// after `max_attempts` resends.
+    /// after eight resends.
     pub fn run_to_quiescence(&mut self) -> RunStats {
         self.sim.run_to_completion()
     }
@@ -592,7 +580,12 @@ mod tests {
             restart_at_s: 6.0,
         }];
         let benign = cfg.benign_twin();
-        assert!(benign.faults.is_benign());
+        let clean = FaultPlan {
+            seed: cfg.faults.seed,
+            control_period_s: cfg.faults.control_period_s,
+            ..FaultPlan::default()
+        };
+        assert_eq!(benign.faults, clean);
         assert!(benign.partitions.is_empty() && benign.crashes.is_empty());
         assert_eq!(benign.seed, cfg.seed);
         assert_eq!(benign.n_epochs(), cfg.n_epochs());

@@ -38,10 +38,19 @@ use acorn_phy::ChannelWidth;
 use acorn_topology::{ApId, ChannelAssignment};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Retransmit backoff for the `attempt`-th resend (0-based): `base·2^a`,
-/// capped at `cap`.
-pub fn backoff_for(base_s: f64, cap_s: f64, attempt: u32) -> f64 {
-    (base_s * f64::powi(2.0, attempt.min(63) as i32)).min(cap_s)
+/// One-way control-link latency (s).
+const LINK_LATENCY_S: f64 = 0.05;
+/// Initial retransmit timeout (s).
+const RTO_BASE_S: f64 = 5.0;
+/// Retransmit backoff cap (s).
+const RTO_CAP_S: f64 = 60.0;
+/// Resend attempts before an envelope expires.
+const MAX_ATTEMPTS: u32 = 8;
+
+/// Retransmit backoff for the `attempt`-th resend (0-based):
+/// `RTO_BASE_S·2^a` (5 s), capped at `RTO_CAP_S` (60 s).
+pub fn backoff_for(attempt: u32) -> f64 {
+    (RTO_BASE_S * f64::powi(2.0, attempt.min(63) as i32)).min(RTO_CAP_S)
 }
 
 /// An envelope awaiting acknowledgement.
@@ -117,7 +126,7 @@ impl ZoneController {
             .roll_copy(ctx.telemetry, &mut rng, &bytes, &CTRL_GAUNTLET);
         if let Some((frame, delay)) = rolled {
             ctx.world.net.pending.insert(frame_id, frame.into_owned());
-            let t = now + self.cfg.link_latency_s + delay.unwrap_or(0.0);
+            let t = now + LINK_LATENCY_S + delay.unwrap_or(0.0);
             ctx.send_at(t, target, PlaneEvent::Deliver(frame_id));
         }
     }
@@ -141,7 +150,7 @@ impl ZoneController {
         };
         self.transmit(ctx, &env);
         if env.needs_ack() {
-            let rto = backoff_for(self.cfg.rto_base_s, self.cfg.rto_cap_s, 0);
+            let rto = backoff_for(0);
             let resend = ctx.schedule_after(rto, PlaneEvent::Resend(msg_id));
             self.unacked.insert(
                 msg_id,
@@ -374,7 +383,7 @@ impl ZoneController {
         else {
             return;
         };
-        if attempt + 1 > self.cfg.max_attempts {
+        if attempt + 1 > MAX_ATTEMPTS {
             self.unacked.remove(&msg_id);
             ctx.telemetry.inc(names::CTRL_MSGS_EXPIRED);
             return;
@@ -387,7 +396,7 @@ impl ZoneController {
             msgs,
         };
         self.transmit(ctx, &env);
-        let rto = backoff_for(self.cfg.rto_base_s, self.cfg.rto_cap_s, attempt + 1);
+        let rto = backoff_for(attempt + 1);
         let resend = ctx.schedule_after(rto, PlaneEvent::Resend(msg_id));
         let p = self.unacked.get_mut(&msg_id).expect("checked above");
         p.attempt = attempt + 1;
@@ -435,9 +444,9 @@ mod tests {
 
     #[test]
     fn backoff_doubles_to_the_cap() {
-        let rtos: Vec<f64> = (0..8).map(|a| backoff_for(5.0, 60.0, a)).collect();
+        let rtos: Vec<f64> = (0..8).map(backoff_for).collect();
         assert_eq!(rtos, vec![5.0, 10.0, 20.0, 40.0, 60.0, 60.0, 60.0, 60.0]);
         // Huge attempt counts must not overflow into NaN/inf.
-        assert_eq!(backoff_for(5.0, 60.0, u32::MAX), 60.0);
+        assert_eq!(backoff_for(u32::MAX), 60.0);
     }
 }

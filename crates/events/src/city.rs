@@ -10,8 +10,8 @@
 //!   radius query on the grid, so candidate sets never scan every AP;
 //! * a cell lists its clients in association order, and the §5.2 width
 //!   fallback after a cell change revisits only that cell;
-//! * the fault layer's measurement gates write through the cached SNRs
-//!   ([`CityWorld::set_client_snr20`]);
+//! * the fault layer measures the cached SNRs and its gates only count
+//!   what they reject ([`CityFaultProcess`]), so no fault writes a link;
 //! * Algorithm 2 runs per connected component of the graph, with
 //!   SNR→goodput queries served by the controller's memoized
 //!   [`GoodputTable`](acorn_phy::GoodputTable) when one is attached.
@@ -66,16 +66,6 @@ impl CityWorld {
         );
         let local = Incremental { candidate_radius_m };
         World::with_locality(wlan, ctl, seed, local)
-    }
-
-    /// Overwrites client `c`'s cached SNR — the measurement path a fault
-    /// process drives (its outlier/NaN gates decide what lands here) —
-    /// and, unless the value is bit-identical, its cached delays and its
-    /// cell's ATDs.
-    pub fn set_client_snr20(&mut self, c: usize, snr20_db: f64) {
-        if self.client_snr20_cached(c).to_bits() != snr20_db.to_bits() {
-            self.set_link(c, snr20_db);
-        }
     }
 
     /// Localized §5.2 width adaptation for one AP, from its cached ATDs.

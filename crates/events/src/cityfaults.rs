@@ -5,19 +5,21 @@
 //! too expensive per event, and its fault process keeps that discipline:
 //! an AP crash touches only its own cell's clients (who detect beacon
 //! silence and re-scan through the spatial index), a measurement fault
-//! touches one cached SNR entry (and, through it, that client's cached
-//! delays and its cell's ATDs) behind an outlier/NaN gate, and a beacon
-//! goes through the real `wire` encode → (corrupt) → parse path — so
-//! chaos at 1 000 APs costs O(faults), not O(network). A beacon's delays
-//! are read from the world's advert cache, never re-estimated here.
+//! is one gated report of one cached link, and a beacon goes through the
+//! real `wire` encode → (corrupt) → parse path — so chaos at 1 000 APs
+//! costs O(faults), not O(network). A beacon's delays are read from the
+//! world's advert cache, never re-estimated here.
 //!
 //! What the process adds to the fault core it shares with
 //! [`FaultProcess`](crate::FaultProcess) (documented, not accidental):
 //!
 //! * No per-client [`ClientTracker`](acorn_core::ClientTracker) — the
-//!   incremental world's measurement state *is* its cached SNRs, so the
-//!   NaN/outlier gates live here and write through
-//!   [`CityWorld::set_client_snr20`].
+//!   incremental world's measurement state *is* its cached SNRs, and
+//!   the NaN/outlier gates here only count what they reject. A report
+//!   either gate accepts equals the cached SNR it was drawn from (a
+//!   clean draw returns it; a ±25 dB spike always exceeds the 12.5 dB
+//!   gate), so measurement faults never reach the cache, the adverts or
+//!   the network: nothing here writes the world's links.
 //! * No IAPP/CSA machinery — re-allocation deploys instantly through the
 //!   per-component allocator; beacons are the only wire path.
 //! * A client whose re-scan finds no live AP stays unassociated until
@@ -25,11 +27,9 @@
 //!   would risk resurrecting departed clients.
 
 use crate::city::CityWorld;
-use crate::faults::{Delivery, FaultCore, FaultPlan, SALT_MEAS};
+use crate::faults::{Delivery, FaultCore, FaultPlan, OUTLIER_DB, SALT_MEAS};
 use crate::sim::{Ctx, Process};
 use crate::world::AcornEvent;
-use acorn_phy::ChannelWidth;
-use acorn_topology::{ApId, ClientId};
 
 /// The incremental world's fault process. Register it *last* on a
 /// scenario so the benign event schedule (and therefore every
@@ -52,56 +52,41 @@ impl CityFaultProcess {
         let n_aps = ctx.world.wlan.aps.len();
         self.core.begin_round(ctx.world, |_| {});
 
-        // --- 1. Measurements: each live AP re-measures its own clients;
-        // the NaN/outlier gates decide what reaches the cached SNRs the
-        // beacon delays and the width adaptation read.
+        // --- 1. Measurements: each live AP re-measures its own clients'
+        // links (the cached SNRs); the NaN/outlier gates count the
+        // faults they reject.
         let mut meas_rng = self.core.rng(ctx, SALT_MEAS);
-        for ap in 0..n_aps {
-            if !ctx.world.ap_up[ap] {
-                continue; // a dead AP measures nothing
-            }
-            for i in 0..ctx.world.cell_clients(ap).len() {
-                let c = ctx.world.cell_clients(ap)[i] as usize;
-                let true_snr = ctx
-                    .world
-                    .wlan
-                    .snr_db(ApId(ap), ClientId(c), ChannelWidth::Ht20);
-                let Some(reported) = self.core.measure(&mut meas_rng, true_snr) else {
-                    continue; // stuck sensor: the cache keeps its last value
+        let w = &*ctx.world;
+        for ap in (0..n_aps).filter(|&ap| w.ap_up[ap]) {
+            for &c in w.cell_clients(ap) {
+                let cached = w.client_snr20_cached(c as usize);
+                let Some(reported) = self.core.measure(&mut meas_rng, cached) else {
+                    continue; // stuck sensor: no report this round
                 };
+                // A NaN report is a measurement fault. Outlier gate: a
+                // jump of more than half the injected spike magnitude
+                // against the cached value is rejected (shadowing drift
+                // moves links by a few dB per step; a 25 dB spike is
+                // physically implausible between rounds).
                 if !reported.is_finite() {
                     ctx.telemetry.inc("faults.measurement_faults");
-                    continue;
-                }
-                // Outlier gate: a jump of more than half the injected
-                // spike magnitude against the cached value is rejected
-                // (shadowing drift moves links by a few dB per step; a
-                // 25 dB spike is physically implausible between rounds).
-                let cached = ctx.world.client_snr20_cached(c);
-                if cached.is_finite() && (reported - cached).abs() > 0.5 * self.core.plan.outlier_db
-                {
+                } else if (reported - cached).abs() > 0.5 * OUTLIER_DB {
                     ctx.telemetry.inc("faults.outliers_rejected");
-                    continue;
                 }
-                ctx.world.set_client_snr20(c, reported);
             }
         }
 
         // --- 2. Beacons: the cell's cached delays at its operating width,
         // access share over live neighbours.
         let advert = |w: &CityWorld, ap: usize| {
-            let cell = w.cell_clients(ap);
-            let width = w.state.operating_width[ap];
-            let clients = cell.iter().map(|&c| c as usize).collect();
-            let delays = cell
-                .iter()
-                .map(|&c| w.client_delays[c as usize][width as usize])
-                .collect();
-            (clients, delays, w.access_share(ap, true))
+            let width = w.state.operating_width[ap] as usize;
+            let cell = w.cell_clients(ap).iter();
+            let delays = cell.map(|&c| w.client_delays[c as usize][width]).collect();
+            (delays, w.access_share(ap, true))
         };
         self.core.beacons(ctx, advert, |_, _| {});
 
-        // --- 3. Detection: miss_limit rounds of beacon silence and the
+        // --- 3. Detection: beacon silence past the miss limit and the
         // client declares its AP dead and re-scans.
         for c in 0..ctx.world.wlan.clients.len() {
             if ctx.world.state.assoc[c].is_some()
@@ -130,9 +115,8 @@ impl Process<CityWorld, AcornEvent> for CityFaultProcess {
             }
             AcornEvent::ApRestart(ap) => self.core.restart(ctx, ap),
             AcornEvent::DeliverMsg(id) => {
-                if let Some(Delivery::Beacon { frame, ap, client }) = self.core.pending.remove(&id)
-                {
-                    self.core.late_beacon(ctx, &frame, ap, client);
+                if let Some(Delivery::Beacon { ok, ap, client }) = self.core.pending.remove(&id) {
+                    self.core.late_beacon(ctx, ok, ap, client);
                 }
             }
             _ => {}

@@ -29,7 +29,10 @@
 //! SNR and delivery delays at both widths, and the cell's ATD at both
 //! widths. One join and one leave ([`World::associate`],
 //! [`World::deassociate`]), one [`World::refresh_links`] and one
-//! [`World::move_client`] write them.
+//! [`World::move_client`] write them. Every SNR they cache is read from
+//! the deployment, so a cached SNR always equals `wlan.snr_db` bit for
+//! bit ([`World::advert_cache_matches`] checks it with the adverts). The
+//! fault layer measures the cached SNRs and writes no cache.
 //!
 //! An AP's access share depends only on its conflict-graph neighbours
 //! (the coupling Bellalta et al., arXiv:1412.0929, model), so worlds
@@ -136,7 +139,8 @@ pub struct World<L> {
     /// [`Locality::ASSOCIATION_ORDER`] selects.
     cells: Vec<Vec<u32>>,
     /// Cached HT20 SNR of each associated client to its AP (meaningless
-    /// for unassociated clients).
+    /// for unassociated clients): `wlan.snr_db`, re-read whenever the
+    /// link can have moved.
     client_snr20: Vec<f64>,
     /// Each associated client's delivery delay to its AP at both widths
     /// (indexed by `width as usize`): `delays_from_snr` of its cached SNR.
@@ -224,20 +228,23 @@ impl<L: Locality> World<L> {
         self.client_snr20[c]
     }
 
-    /// Whether the advert cache equals a fresh recomputation, bit for bit:
-    /// every active client's delays at both widths and every cell's ATDs
-    /// at both widths, from the cached SNRs with
-    /// [`AcornController::delay_from_snr`]. The soak watchdog's invariant
-    /// 6. Outside an epoch its table lookups feed no counter.
+    /// Whether the link and advert caches equal a fresh recomputation,
+    /// bit for bit: every active client's cached HT20 SNR against
+    /// `wlan.snr_db` to its AP, and its delays at both widths and every
+    /// cell's ATDs at both widths against [`AcornController::delay_from_snr`]
+    /// of the cached SNRs. The soak watchdog's invariant 6. Outside an
+    /// epoch its table lookups feed no counter.
     pub fn advert_cache_matches(&self) -> bool {
         let bits = |d: &[f64; 2]| d.map(f64::to_bits);
         (0..self.wlan.aps.len()).all(|ap| {
+            let cell = || self.cells[ap].iter().map(|&c| c as usize);
+            let link = |c| self.wlan.snr_db(ApId(ap), ClientId(c), ChannelWidth::Ht20);
             let fresh = self.fresh_delays(ap);
-            let cached = self.cells[ap]
-                .iter()
-                .map(|&c| &self.client_delays[c as usize]);
-            bits(&atd_of(fresh.iter())) == bits(&self.cell_atd[ap])
-                && cached.map(bits).eq(fresh.iter().map(bits))
+            cell().all(|c| self.client_snr20[c].to_bits() == link(c).to_bits())
+                && bits(&atd_of(fresh.iter())) == bits(&self.cell_atd[ap])
+                && cell()
+                    .map(|c| bits(&self.client_delays[c]))
+                    .eq(fresh.iter().map(bits))
         })
     }
 
@@ -420,20 +427,13 @@ impl<L: Locality> World<L> {
         }
     }
 
-    /// Re-reads client `c`'s HT20 SNR to its AP `ap` and caches it.
+    /// Re-reads associated client `c`'s HT20 SNR to its AP `ap`, caches
+    /// it with its delays at both widths, and re-sums the cell's ATDs.
     fn refresh_link(&mut self, c: usize, ap: usize) {
         let snr = self.wlan.snr_db(ApId(ap), ClientId(c), ChannelWidth::Ht20);
-        self.set_link(c, snr);
-    }
-
-    /// Caches client `c`'s HT20 SNR and its delays at both widths, and
-    /// re-sums its cell's ATDs if it is associated.
-    pub(crate) fn set_link(&mut self, c: usize, snr20_db: f64) {
-        self.client_snr20[c] = snr20_db;
-        self.client_delays[c] = self.ctl.delays_from_snr(snr20_db);
-        if let Some(ap) = self.state.assoc[c] {
-            self.resum(ap.0);
-        }
+        self.client_snr20[c] = snr;
+        self.client_delays[c] = self.ctl.delays_from_snr(snr);
+        self.resum(ap);
     }
 
     /// Re-sums cell `ap`'s cached ATDs after a join, leave or member-SNR
@@ -1034,6 +1034,28 @@ mod tests {
             exact(),
             vec![session(1, 100.0, 300.0), session(1, 10.0, 100.0)],
         );
+    }
+
+    /// One ulp off one client's cached HT20 SNR, its delays and its
+    /// cell's ATDs re-derived from it: only the link check can see it.
+    fn stale_link_is_caught<L: Locality>(mut w: World<L>) {
+        let sink = RecordingSink::new();
+        for c in 0..w.wlan.clients.len() {
+            w.associate(c, &sink);
+        }
+        assert!(w.advert_cache_matches());
+        let ap = w.state.assoc[0].expect("client 0 found an AP").0;
+        let snr = f64::from_bits(w.client_snr20[0].to_bits() + 1);
+        w.client_snr20[0] = snr;
+        w.client_delays[0] = w.ctl.delays_from_snr(snr);
+        w.resum(ap);
+        assert!(!w.advert_cache_matches(), "a stale link SNR went unseen");
+    }
+
+    #[test]
+    fn a_stale_link_snr_is_caught_in_both_worlds() {
+        stale_link_is_caught(exact());
+        stale_link_is_caught(city());
     }
 
     #[test]

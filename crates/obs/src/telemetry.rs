@@ -27,12 +27,11 @@ use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Default per-series sample capacity. Generous enough that every
-/// short-horizon scenario keeps its full history (the longest series the
-/// repo records outside soak runs is a few thousand samples), yet it
-/// bounds a multi-day soak's telemetry at ~2 MB per series instead of
-/// O(horizon). Opt out per recorder with
-/// [`Telemetry::set_series_capacity`]`(None)`.
+/// Per-series sample capacity. Generous enough that every short-horizon
+/// scenario keeps its full history (the longest series the repo records
+/// outside soak runs is a few thousand samples), yet it bounds a
+/// multi-day soak's telemetry at ~2 MB per series instead of
+/// O(horizon).
 pub const DEFAULT_SERIES_CAP: usize = 65_536;
 
 /// Why a histogram could not be constructed.
@@ -206,10 +205,10 @@ impl Histogram {
     }
 }
 
-/// One (time, value) series, optionally capacity-capped: with a cap of
-/// `c`, the series keeps between `c` and `2c` of the *most recent*
-/// samples (eviction drops the oldest half-window in one amortized-O(1)
-/// memmove rather than shifting per push), and
+/// One (time, value) series, capped at [`DEFAULT_SERIES_CAP`] = `c`: the
+/// series keeps between `c` and `2c` of the *most recent* samples
+/// (eviction drops the oldest half-window in one amortized-O(1) memmove
+/// rather than shifting per push), and
 /// [`total`](Series::total) keeps counting everything ever recorded —
 /// so bounded memory never silently masquerades as a short run.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -218,21 +217,11 @@ pub struct Series {
     pub times_s: Vec<f64>,
     /// Sample values — the retained window.
     pub values: Vec<f64>,
-    /// Retention cap (`None` = unbounded, the pre-soak behaviour).
-    cap: Option<usize>,
     /// Samples ever recorded, including evicted ones.
     total: u64,
 }
 
 impl Series {
-    /// An empty series with the given retention cap.
-    pub fn with_capacity(cap: Option<usize>) -> Series {
-        Series {
-            cap,
-            ..Series::default()
-        }
-    }
-
     /// Samples ever recorded (≥ `values.len()` once eviction starts).
     pub fn total(&self) -> u64 {
         self.total
@@ -253,16 +242,6 @@ impl Series {
         self.total > self.values.len() as u64
     }
 
-    /// The retention cap.
-    pub fn capacity(&self) -> Option<usize> {
-        self.cap
-    }
-
-    fn set_capacity(&mut self, cap: Option<usize>) {
-        self.cap = cap;
-        self.enforce_cap();
-    }
-
     fn push(&mut self, t_s: f64, value: f64) {
         self.total += 1;
         self.times_s.push(t_s);
@@ -271,15 +250,13 @@ impl Series {
     }
 
     fn enforce_cap(&mut self) {
-        if let Some(cap) = self.cap {
-            let cap = cap.max(1);
-            if self.values.len() >= cap * 2 {
-                let drop = self.values.len() - cap;
-                self.times_s.drain(..drop);
-                self.values.drain(..drop);
-                self.times_s.shrink_to(cap * 2);
-                self.values.shrink_to(cap * 2);
-            }
+        let cap = DEFAULT_SERIES_CAP;
+        if self.values.len() >= cap * 2 {
+            let drop = self.values.len() - cap;
+            self.times_s.drain(..drop);
+            self.values.drain(..drop);
+            self.times_s.shrink_to(cap * 2);
+            self.values.shrink_to(cap * 2);
         }
     }
 }
@@ -304,50 +281,19 @@ fn upsert<V>(
 }
 
 /// The telemetry recorder processes and sinks write into.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Telemetry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     series: BTreeMap<String, Series>,
     histograms: BTreeMap<String, Histogram>,
     sketches: BTreeMap<String, QuantileSketch>,
-    /// Retention cap newly-created series inherit.
-    series_cap: Option<usize>,
-}
-
-impl Default for Telemetry {
-    fn default() -> Telemetry {
-        Telemetry {
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            series: BTreeMap::new(),
-            histograms: BTreeMap::new(),
-            sketches: BTreeMap::new(),
-            series_cap: Some(DEFAULT_SERIES_CAP),
-        }
-    }
 }
 
 impl Telemetry {
     /// An empty recorder (series capped at [`DEFAULT_SERIES_CAP`]).
     pub fn new() -> Telemetry {
         Telemetry::default()
-    }
-
-    /// Sets the retention cap applied to every series, existing and
-    /// future (`None` is the explicit opt-out back to unbounded
-    /// history). Soak harnesses tighten this; plot-oriented short runs
-    /// that need every sample loosen it.
-    pub fn set_series_capacity(&mut self, cap: Option<usize>) {
-        self.series_cap = cap;
-        for s in self.series.values_mut() {
-            s.set_capacity(cap);
-        }
-    }
-
-    /// The retention cap newly-created series inherit.
-    pub fn series_capacity(&self) -> Option<usize> {
-        self.series_cap
     }
 
     /// Increments a counter by 1.
@@ -376,15 +322,11 @@ impl Telemetry {
     }
 
     /// Appends a (time, value) sample to a series (evicting the oldest
-    /// window once the recorder's series cap is exceeded).
+    /// window once [`DEFAULT_SERIES_CAP`] is exceeded).
     pub fn record(&mut self, name: &str, t_s: f64, value: f64) {
-        let cap = self.series_cap;
-        upsert(
-            &mut self.series,
-            name,
-            || Series::with_capacity(cap),
-            |s| s.push(t_s, value),
-        );
+        upsert(&mut self.series, name, Series::default, |s| {
+            s.push(t_s, value)
+        });
     }
 
     /// Reads a series.
@@ -456,11 +398,7 @@ impl Telemetry {
             self.gauges.insert(name, v);
         }
         for (name, s) in other.series {
-            let cap = self.series_cap;
-            let dst = self
-                .series
-                .entry(name)
-                .or_insert_with(|| Series::with_capacity(cap));
+            let dst = self.series.entry(name).or_default();
             dst.times_s.extend_from_slice(&s.times_s);
             dst.values.extend_from_slice(&s.values);
             dst.total += s.total;
@@ -799,67 +737,52 @@ mod tests {
 
     #[test]
     fn series_cap_keeps_recent_window_and_counts_total() {
+        const CAP: usize = DEFAULT_SERIES_CAP;
+        let n = 2 * CAP + 5;
         let mut t = Telemetry::new();
-        t.set_series_capacity(Some(4));
-        for i in 0..100 {
+        for i in 0..n {
             t.record("s", i as f64, 2.0 * i as f64);
         }
         let s = t.series("s").unwrap();
-        assert_eq!(s.total(), 100);
+        assert_eq!(s.total(), n as u64);
         assert!(s.is_truncated());
         assert!(
-            (4..8).contains(&s.len()),
+            (CAP..2 * CAP).contains(&s.len()),
             "len {} out of [cap, 2cap)",
             s.len()
         );
         // The retained window is the most recent samples, in order.
         let last = *s.times_s.last().unwrap();
-        assert_eq!(last, 99.0);
+        assert_eq!(last, (n - 1) as f64);
         assert!(s.times_s.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(*s.values.last().unwrap(), 198.0);
+        assert_eq!(*s.values.last().unwrap(), 2.0 * (n - 1) as f64);
     }
 
     #[test]
-    fn series_opt_out_is_unbounded() {
+    fn series_below_twice_the_cap_keeps_every_sample() {
         let mut t = Telemetry::new();
-        t.set_series_capacity(None);
-        for i in 0..(DEFAULT_SERIES_CAP * 2 / 64) {
+        for i in 0..(2 * DEFAULT_SERIES_CAP - 1) {
             t.record("s", i as f64, 0.0);
         }
         let s = t.series("s").unwrap();
         assert_eq!(s.len() as u64, s.total());
         assert!(!s.is_truncated());
-        assert_eq!(s.capacity(), None);
-    }
-
-    #[test]
-    fn series_cap_applies_to_existing_series() {
-        let mut t = Telemetry::new();
-        for i in 0..100 {
-            t.record("s", i as f64, 0.0);
-        }
-        t.set_series_capacity(Some(8));
-        let s = t.series("s").unwrap();
-        assert!(s.len() < 100);
-        assert_eq!(s.total(), 100);
     }
 
     #[test]
     fn absorb_preserves_series_totals_under_cap() {
         let mut a = Telemetry::new();
-        a.set_series_capacity(Some(4));
-        for i in 0..50 {
+        for i in 0..DEFAULT_SERIES_CAP {
             a.record("s", i as f64, 0.0);
         }
         let mut b = Telemetry::new();
-        b.set_series_capacity(Some(4));
-        for i in 50..100 {
+        for i in DEFAULT_SERIES_CAP..2 * DEFAULT_SERIES_CAP {
             b.record("s", i as f64, 0.0);
         }
         a.absorb(b);
         let s = a.series("s").unwrap();
-        assert_eq!(s.total(), 100);
-        assert!(s.len() < 100);
+        assert_eq!(s.total(), 2 * DEFAULT_SERIES_CAP as u64);
+        assert!(s.len() < 2 * DEFAULT_SERIES_CAP);
     }
 
     #[test]

@@ -182,43 +182,13 @@ pub fn city_grid(
     n_clients: usize,
     seed: u64,
 ) -> Wlan {
-    assert!(districts_per_side >= 1, "need at least one district");
-    assert!(
-        (1..=4).contains(&aps_per_district_side),
-        "district extent must stay below the inter-district gap"
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    let k = aps_per_district_side;
-    let extent = (k - 1) as f64 * CITY_AP_SPACING_M;
-    let mut aps = Vec::with_capacity(districts_per_side * districts_per_side * k * k);
-    let mut origins = Vec::with_capacity(districts_per_side * districts_per_side);
-    for dy in 0..districts_per_side {
-        for dx in 0..districts_per_side {
-            let origin = Point::new(
-                dx as f64 * CITY_DISTRICT_PITCH_M,
-                dy as f64 * CITY_DISTRICT_PITCH_M,
-            );
-            origins.push(origin);
-            for j in 0..k {
-                for i in 0..k {
-                    aps.push(Point::new(
-                        origin.x + i as f64 * CITY_AP_SPACING_M,
-                        origin.y + j as f64 * CITY_AP_SPACING_M,
-                    ));
-                }
-            }
-        }
-    }
-    let clients: Vec<Point> = (0..n_clients)
-        .map(|c| {
-            let o = origins[c % origins.len()];
-            Point::new(
-                o.x + rng.gen_range(-CITY_CLIENT_MARGIN_M..=extent + CITY_CLIENT_MARGIN_M),
-                o.y + rng.gen_range(-CITY_CLIENT_MARGIN_M..=extent + CITY_CLIENT_MARGIN_M),
-            )
-        })
-        .collect();
-    Wlan::new(aps, clients, seed)
+    districts(
+        districts_per_side,
+        aps_per_district_side,
+        CITY_DISTRICT_PITCH_M,
+        n_clients,
+        seed,
+    )
 }
 
 /// A zone-partitioned city: like [`city_grid`] but with a configurable
@@ -242,10 +212,12 @@ pub fn zoned_city(
     n_clients: usize,
     seed: u64,
 ) -> Wlan {
-    assert!(districts_per_side >= 1, "need at least one district");
-    assert!(
-        (1..=4).contains(&aps_per_district_side),
-        "district extent must stay below the inter-district gap"
+    let mut w = districts(
+        districts_per_side,
+        aps_per_district_side,
+        pitch_m,
+        n_clients,
+        seed,
     );
     let extent = (aps_per_district_side - 1) as f64 * CITY_AP_SPACING_M;
     assert!(
@@ -253,8 +225,30 @@ pub fn zoned_city(
         "pitch {pitch_m} m leaves a {:.0} m gap: zones would merge",
         pitch_m - extent
     );
+    // Deterministic geometry: zone membership and border sets should not
+    // depend on a shadowing draw.
+    w.pathloss.shadowing_sigma_db = 0.0;
+    w
+}
+
+/// The district layout [`city_grid`] and [`zoned_city`] share: districts
+/// `pitch_m` apart, district-major AP ids, clients round-robin over the
+/// districts, lognormal shadowing on.
+fn districts(
+    districts_per_side: usize,
+    aps_per_district_side: usize,
+    pitch_m: f64,
+    n_clients: usize,
+    seed: u64,
+) -> Wlan {
+    assert!(districts_per_side >= 1, "need at least one district");
+    assert!(
+        (1..=4).contains(&aps_per_district_side),
+        "district extent must stay below the inter-district gap"
+    );
     let mut rng = StdRng::seed_from_u64(seed);
     let k = aps_per_district_side;
+    let extent = (k - 1) as f64 * CITY_AP_SPACING_M;
     let mut aps = Vec::with_capacity(districts_per_side * districts_per_side * k * k);
     let mut origins = Vec::with_capacity(districts_per_side * districts_per_side);
     for dy in 0..districts_per_side {
@@ -280,11 +274,7 @@ pub fn zoned_city(
             )
         })
         .collect();
-    let mut w = Wlan::new(aps, clients, seed);
-    // Deterministic geometry: zone membership and border sets should not
-    // depend on a shadowing draw.
-    w.pathloss.shadowing_sigma_db = 0.0;
-    w
+    Wlan::new(aps, clients, seed)
 }
 
 #[cfg(test)]
@@ -404,6 +394,21 @@ mod tests {
     #[should_panic(expected = "zones would merge")]
     fn zoned_city_rejects_merging_pitch() {
         let _ = zoned_city(2, 2, 200.0, 8, 1);
+    }
+
+    #[test]
+    fn zoned_city_at_the_city_pitch_is_the_city_grid_without_shadowing() {
+        for (d, k, n, seed) in [(1, 1, 3, 0), (2, 2, 24, 5), (3, 4, 90, 42)] {
+            let mut grid = city_grid(d, k, n, seed);
+            let zoned = zoned_city(d, k, CITY_DISTRICT_PITCH_M, n, seed);
+            assert_ne!(grid.pathloss.shadowing_sigma_db, 0.0);
+            grid.pathloss.shadowing_sigma_db = 0.0;
+            assert_eq!(
+                format!("{grid:?}"),
+                format!("{zoned:?}"),
+                "{d} {k} {n} {seed}"
+            );
+        }
     }
 
     #[test]

@@ -21,10 +21,11 @@
 //!    epoch saw a hole (checked only when a fault layer is attached).
 //! 5. **Liveness gauge (5).** The fault layer's `faults.aps_down` gauge
 //!    must equal the world's actual down count.
-//! 6. **Advert twin (6).** The world's cached per-client delays and
-//!    per-cell ATDs must equal a fresh recomputation from the cached
-//!    SNRs, bit for bit ([`CityWorld::advert_cache_matches`]) — on the
-//!    graph twin's cadence. It records nothing unless it trips.
+//! 6. **Advert twin (6).** Each active client's cached HT20 SNR must
+//!    equal a fresh `wlan.snr_db` of its link, and the world's cached
+//!    per-client delays and per-cell ATDs a fresh recomputation from
+//!    those SNRs, bit for bit ([`CityWorld::advert_cache_matches`]) — on
+//!    the graph twin's cadence. It records nothing unless it trips.
 //!
 //! On a violation the watchdog increments `watchdog.violations` (plus a
 //! per-code counter), freezes the first trip's coordinates into the

@@ -15,7 +15,13 @@
 #      maintained cells, graph and adverts against the controller's
 #      from-scratch API, bit for bit); the goldens include an
 #      associated walker with and without faults
-#      (associated_walker_is_pinned),
+#      (associated_walker_is_pinned); the resilience suite shows that
+#      measurement faults alone leave the city world where its benign
+#      twin ends (measurement_faults_alone_leave_the_city_world_untouched),
+#      and the crate unit tests catch a cached link SNR one ulp off
+#      (a_stale_link_snr_is_caught_in_both_worlds) and pin zoned_city at
+#      the city pitch to city_grid
+#      (zoned_city_at_the_city_pitch_is_the_city_grid_without_shadowing),
 #   5b. the distributed golden-twin gate: the zone-controller plane's
 #      benign-path allocation must equal the centralized controller's
 #      exactly, and partitions must degrade per-zone only,
@@ -160,10 +166,10 @@ echo "== chaos-soak smoke gate =="
 # bounded as the horizon grows; and the distributed plane must heal
 # back to its centralized twin under periodic partition/crash windows.
 # Every soak run here checks the watchdog's invariants online, including
-# invariant 6: the city world's advert cache (cached per-client delays
-# and per-cell ATDs) equals a fresh recomputation bit for bit. The
-# property test that drives that cache through random joins, leaves,
-# SNR write-throughs, drift and AP crash/restart
+# invariant 6: the city world's cached link SNRs equal a fresh path-loss
+# read and its advert cache (cached per-client delays and per-cell ATDs)
+# a fresh recomputation, bit for bit. The property test that drives
+# both caches through random joins, leaves, drift and AP crash/restart
 # (advert_cache_tracks_every_world_change in tests/properties.rs) runs
 # in the workspace test stage above.
 # The sketch property suite pins merge commutativity / associativity

@@ -8,7 +8,7 @@ use acorn_events::{
     CityScenario, CompositeReport, CompositeScenario, DriftSpec, FaultPlan, MobilitySpec,
     ResilienceReport,
 };
-use acorn_sim::scenario::enterprise_grid;
+use acorn_sim::scenario::{city_grid, enterprise_grid};
 use acorn_topology::{ClientId, Point, Trajectory, Wlan};
 use acorn_traces::{Session, SessionGenerator};
 use rand::rngs::StdRng;
@@ -258,4 +258,58 @@ fn a_cell_too_large_for_one_element_still_beacons_in_both_worlds() {
             assert!(r.frames_sent > 0, "{world}, {n} clients: {r:?}");
         }
     }
+}
+
+#[test]
+fn measurement_faults_alone_leave_the_city_world_untouched() {
+    // The incremental world measures its cached links, and its gates only
+    // count what they reject: a report they accept equals the cached SNR
+    // it was drawn from. So NaN, outlier and frozen readings, with no
+    // crash and a clean wire, end where the benign twin ends.
+    let ctl = AcornController::new(AcornConfig::default());
+    let arrivals = SessionGenerator {
+        arrival_rate_per_s: 1.0 / 30.0,
+        ..SessionGenerator::enterprise_default()
+    };
+    let sessions = arrivals.generate(&mut StdRng::seed_from_u64(21), 1800.0);
+    let n_clients = sessions.len().max(1);
+    let plan = FaultPlan {
+        seed: 21,
+        control_period_s: 20.0,
+        meas_nan: 0.05,
+        meas_outlier: 0.1,
+        meas_freeze: 0.05,
+        ..FaultPlan::default()
+    };
+    let scenario = |faults| CityScenario {
+        wlan: city_grid(2, 2, n_clients, 21),
+        sessions: sessions.clone(),
+        horizon_s: 1800.0,
+        reallocation_period_s: 300.0,
+        restarts: 1,
+        candidate_radius_m: 120.0,
+        adapt_widths: true,
+        drift: Some(DriftSpec {
+            period_s: 250.0,
+            phase_step_rad: 0.05,
+        }),
+        faults: Some(faults),
+        seed: 21,
+        record_log: false,
+    };
+    let faulty = scenario(plan).run(&ctl);
+    let benign = scenario(plan.benign_twin()).run(&ctl);
+    let r = faulty.resilience.expect("faults were set");
+    assert!(r.measurement_faults > 0, "{r:?}");
+    assert!(r.outliers_rejected > 0, "{r:?}");
+    assert_eq!(faulty.final_state, benign.final_state);
+    assert_eq!(faulty.realloc, benign.realloc);
+    let network_bps = |report: &acorn_events::CityReport| {
+        let mut series = report.telemetry.series.iter();
+        series
+            .find(|s| s.name == "resilience.network_bps")
+            .map(|s| (s.times_s.clone(), s.values.clone()))
+            .expect("the control round samples the network")
+    };
+    assert_eq!(network_bps(&faulty), network_bps(&benign));
 }
