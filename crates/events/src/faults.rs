@@ -726,31 +726,41 @@ impl FaultProcess {
         self.client_csa[c] = ClientCsa::default();
     }
 
-    /// AP `from` announces its effective assignment and cell size over
-    /// IAPP: one frame, serialized and parsed once, then one gauntlet
-    /// copy ([`FaultCore::copy`]) to each `(to, rx_dbm)` of `dests`.
-    fn announce(
+    /// AP `from`'s IAPP announcement of its effective assignment and
+    /// cell size: one frame, serialized and parsed once. Each receiver
+    /// then gets its own gauntlet copy ([`FaultProcess::send_iapp`]).
+    fn announcement(
+        &mut self,
+        w: &AcornWorld,
+        from: usize,
+        now: f64,
+    ) -> (Vec<u8>, Option<Announcement>) {
+        let eff = w.state.effective_assignment(ApId(from));
+        let ann = self.agents[from].announce(eff, w.cell_clients(from).len(), now);
+        let frame = serialize_announcement(&ann, bssid(from));
+        let sent = parse_announcement(&frame).ok();
+        (frame, sent)
+    }
+
+    /// One gauntlet copy ([`FaultCore::copy`]) of an IAPP `frame`, whose
+    /// sender's parse is `sent`, to AP `to`: lost, queued for late
+    /// delivery, or delivered now.
+    fn send_iapp(
         &mut self,
         ctx: &mut Ctx<'_, AcornWorld, AcornEvent>,
         rng: &mut FaultRng,
-        from: usize,
-        dests: &[(usize, f64)],
+        frame: &[u8],
+        sent: Option<Announcement>,
+        to: usize,
+        rx_dbm: f64,
     ) {
-        let now = ctx.now();
-        let eff = ctx.world.state.effective_assignment(ApId(from));
-        let n_cl = ctx.world.cell_clients(from).len();
-        let ann = self.agents[from].announce(eff, n_cl, now);
-        let frame = serialize_announcement(&ann, bssid(from));
         let parse = |f: &[u8]| parse_announcement(f).ok();
-        let sent = parse(&frame);
-        for &(to, rx_dbm) in dests {
-            let Some((ann, delay)) = self.core.copy(ctx.telemetry, rng, &frame, sent, parse) else {
-                continue;
-            };
-            match delay {
-                Some(dt) => self.core.queue(ctx, dt, Delivery::Iapp { ann, to, rx_dbm }),
-                None => self.deliver_iapp(ctx.telemetry, ann, to, rx_dbm, now),
-            }
+        let Some((ann, delay)) = self.core.copy(ctx.telemetry, rng, frame, sent, parse) else {
+            return;
+        };
+        match delay {
+            Some(dt) => self.core.queue(ctx, dt, Delivery::Iapp { ann, to, rx_dbm }),
+            None => self.deliver_iapp(ctx.telemetry, ann, to, rx_dbm, ctx.now()),
         }
     }
 
@@ -867,13 +877,16 @@ impl FaultProcess {
             if !ctx.world.ap_up[ap] {
                 continue;
             }
-            let w = &*ctx.world;
-            let dests: Vec<(usize, f64)> = (0..n_aps)
-                .filter(|&to| to != ap && w.ap_up[to])
-                .map(|to| (to, w.wlan.ap_to_ap_rx_dbm(ApId(ap), ApId(to))))
-                .filter(|&(_, rx)| rx >= IAPP_DECODE_FLOOR_DBM)
-                .collect();
-            self.announce(ctx, &mut iapp_rng, ap, &dests);
+            let (frame, sent) = self.announcement(ctx.world, ap, now);
+            for to in 0..n_aps {
+                if to == ap || !ctx.world.ap_up[to] {
+                    continue;
+                }
+                let rx = ctx.world.wlan.ap_to_ap_rx_dbm(ApId(ap), ApId(to));
+                if rx >= IAPP_DECODE_FLOOR_DBM {
+                    self.send_iapp(ctx, &mut iapp_rng, &frame, sent, to, rx);
+                }
+            }
         }
         for ap in 0..n_aps {
             if !ctx.world.ap_up[ap] {
@@ -891,8 +904,9 @@ impl FaultProcess {
                 }
                 // The probed neighbour answers with a fresh unicast
                 // announcement, through the same gauntlet.
+                let (frame, sent) = self.announcement(ctx.world, target.0, now);
                 let rx = ctx.world.wlan.ap_to_ap_rx_dbm(target, ApId(ap));
-                self.announce(ctx, &mut iapp_rng, target.0, &[(ap, rx)]);
+                self.send_iapp(ctx, &mut iapp_rng, &frame, sent, ap, rx);
             }
         }
 

@@ -771,18 +771,31 @@ mod tests {
 
     #[test]
     fn absorb_preserves_series_totals_under_cap() {
+        const CAP: usize = DEFAULT_SERIES_CAP;
+        // Both inputs have already evicted samples, so the merged total
+        // must count what each side dropped, not just what it retained.
+        let (na, nb) = (2 * CAP + 7, 2 * CAP + 11);
         let mut a = Telemetry::new();
-        for i in 0..DEFAULT_SERIES_CAP {
+        for i in 0..na {
             a.record("s", i as f64, 0.0);
         }
         let mut b = Telemetry::new();
-        for i in DEFAULT_SERIES_CAP..2 * DEFAULT_SERIES_CAP {
+        for i in na..na + nb {
             b.record("s", i as f64, 0.0);
         }
+        let (sa, sb) = (a.series("s").unwrap(), b.series("s").unwrap());
+        assert!(sa.is_truncated() && sb.is_truncated());
+        let (ta, tb) = (sa.total(), sb.total());
+        assert_eq!((ta, tb), (na as u64, nb as u64));
         a.absorb(b);
         let s = a.series("s").unwrap();
-        assert_eq!(s.total(), 2 * DEFAULT_SERIES_CAP as u64);
-        assert!(s.len() < 2 * DEFAULT_SERIES_CAP);
+        assert_eq!(s.total(), ta + tb);
+        assert!(
+            (CAP..2 * CAP).contains(&s.len()),
+            "len {} out of [cap, 2cap)",
+            s.len()
+        );
+        assert_eq!(*s.times_s.last().unwrap(), (na + nb - 1) as f64);
     }
 
     #[test]
