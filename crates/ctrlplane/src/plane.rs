@@ -23,7 +23,7 @@
 use crate::zone::ZoneController;
 use acorn_core::{AcornController, NetworkModel, NetworkState, NullSink};
 use acorn_events::{
-    EventLog, FaultPlan, GauntletCounters, ProcessId, RunStats, Simulation, Telemetry,
+    AcornWorld, EventLog, FaultPlan, GauntletCounters, ProcessId, RunStats, Simulation, Telemetry,
 };
 use acorn_obs::names;
 use acorn_topology::{ClientId, Wlan};
@@ -270,14 +270,21 @@ pub struct DistributedPlane {
 
 impl DistributedPlane {
     /// Builds the plane: associates every client (Algorithm 1, arrival
-    /// order), decomposes into zones, restricts the shared model per
-    /// zone, and registers one [`ZoneController`] per zone (ascending —
-    /// registration order fixes event sequence numbers).
+    /// order) through one [`AcornWorld`], whose maintained cells, edges
+    /// and cached delays give the controller's candidates bit for bit
+    /// without rebuilding the model per client; decomposes into zones,
+    /// restricts the shared model per zone, and registers one
+    /// [`ZoneController`] per zone (ascending — registration order fixes
+    /// event sequence numbers). [`centralized_twin`] associates through
+    /// the controller itself, the independent oracle.
     pub fn new(wlan: Wlan, ctl: AcornController, cfg: PlaneConfig) -> DistributedPlane {
-        let mut state = ctl.new_state(&wlan, cfg.seed);
-        for c in 0..wlan.clients.len() {
-            ctl.associate(&wlan, &mut state, ClientId(c), &NullSink);
+        let mut joined = AcornWorld::new(wlan, ctl, cfg.seed);
+        for c in 0..joined.wlan.clients.len() {
+            joined.associate(c, &NullSink);
         }
+        let AcornWorld {
+            wlan, ctl, state, ..
+        } = joined;
         let zones = ctl.zones(&wlan, &state);
         let n_zones = zones.len();
         let mut zone_of_ap = vec![0usize; wlan.aps.len()];

@@ -381,7 +381,8 @@ impl<L: Locality> World<L> {
         cell.insert(at, c as u32);
         self.active += 1;
         self.update_via_edges(c, ap, 1);
-        self.refresh_link(c, ap);
+        let width = self.state.operating_width[ap];
+        self.refresh_link(c, ap, Some((width, delay)));
         Some((ap, delay))
     }
 
@@ -408,7 +409,7 @@ impl<L: Locality> World<L> {
         self.update_via_edges(c, ap, -1);
         self.wlan.clients[c].pos = pos;
         self.update_via_edges(c, ap, 1);
-        self.refresh_link(c, ap);
+        self.refresh_link(c, ap, None);
     }
 
     /// Re-reads every associated client's HT20 SNR and refreshes its
@@ -429,10 +430,22 @@ impl<L: Locality> World<L> {
 
     /// Re-reads associated client `c`'s HT20 SNR to its AP `ap`, caches
     /// it with its delays at both widths, and re-sums the cell's ATDs.
-    fn refresh_link(&mut self, c: usize, ap: usize) {
+    /// `known` is a delay already computed from this SNR at one width
+    /// (the join's winning candidate at the AP's operating width); only
+    /// the other width is then looked up.
+    fn refresh_link(&mut self, c: usize, ap: usize, known: Option<(ChannelWidth, f64)>) {
         let snr = self.wlan.snr_db(ApId(ap), ClientId(c), ChannelWidth::Ht20);
         self.client_snr20[c] = snr;
-        self.client_delays[c] = self.ctl.delays_from_snr(snr);
+        self.client_delays[c] = match known {
+            Some((width, delay)) => WIDTHS.map(|w| {
+                if w == width {
+                    delay
+                } else {
+                    self.ctl.delay_from_snr(snr, w)
+                }
+            }),
+            None => self.ctl.delays_from_snr(snr),
+        };
         self.resum(ap);
     }
 

@@ -121,33 +121,68 @@ fn pairwise_error_probability(d: usize, lp: f64, lq: f64) -> f64 {
 ///
 /// Union upper bound over the first terms of the distance spectrum,
 /// clamped to `[0, 0.5]`. Near `channel_ber = 0.5` the bound saturates at
-/// 0.5 (the decoder can do no worse than guessing on average). `ln p` and
-/// `ln(1 − p)` are taken once per call and the `ln n!` come from a table;
+/// 0.5 (the decoder can do no worse than guessing on average). This is
+/// [`Crossover::coded_ber`] of [`Crossover::new`]`(channel_ber)`;
 /// [`coded_ber_reference`] is the same bound written term by term, and
 /// the two agree bit for bit.
 pub fn coded_ber(rate: CodeRate, channel_ber: f64) -> f64 {
-    if channel_ber <= 0.0 {
-        return 0.0;
-    }
-    let p = channel_ber.min(0.5);
-    let (lp, lq) = (p.ln(), (1.0 - p).ln());
-    let dfree = rate.free_distance() as usize;
-    let mut pb = 0.0;
-    for (i, &cd) in rate.distance_spectrum().iter().enumerate() {
-        if cd == 0.0 {
-            continue;
-        }
-        let p2 = if p >= 0.5 {
-            0.5
+    Crossover::new(channel_ber).coded_ber(rate)
+}
+
+/// The binary symmetric channel the Viterbi decoder sees: its crossover
+/// probability `p` (the uncoded channel BER, at most ½) with `ln p` and
+/// `ln(1 − p)` taken once. Everything the union bound needs from the
+/// channel is here, so MCSs that share a channel BER (one modulation at
+/// one effective SNR) share one `Crossover` across their code rates.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Crossover {
+    /// `min(channel_ber, 0.5)`; at most 0 means an error-free channel.
+    p: f64,
+    /// `ln p` (unused when `p ≤ 0`).
+    lp: f64,
+    /// `ln(1 − p)` (unused when `p ≤ 0`).
+    lq: f64,
+}
+
+impl Crossover {
+    /// The channel at uncoded bit error rate `channel_ber`: values at or
+    /// below 0 are error-free, values above ½ (and NaN) count as ½.
+    pub fn new(channel_ber: f64) -> Crossover {
+        let p = channel_ber.min(0.5);
+        let (lp, lq) = if p > 0.0 {
+            (p.ln(), (1.0 - p).ln())
         } else {
-            pairwise_error_probability(dfree + i, lp, lq)
+            (0.0, 0.0)
         };
-        pb += cd * p2;
-        if pb >= 0.5 {
-            return 0.5; // no later term can lower the bound
-        }
+        Crossover { p, lp, lq }
     }
-    pb.clamp(0.0, 0.5)
+
+    /// The union bound of [`coded_ber`] for one code rate on this
+    /// channel: the `ln n!` come from a table, and the bound returns 0.5
+    /// as soon as its running sum reaches the clamp.
+    pub fn coded_ber(&self, rate: CodeRate) -> f64 {
+        let Crossover { p, lp, lq } = *self;
+        if p <= 0.0 {
+            return 0.0;
+        }
+        let dfree = rate.free_distance() as usize;
+        let mut pb = 0.0;
+        for (i, &cd) in rate.distance_spectrum().iter().enumerate() {
+            if cd == 0.0 {
+                continue;
+            }
+            let p2 = if p >= 0.5 {
+                0.5
+            } else {
+                pairwise_error_probability(dfree + i, lp, lq)
+            };
+            pb += cd * p2;
+            if pb >= 0.5 {
+                return 0.5; // no later term can lower the bound
+            }
+        }
+        pb.clamp(0.0, 0.5)
+    }
 }
 
 /// The union bound as first written: every pairwise term re-derives its

@@ -20,9 +20,9 @@
 //! [`LinkClass`], derived by comparing the link's best achievable goodput
 //! with and without bonding.
 
-use crate::coding::per_from_ber_bytes;
+use crate::coding::{per_from_ber_bytes, Crossover};
 use crate::link::cb_snr_shift_db;
-use crate::mcs::{McsIndex, MimoMode};
+use crate::mcs::{Mcs, McsIndex, MimoMode};
 use crate::ofdm::{ChannelWidth, GuardInterval};
 
 /// Coarse link classification used by ACORN's association and allocation
@@ -142,22 +142,30 @@ impl LinkQualityEstimator {
     }
 
     /// The (coded BER, PER) prediction for one MCS at a mode-effective
-    /// SNR — the single primitive both
+    /// SNR — the single error model both
     /// [`best_rate_point`](LinkQualityEstimator::best_rate_point) and the
-    /// memoized `GoodputTable` build call, so the exact and tabulated
-    /// paths always share the same error model (crisp AWGN or
-    /// fading-averaged). The crisp PER is Eq. 6 on the coded BER just
-    /// computed, so the union bound runs once per call.
-    pub fn error_rates(&self, mcs: &crate::mcs::Mcs, eff_snr_db: f64) -> (f64, f64) {
+    /// memoized `GoodputTable` build evaluate (through `ErrorRatesAt`,
+    /// which shares the crisp branch's channel crossover between MCSs),
+    /// so the exact and tabulated paths always share the same error
+    /// model (crisp AWGN or fading-averaged). The crisp PER is Eq. 6 on
+    /// the coded BER just computed, so the union bound runs once per call.
+    pub fn error_rates(&self, mcs: &Mcs, eff_snr_db: f64) -> (f64, f64) {
         if self.fading_sigma_db > 0.0 {
             (
                 crate::fading::faded_coded_ber(mcs, eff_snr_db, self.fading_sigma_db),
                 crate::fading::faded_per(mcs, eff_snr_db, self.fading_sigma_db, self.packet_bytes),
             )
         } else {
-            let coded_ber = mcs.coded_ber(eff_snr_db);
-            (coded_ber, per_from_ber_bytes(coded_ber, self.packet_bytes))
+            self.crisp_error_rates(Crossover::new(mcs.modulation.ber_awgn(eff_snr_db)), mcs)
         }
+    }
+
+    /// The crisp branch of [`error_rates`](LinkQualityEstimator::error_rates)
+    /// on a channel crossover already taken: the union bound at the MCS's
+    /// code rate, and Eq. 6 on it.
+    fn crisp_error_rates(&self, channel: Crossover, mcs: &Mcs) -> (f64, f64) {
+        let coded_ber = channel.coded_ber(mcs.code_rate);
+        (coded_ber, per_from_ber_bytes(coded_ber, self.packet_bytes))
     }
 
     /// One MCS scored at a link SNR and width: the mode its stream count
@@ -166,41 +174,58 @@ impl LinkQualityEstimator {
     /// `(1 − PER) · R`.
     pub fn rate_point_at(&self, idx: McsIndex, snr_db: f64, width: ChannelWidth) -> RatePoint {
         let mcs = idx.mcs();
-        let mode = if mcs.n_ss == 1 {
-            MimoMode::Stbc
-        } else {
-            MimoMode::Sdm
-        };
-        let (coded_ber, per) = self.error_rates(&mcs, mode.effective_snr_db(snr_db));
+        let rate_bps = mcs.rate_bps(width, self.gi);
+        self.score(&mut ErrorRatesAt::new(self, snr_db), &mcs, rate_bps)
+    }
+
+    /// [`rate_point_at`](LinkQualityEstimator::rate_point_at) of `mcs` at
+    /// nominal rate `rate_bps`, with the error rates drawn from `rates`,
+    /// which a search shares across MCSs.
+    fn score(&self, rates: &mut ErrorRatesAt<'_>, mcs: &Mcs, rate_bps: f64) -> RatePoint {
+        let (coded_ber, per) = rates.of(mcs);
         RatePoint {
-            mcs: idx,
-            mode,
+            mcs: mcs.index,
+            mode: mode_of(mcs),
             coded_ber,
             per,
-            goodput_bps: (1.0 - per) * mcs.rate_bps(width, self.gi),
+            goodput_bps: (1.0 - per) * rate_bps,
         }
     }
 
     /// Exhaustive best-(MCS, mode) search at a given calibrated SNR and
     /// width — the model of the testbed's auto-rate behaviour used for
     /// prediction: maximize expected goodput `(1 − PER) · R` over MCS 0–7
-    /// with STBC and MCS 8–15 with SDM.
+    /// with STBC and MCS 8–15 with SDM. Of equal goodputs the lowest MCS
+    /// index wins, which is what an ascending scan that replaces its
+    /// incumbent only on a strictly higher goodput returns.
     ///
-    /// An MCS whose nominal rate `R` is at most the incumbent's goodput is
-    /// skipped unscored: PER lies in `[0, 1]` on both the crisp and the
-    /// faded branch, so its goodput cannot exceed `R` and could never pass
-    /// the strict `>` that replaces the incumbent. A NaN incumbent prunes
-    /// nothing (the comparison is false), exactly as it replaces nothing.
+    /// MCSs are visited in descending nominal rate `R`
+    /// (`McsIndex::by_descending_rate`). A candidate replaces the
+    /// incumbent on a higher goodput, or an equal one at a lower index;
+    /// the comparison is written as "unless the incumbent wins", so a NaN
+    /// SNR, whose every goodput is NaN, ends on MCS 0 as the ascending
+    /// scan does. An MCS whose `R` is below the incumbent's goodput, or
+    /// equal to it at a higher index, could not win: PER lies in `[0, 1]`
+    /// on both the crisp and the faded branch, so its goodput is at most
+    /// `R`. Every MCS after it has a lower rate, or the same rate at a
+    /// higher index, so the scan stops there: once one MCS is scored
+    /// clean, at mid and high SNR, no slower one is looked at. The MCSs
+    /// of one mode and modulation share their channel crossover
+    /// (`ErrorRatesAt`).
     pub fn best_rate_point(&self, snr_db: f64, width: ChannelWidth) -> RatePoint {
-        // Seed with MCS 0, then scan upward keeping the first candidate
-        // on exact ties — same selection order as the auto-rate model.
-        let mut best = self.rate_point_at(McsIndex::new(0).unwrap_or(McsIndex::MAX), snr_db, width);
-        for idx in McsIndex::all().skip(1) {
-            if idx.mcs().rate_bps(width, self.gi) <= best.goodput_bps {
-                continue;
+        let mut rates = ErrorRatesAt::new(self, snr_db);
+        let top = McsIndex::MAX.mcs();
+        let mut best = self.score(&mut rates, &top, top.rate_bps(width, self.gi));
+        for idx in McsIndex::by_descending_rate().skip(1) {
+            let mcs = idx.mcs();
+            let rate = mcs.rate_bps(width, self.gi);
+            if rate < best.goodput_bps || (rate == best.goodput_bps && idx > best.mcs) {
+                break;
             }
-            let candidate = self.rate_point_at(idx, snr_db, width);
-            if candidate.goodput_bps > best.goodput_bps {
+            let candidate = self.score(&mut rates, &mcs, rate);
+            let incumbent_wins = best.goodput_bps > candidate.goodput_bps
+                || (best.goodput_bps == candidate.goodput_bps && best.mcs < idx);
+            if !incumbent_wins {
                 best = candidate;
             }
         }
@@ -239,6 +264,55 @@ impl LinkQualityEstimator {
             .iter()
             .map(|&(snr_db, at)| self.estimate(snr_db, at))
             .collect()
+    }
+}
+
+/// The MIMO mode an MCS's stream count implies: STBC for one stream
+/// (MCS 0–7), SDM for two (MCS 8–15), as the hardware does.
+pub(crate) fn mode_of(mcs: &Mcs) -> MimoMode {
+    if mcs.n_ss == 1 {
+        MimoMode::Stbc
+    } else {
+        MimoMode::Sdm
+    }
+}
+
+/// The error rates of MCSs at one link SNR, each MCS at its mode's
+/// effective SNR, bit for bit
+/// [`error_rates`](LinkQualityEstimator::error_rates). On the crisp
+/// branch the MCSs of one mode and modulation see one channel BER, so
+/// its [`Crossover`] (one `erfc`, `ln p` and `ln(1 − p)`) is taken at
+/// most once per (modulation, mode) and only the union bound runs per
+/// code rate. One lives on the stack of one search or one table bin.
+pub(crate) struct ErrorRatesAt<'a> {
+    estimator: &'a LinkQualityEstimator,
+    snr_db: f64,
+    /// Crossover per `mode as usize * 4 + modulation as usize`.
+    crossovers: [Option<Crossover>; 8],
+}
+
+impl<'a> ErrorRatesAt<'a> {
+    /// No crossover taken yet at link SNR `snr_db`.
+    pub(crate) fn new(estimator: &'a LinkQualityEstimator, snr_db: f64) -> ErrorRatesAt<'a> {
+        ErrorRatesAt {
+            estimator,
+            snr_db,
+            crossovers: [None; 8],
+        }
+    }
+
+    /// `(coded BER, PER)` of `mcs` at this link SNR.
+    pub(crate) fn of(&mut self, mcs: &Mcs) -> (f64, f64) {
+        let e = self.estimator;
+        let mode = mode_of(mcs);
+        let eff_snr_db = mode.effective_snr_db(self.snr_db);
+        if e.fading_sigma_db > 0.0 {
+            return e.error_rates(mcs, eff_snr_db);
+        }
+        let slot = &mut self.crossovers[mode as usize * 4 + mcs.modulation as usize];
+        let channel =
+            *slot.get_or_insert_with(|| Crossover::new(mcs.modulation.ber_awgn(eff_snr_db)));
+        e.crisp_error_rates(channel, mcs)
     }
 }
 

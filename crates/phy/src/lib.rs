@@ -36,7 +36,7 @@ pub mod ofdm;
 pub mod table;
 pub mod units;
 
-pub use coding::{coded_ber, per_from_ber, CodeRate};
+pub use coding::{coded_ber, per_from_ber, CodeRate, Crossover};
 pub use estimator::{LinkClass, LinkQualityEstimate, LinkQualityEstimator};
 pub use fading::{faded_coded_ber, faded_per, gaussian_snr_average};
 pub use link::{cb_snr_shift_db, sigma, sigma_crossover_snr, LinkBudget};

@@ -37,6 +37,18 @@ impl McsIndex {
         (0..=15).map(McsIndex)
     }
 
+    /// All sixteen indices in descending nominal rate, equal rates in
+    /// ascending index: 15, 14, 13, 12, 7, 6, 5, 11, 4, 10, 3, 9, 2, 1,
+    /// 8, 0. Width and guard interval scale every rate alike, so the
+    /// order holds for both. The estimator's search stops at the first
+    /// index in this order that cannot win, which is exact only because
+    /// the order is sorted so.
+    pub(crate) fn by_descending_rate() -> impl Iterator<Item = McsIndex> {
+        [15, 14, 13, 12, 7, 6, 5, 11, 4, 10, 3, 9, 2, 1, 8, 0]
+            .into_iter()
+            .map(McsIndex)
+    }
+
     /// Iterator over the single-stream indices 0–7.
     pub fn single_stream() -> impl Iterator<Item = McsIndex> {
         (0..=7).map(McsIndex)
@@ -208,6 +220,27 @@ mod tests {
         assert!(McsIndex::new(15).is_some());
         assert_eq!(McsIndex::all().count(), 16);
         assert_eq!(McsIndex::single_stream().count(), 8);
+    }
+
+    #[test]
+    fn descending_rate_order_is_a_sorted_permutation() {
+        let order: Vec<McsIndex> = McsIndex::by_descending_rate().collect();
+        assert_eq!(order[0], McsIndex::MAX);
+        let mut sorted = order.clone();
+        sorted.sort();
+        assert!(sorted.into_iter().eq(McsIndex::all()));
+        for w in [ChannelWidth::Ht20, ChannelWidth::Ht40] {
+            for gi in [GuardInterval::Long, GuardInterval::Short] {
+                let rate = |i: McsIndex| i.mcs().rate_bps(w, gi);
+                for pair in order.windows(2) {
+                    let (a, b) = (rate(pair[0]), rate(pair[1]));
+                    assert!(
+                        a > b || (a == b && pair[0] < pair[1]),
+                        "{pair:?} {w:?} {gi:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

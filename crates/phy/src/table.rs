@@ -2,19 +2,22 @@
 //!
 //! The exact estimator pipeline ([`LinkQualityEstimator::best_rate_point`])
 //! evaluates the K=7 union-bound coded-BER series and the Eq. 6 PER model
-//! for all 16 MCSs on every call. That is exact but expensive, and the
+//! for up to 16 MCSs on every call. That is exact but expensive, and the
 //! city-scale model evaluates it millions of times on *smoothly varying*
 //! SNR inputs. A [`GoodputTable`] trades a one-off build (one exact
-//! evaluation per MCS × width × quantized SNR bin) for O(MCS) lookups with
+//! evaluation per MCS × quantized SNR bin) for O(MCS) lookups with
 //! linear interpolation of the PER curves.
 //!
 //! Design points:
 //!
-//! * The table stores PER and coded BER per (width, MCS) over a uniform
-//!   SNR grid, evaluated at the *mode-effective* SNR through
-//!   [`LinkQualityEstimator::error_rates`] — the same primitive the exact
-//!   search calls, so the tabulated values are samples of the exact
-//!   curves, including the fading-averaged variant.
+//! * The table stores PER and coded BER per MCS over a uniform SNR grid,
+//!   evaluated at the *mode-effective* SNR through the same error model
+//!   as the exact search ([`LinkQualityEstimator::error_rates`], with the
+//!   channel crossover shared between the MCSs of one mode and
+//!   modulation), so the tabulated values are samples of the exact
+//!   curves, including the fading-averaged variant. Error rates do not
+//!   depend on the width, so both widths read one copy; only the nominal
+//!   rate is stored per width.
 //! * Out-of-range SNRs fall back to the exact estimator (counted as
 //!   misses), so the table is never wrong outside its domain — only
 //!   slower.
@@ -27,8 +30,10 @@
 //!   `Arc` by every model clone, flushed into the observability sink by
 //!   `acorn-core`.
 
-use crate::estimator::{LinkClass, LinkQualityEstimate, LinkQualityEstimator, RatePoint};
-use crate::mcs::{McsIndex, MimoMode};
+use crate::estimator::{
+    mode_of, ErrorRatesAt, LinkClass, LinkQualityEstimate, LinkQualityEstimator, RatePoint,
+};
+use crate::mcs::McsIndex;
 use crate::ofdm::ChannelWidth;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -64,12 +69,13 @@ pub struct GoodputTable {
     snr_step_db: f64,
     n_bins: usize,
     n_mcs: usize,
-    /// `per[(w * n_mcs + m) * n_bins + b]` — PER of MCS `m` at width index
-    /// `w` (0 = HT20, 1 = HT40) and SNR bin `b`.
+    /// `per[m * n_bins + b]` — PER of MCS `m` at SNR bin `b`, at either
+    /// width.
     per: Vec<f64>,
     /// Same layout as `per`, post-FEC coded BER.
     coded_ber: Vec<f64>,
-    /// `rate[w * n_mcs + m]` — nominal rate (bits/s).
+    /// `rate[w * n_mcs + m]` — nominal rate (bits/s) of MCS `m` at width
+    /// index `w` (0 = HT20, 1 = HT40).
     rate: Vec<f64>,
     counters: Counters,
 }
@@ -78,14 +84,6 @@ fn width_index(width: ChannelWidth) -> usize {
     match width {
         ChannelWidth::Ht20 => 0,
         ChannelWidth::Ht40 => 1,
-    }
-}
-
-fn mode_of(idx: McsIndex) -> MimoMode {
-    if idx.mcs().n_ss == 1 {
-        MimoMode::Stbc
-    } else {
-        MimoMode::Sdm
     }
 }
 
@@ -135,23 +133,20 @@ impl GoodputTable {
         assert!(snr_max_db > snr_min_db, "empty SNR range");
         let n_bins = (((snr_max_db - snr_min_db) / snr_step_db).ceil() as usize) + 1;
         let n_mcs = McsIndex::all().count();
-        let mut per = vec![0.0; 2 * n_mcs * n_bins];
-        let mut coded_ber = vec![0.0; 2 * n_mcs * n_bins];
-        let mut rate = vec![0.0; 2 * n_mcs];
-        for width in [ChannelWidth::Ht20, ChannelWidth::Ht40] {
-            let w = width_index(width);
+        let mut per = vec![0.0; n_mcs * n_bins];
+        let mut coded_ber = vec![0.0; n_mcs * n_bins];
+        for b in 0..n_bins {
+            let mut rates = ErrorRatesAt::new(&estimator, snr_min_db + b as f64 * snr_step_db);
             for (m, idx) in McsIndex::all().enumerate() {
-                let mcs = idx.mcs();
-                rate[w * n_mcs + m] = mcs.rate_bps(width, estimator.gi);
-                let mode = mode_of(idx);
-                for b in 0..n_bins {
-                    let snr = snr_min_db + b as f64 * snr_step_db;
-                    let (ber, p) = estimator.error_rates(&mcs, mode.effective_snr_db(snr));
-                    per[(w * n_mcs + m) * n_bins + b] = p;
-                    coded_ber[(w * n_mcs + m) * n_bins + b] = ber;
-                }
+                (coded_ber[m * n_bins + b], per[m * n_bins + b]) = rates.of(&idx.mcs());
             }
         }
+        let rate = [ChannelWidth::Ht20, ChannelWidth::Ht40]
+            .into_iter()
+            .flat_map(|width| {
+                McsIndex::all().map(move |idx| idx.mcs().rate_bps(width, estimator.gi))
+            })
+            .collect();
         let table = GoodputTable {
             estimator,
             snr_min_db,
@@ -207,14 +202,14 @@ impl GoodputTable {
         let w = width_index(width);
         let mut best: Option<RatePoint> = None;
         for (m, idx) in McsIndex::all().enumerate() {
-            let base = (w * self.n_mcs + m) * self.n_bins + i0;
+            let base = m * self.n_bins + i0;
             let per = self.per[base] + frac * (self.per[base + 1] - self.per[base]);
             let ber =
                 self.coded_ber[base] + frac * (self.coded_ber[base + 1] - self.coded_ber[base]);
             let goodput = (1.0 - per) * self.rate[w * self.n_mcs + m];
             let candidate = RatePoint {
                 mcs: idx,
-                mode: mode_of(idx),
+                mode: mode_of(&idx.mcs()),
                 coded_ber: ber,
                 per,
                 goodput_bps: goodput,
@@ -341,6 +336,19 @@ mod tests {
                 approx.goodput_bps,
                 exact.goodput_bps
             );
+            // Below the last bin the interpolation weight is exactly 0,
+            // so both widths read the one stored sample of `error_rates`.
+            if b < 240 {
+                for width in [ChannelWidth::Ht20, ChannelWidth::Ht40] {
+                    let p = t.rate_point(snr, width);
+                    let (ber, per) = e.error_rates(&p.mcs.mcs(), p.mode.effective_snr_db(snr));
+                    assert_eq!(
+                        (p.coded_ber.to_bits(), p.per.to_bits()),
+                        (ber.to_bits(), per.to_bits()),
+                        "bin {b} {width:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -1,21 +1,22 @@
 //! Pins the §4.2 estimator kernel to its oracle, bit for bit.
 //!
-//! The fast union bound ([`coded_ber`]: one pair of channel logarithms
-//! per call, `ln n!` from a table) and the search built on it
+//! The fast union bound ([`coded_ber`] and the [`Crossover`] it splits
+//! into: one pair of channel logarithms per crossover, `ln n!` from a
+//! table) and the search built on it
 //! ([`LinkQualityEstimator::error_rates`] with one bound per MCS, and
-//! [`LinkQualityEstimator::best_rate_point`] with rate-bound pruning) are
-//! compared against the retained term-by-term bound
-//! [`coded_ber_reference`] and an unpruned 16-MCS scan built on it. Every
-//! comparison is on `to_bits`, so no estimator output may move by even
-//! one ulp.
+//! [`LinkQualityEstimator::best_rate_point`] with its descending-rate
+//! pruned scan and one crossover per modulation and mode) are compared
+//! against the retained term-by-term bound [`coded_ber_reference`] and an
+//! unpruned ascending 16-MCS scan built on it. Every comparison is on
+//! `to_bits`, so no estimator output may move by even one ulp.
 
 use std::cell::RefCell;
 
 use acorn_phy::coding::{coded_ber_reference, per_from_ber_bytes};
 use acorn_phy::estimator::RatePoint;
 use acorn_phy::{
-    coded_ber, gaussian_snr_average, ChannelWidth, CodeRate, LinkQualityEstimator, Mcs, McsIndex,
-    MimoMode,
+    coded_ber, gaussian_snr_average, ChannelWidth, CodeRate, Crossover, LinkQualityEstimator, Mcs,
+    McsIndex, MimoMode,
 };
 
 const WIDTHS: [ChannelWidth; 2] = [ChannelWidth::Ht20, ChannelWidth::Ht40];
@@ -108,12 +109,20 @@ fn coded_ber_matches_the_reference_bound() {
     let (lo, hi) = (1e-300f64.ln(), 0.5f64.ln());
     bers.extend((0..=4000).map(|i| (lo + (hi - lo) * i as f64 / 4000.0).exp()));
     bers.push(0.5 - f64::EPSILON / 4.0);
-    for rate in CodeRate::ALL {
-        for &p in &bers {
+    for &p in &bers {
+        // One crossover serves every code rate, as in a search.
+        let channel = Crossover::new(p);
+        for rate in CodeRate::ALL {
+            let reference = coded_ber_reference(rate, p).to_bits();
             assert_eq!(
                 coded_ber(rate, p).to_bits(),
-                coded_ber_reference(rate, p).to_bits(),
+                reference,
                 "{rate:?} at channel BER {p:e}"
+            );
+            assert_eq!(
+                channel.coded_ber(rate).to_bits(),
+                reference,
+                "shared crossover, {rate:?} at channel BER {p:e}"
             );
         }
     }

@@ -126,11 +126,13 @@ cargo test -q --offline --release --test table_accuracy --test spatial_graph
 
 echo
 echo "== kernel-equivalence gate (release) =="
-# The exact estimator kernel (ln n! table, one union bound per MCS,
-# rate-bound pruning, the union bound's exit once its running sum
-# reaches the 0.5 clamp) must equal the retained term-by-term union bound
-# and an unpruned 16-MCS scan over the full 1/64 dB SNR grid, and the
-# controller's one-width queries the two-width estimate, bit for bit.
+# The exact estimator kernel (ln n! table, one union bound per MCS, the
+# descending-rate scan with its rate-bound pruning and lowest-index tie
+# rule, one channel crossover per modulation and MIMO mode, the union
+# bound's exit once its running sum reaches the 0.5 clamp) must equal the
+# retained term-by-term union bound and an unpruned ascending 16-MCS scan
+# over the full 1/64 dB SNR grid, and the controller's one-width queries
+# the two-width estimate, bit for bit.
 # The lane-shaped Viterbi and batched FFT kernels must equal their
 # scalar oracles. Release builds walk the full grids.
 cargo test -q --offline --release -p acorn-phy --test kernel_equivalence
