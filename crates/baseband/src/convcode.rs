@@ -76,7 +76,7 @@ pub fn encode(bits: &[bool]) -> Vec<bool> {
 
 /// Allocation-free [`encode`]: clears and refills `out`.
 ///
-/// The branch outputs come from the [`BRANCH_OUT`] table (one byte load
+/// The branch outputs come from the `BRANCH_OUT` table (one byte load
 /// per bit instead of two parity computations), and the output is written
 /// by index into a pre-sized buffer so the loop carries no capacity
 /// checks.
@@ -170,7 +170,7 @@ pub fn depuncture_into(
 }
 
 /// Depunctures straight into received-symbol *class* bytes
-/// (`3·sym(a) + sym(b)`, the index of a [`COST_SOA`] table), skipping the
+/// (`3·sym(a) + sym(b)`, the index of a `COST_SOA` table), skipping the
 /// intermediate `(Option, Option)` pair representation: at rate 1/2 (no
 /// puncturing) this is one branchless byte per received bit pair, a loop
 /// the autovectorizer handles, where building `Option` pairs walks a
@@ -361,7 +361,7 @@ fn viterbi_core(
 
 /// Allocation-free core of [`viterbi_decode`]: the survivor memory and the
 /// output vector are caller-provided scratch, resized (never shrunk) so a
-/// reused buffer costs no allocation in steady state. See [`viterbi_core`]
+/// reused buffer costs no allocation in steady state. See `viterbi_core`
 /// for the lane-shaped ACS design; the measured decode path goes through
 /// [`viterbi_classes_into`] instead, which skips the per-step `Option`
 /// unpacking.

@@ -1,9 +1,9 @@
-//! A counting global allocator for the bench binaries.
+//! A counting global allocator for the bench binaries and tests.
 //!
 //! Wraps the system allocator with one thread-local increment per
-//! `alloc`/`realloc`, so `BENCH_baseband.json` can report *measured*
-//! allocations per packet (the zero-allocation steady-state claim is
-//! checked, not asserted on faith). The counter costs nanoseconds per
+//! `alloc`/`realloc`, so the `obs_overhead` gate can require *measured*
+//! zero allocations per packet (the steady-state claim is checked, not
+//! asserted on faith). The counter costs nanoseconds per
 //! event and nothing when no allocation happens — which is the point.
 //!
 //! Counts are per thread: a measurement sees only the allocations of the

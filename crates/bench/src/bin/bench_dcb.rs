@@ -1,5 +1,5 @@
-//! Dynamic-channel-bonding snapshot, written to `BENCH_dcb.json` at the
-//! repo root (via `scripts/bench_snapshot.sh`):
+//! Dynamic-channel-bonding snapshot, written to `BENCH_dcb.json` in the
+//! current directory (run it from the repo root):
 //!
 //! * **Approximation gap** — ACORN's greedy (Algorithm 2, with
 //!   restarts) vs the certified branch-and-bound optimum on enumerable

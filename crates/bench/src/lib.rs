@@ -1,9 +1,11 @@
-//! # acorn-bench — experiment binaries and criterion benches
+//! # acorn-bench — experiment binaries
 //!
 //! One binary per table/figure of the paper (see DESIGN.md §4 for the
 //! index). Every binary prints the paper-style rows/series to stdout and
 //! writes a JSON record under `results/` so EXPERIMENTS.md can cite exact
-//! numbers.
+//! numbers. The counting allocator in [`alloc_counter`] backs the
+//! zero-allocation gate (`tests/obs_overhead.rs`); speed is measured by
+//! the repository benchmark, `perfbench/`.
 //!
 //! Run them all with:
 //!

@@ -8,10 +8,10 @@
 //! measured rather than asserted on faith. `scripts/ci.sh` runs it as the
 //! overhead gate.
 
-use acorn_baseband::{mix_seed, FrameConfig, FrameWorkspace};
+use acorn_baseband::{mix_seed, ChannelModel, FrameConfig, FrameWorkspace, SyncMode};
 use acorn_bench::alloc_counter::allocations_during;
 use acorn_obs::{NullSink, RecordingSink, Sink};
-use acorn_phy::ChannelWidth;
+use acorn_phy::{ChannelWidth, CodeRate};
 
 fn warm_config() -> FrameConfig {
     let mut cfg = FrameConfig::baseline(ChannelWidth::Ht20);
@@ -19,23 +19,63 @@ fn warm_config() -> FrameConfig {
     cfg
 }
 
+/// The zero-allocation gate's operating points: the uncoded baseline,
+/// then the coded (Viterbi) path at the Fig. 3 acceptance point (R1/2,
+/// 1500 B, 7 dB), and the coded HT40, STBC and preamble-sync shapes of
+/// `tests/baseband_determinism.rs`.
+fn gate_configs() -> Vec<FrameConfig> {
+    let base20 = FrameConfig::baseline(ChannelWidth::Ht20);
+    vec![
+        warm_config(),
+        FrameConfig {
+            code_rate: Some(CodeRate::R12),
+            ..base20
+        }
+        .with_target_snr(7.0),
+        FrameConfig {
+            code_rate: Some(CodeRate::R34),
+            packet_bytes: 300,
+            ..FrameConfig::baseline(ChannelWidth::Ht40)
+        }
+        .with_target_snr(9.0),
+        FrameConfig {
+            stbc: true,
+            channel: ChannelModel::FlatRayleigh,
+            packet_bytes: 200,
+            ..base20
+        }
+        .with_target_snr(12.0),
+        FrameConfig {
+            channel: ChannelModel::SelectiveRayleigh {
+                taps: 6,
+                delay_spread_taps: 2.0,
+            },
+            sync: SyncMode::Preamble { threshold: 0.5 },
+            packet_bytes: 250,
+            ..base20
+        }
+        .with_target_snr(8.0),
+    ]
+}
+
 #[test]
 fn null_sink_keeps_the_packet_path_allocation_free() {
-    let cfg = warm_config();
-    let mut ws = FrameWorkspace::new();
-    // Warm-up: buffers grow to steady state on the first packets.
-    for i in 0..4u64 {
-        ws.run_packet_obs(&cfg, mix_seed(7, i), &NullSink).unwrap();
-    }
-    let (allocs, _) = allocations_during(|| {
-        for i in 4..20u64 {
-            ws.run_packet_obs(&cfg, mix_seed(7, i), &NullSink).unwrap();
+    for (k, cfg) in gate_configs().iter().enumerate() {
+        let mut ws = FrameWorkspace::new();
+        // Warm-up: buffers grow to steady state on the first packets.
+        for i in 0..4u64 {
+            ws.run_packet_obs(cfg, mix_seed(7, i), &NullSink).unwrap();
         }
-    });
-    assert_eq!(
-        allocs, 0,
-        "instrumented packet path must stay zero-alloc with NullSink"
-    );
+        let (allocs, _) = allocations_during(|| {
+            for i in 4..20u64 {
+                ws.run_packet_obs(cfg, mix_seed(7, i), &NullSink).unwrap();
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "config {k}: instrumented packet path must stay zero-alloc with NullSink"
+        );
+    }
 }
 
 #[test]
@@ -58,16 +98,20 @@ fn plain_and_null_sink_paths_are_bit_identical() {
 
 #[test]
 fn batched_path_is_allocation_free() {
-    let cfg = warm_config();
-    let mut ws = FrameWorkspace::new();
     let seeds: Vec<u64> = (0..16u64).map(|i| mix_seed(7, i)).collect();
-    let mut outcomes = Vec::new();
-    // Warm-up grows the outcome vector and workspace buffers.
-    ws.run_packets(&cfg, &seeds, &mut outcomes).unwrap();
-    let (allocs, _) = allocations_during(|| {
-        ws.run_packets(&cfg, &seeds, &mut outcomes).unwrap();
-    });
-    assert_eq!(allocs, 0, "batched packet path must stay zero-alloc");
+    for (k, cfg) in gate_configs().iter().enumerate() {
+        let mut ws = FrameWorkspace::new();
+        let mut outcomes = Vec::new();
+        // Warm-up grows the outcome vector and workspace buffers.
+        ws.run_packets(cfg, &seeds, &mut outcomes).unwrap();
+        let (allocs, _) = allocations_during(|| {
+            ws.run_packets(cfg, &seeds, &mut outcomes).unwrap();
+        });
+        assert_eq!(
+            allocs, 0,
+            "config {k}: batched packet path must stay zero-alloc"
+        );
+    }
 }
 
 #[test]
@@ -98,5 +142,4 @@ fn null_sink_spans_report_no_wall_time() {
     assert!(!NullSink.wants_wall_time());
     // And the deterministic RecordingSink must not ask for it either.
     assert!(!RecordingSink::new().wants_wall_time());
-    assert!(RecordingSink::with_wall_time().wants_wall_time());
 }

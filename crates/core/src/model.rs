@@ -393,22 +393,20 @@ impl NetworkModel {
     /// bit-identical to the full model's. The sharded allocation path
     /// solves each connected component on such a submodel.
     pub fn restrict(&self, nodes: &[usize]) -> NetworkModel {
-        let n = self.graph.len();
-        let mut index_of = vec![usize::MAX; n];
-        let mut prev: Option<usize> = None;
-        for (new, &old) in nodes.iter().enumerate() {
-            assert!(old < n, "restrict node out of range");
-            assert!(prev.map_or(true, |p| p < old), "restrict nodes must ascend");
-            prev = Some(old);
-            index_of[old] = new;
-        }
+        assert!(
+            nodes.windows(2).all(|w| w[0] < w[1]),
+            "restrict nodes must ascend"
+        );
+        assert!(
+            nodes.last().is_none_or(|&last| last < self.graph.len()),
+            "restrict node out of range"
+        );
         let mut graph = InterferenceGraph::new(nodes.len());
         let mut cells = Vec::with_capacity(nodes.len());
         let mut cell_base = Vec::with_capacity(nodes.len() * 2);
         for (new, &old) in nodes.iter().enumerate() {
-            for nb in self.graph.neighbors(ApId(old)) {
-                let mapped = index_of[nb.0];
-                if mapped != usize::MAX && nb.0 > old {
+            for nb in self.graph.neighbors(ApId(old)).filter(|nb| nb.0 > old) {
+                if let Ok(mapped) = nodes.binary_search(&nb.0) {
                     graph.add_edge(ApId(new), ApId(mapped));
                 }
             }
@@ -501,7 +499,8 @@ impl ThroughputModel for NetworkModel {
     /// else's contender set is untouched), and cell throughput is linear
     /// in the share, so the delta is a sum over that neighbourhood of
     /// `M_new·base − M_old·base` — each term exactly the difference of
-    /// the corresponding [`ap_throughput_bps`] values.
+    /// the corresponding [`ap_throughput_bps`](ThroughputModel::ap_throughput_bps)
+    /// values.
     fn delta_bps(
         &self,
         ap: ApId,
@@ -910,6 +909,48 @@ mod tests {
         let sub2 = m.restrict(&[0, 1, 3]);
         assert!(sub2.graph.interferes(ApId(0), ApId(1)));
         assert_eq!(sub2.graph.degree(ApId(2)), 0, "edge (3,4) left the subset");
+
+        // Random graphs and random ascending subsets: every pair keeps
+        // exactly its parent edge, every row its parent bits.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(2010);
+        for case in 0..40 {
+            let n = rng.gen_range(1..14usize);
+            let edges: Vec<(usize, usize)> = (0..n)
+                .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+                .filter(|_| rng.gen_bool(0.35))
+                .collect();
+            let cells: Vec<Vec<ClientSnr>> = (0..n)
+                .map(|_| {
+                    (0..rng.gen_range(0..3usize))
+                        .map(|client| ClientSnr {
+                            client,
+                            snr20_db: rng.gen_range(-2.0..40.0),
+                        })
+                        .collect()
+                })
+                .collect();
+            let m = NetworkModel::new(InterferenceGraph::from_edges(n, &edges), cells);
+            let nodes: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.6)).collect();
+            let sub = m.restrict(&nodes);
+            assert_eq!(sub.n_aps(), nodes.len(), "case {case}");
+            for (i, &oi) in nodes.iter().enumerate() {
+                for (j, &oj) in nodes.iter().enumerate() {
+                    assert_eq!(
+                        sub.graph.interferes(ApId(i), ApId(j)),
+                        m.graph.interferes(ApId(oi), ApId(oj)),
+                        "case {case}: pair ({oi}, {oj}) of {nodes:?}"
+                    );
+                }
+                for w in [ChannelWidth::Ht20, ChannelWidth::Ht40] {
+                    assert_eq!(
+                        sub.cell_base_bps(ApId(i), w).to_bits(),
+                        m.cell_base_bps(ApId(oi), w).to_bits(),
+                        "case {case}: row ({oi}, {w:?})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

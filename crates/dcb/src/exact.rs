@@ -13,15 +13,14 @@
 //! The admissible bound: APs are assigned one at a time (highest degree
 //! first). For a partial assignment, every *assigned* AP is scored
 //! against the assigned-only interference subgraph — adding APs can only
-//! add conflicts, and [`access_share`] is non-increasing in the conflict
-//! set, so that score upper-bounds the AP's final throughput. Every
-//! *unassigned* AP is bounded by its isolated best width
-//! ([`NetworkModel::isolated_best_bps`]). Prune whenever the bound cannot
-//! beat the incumbent; seed the incumbent with the multi-restart greedy
-//! so the search starts with a strong lower bound (and the returned
-//! optimum is never worse than the greedy, even on a node-budget bail).
-//!
-//! [`access_share`]: acorn_mac::contention::access_share
+//! add conflicts, and `acorn_mac::contention::access_share` is
+//! non-increasing in the conflict set, so that score upper-bounds the
+//! AP's final throughput. Every *unassigned* AP is bounded by its
+//! isolated best width ([`NetworkModel::isolated_best_bps`]). Prune
+//! whenever the bound cannot beat the incumbent; seed the incumbent with
+//! the multi-restart greedy so the search starts with a strong lower
+//! bound (and the returned optimum is never worse than the greedy, even
+//! on a node-budget bail).
 
 use acorn_core::allocation::{allocate, AllocSpec, AllocationConfig};
 use acorn_core::model::{NetworkModel, ThroughputModel};

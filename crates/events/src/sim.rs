@@ -5,10 +5,10 @@
 //! state every actor operates on — for ACORN scenarios, the WLAN plus the
 //! controller's [`NetworkState`](acorn_core::NetworkState)), a set of
 //! boxed [`Process`]es addressed by [`ProcessId`], and the
-//! [`EventQueue`](crate::queue::EventQueue). Each event is an
-//! [`Envelope`] — a payload plus the process it is addressed to — and the
-//! loop dispatches envelopes strictly in `(time, seq)` order, so a run is
-//! a pure function of the initial world and the processes added to it.
+//! [`EventQueue`]. Each event is an [`Envelope`] — a payload plus the
+//! process it is addressed to — and the loop dispatches envelopes
+//! strictly in `(time, seq)` order, so a run is a pure function of the
+//! initial world and the processes added to it.
 //!
 //! Determinism contract: processes may only read time, their own state,
 //! the world, and the firing event's sequence number (exposed through

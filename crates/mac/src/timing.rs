@@ -57,13 +57,6 @@ pub fn access_cycle_s(payload_bytes: u32, rate_bps: f64, burst: u32) -> f64 {
     DIFS_S + mean_backoff + txop_time_s(payload_bytes, rate_bps, burst)
 }
 
-/// Expected duration of one *successful, contention-free, non-aggregated*
-/// packet exchange — kept for single-frame reasoning and the Fig. 5-era
-/// WARP experiments.
-pub fn packet_cycle_s(payload_bytes: u32, rate_bps: f64) -> f64 {
-    access_cycle_s(payload_bytes, rate_bps, 1)
-}
-
 /// Expected channel time consumed per *delivered* packet on a link with
 /// packet error rate `per`, under [`BURST`]-aggregated access: each TXOP
 /// delivers `burst·(1−per)` packets in expectation (lost subframes are

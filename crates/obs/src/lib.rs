@@ -15,9 +15,9 @@
 //!    clock: span "timing" is an entry *count* by default (monotonic
 //!    sequence numbers), and only commutative `u64` counter increments
 //!    may be emitted from parallel regions — so instrumented runs stay
-//!    bit-identical at `ACORN_THREADS=1/2/8`. Wall-clock span durations
-//!    exist behind an explicit opt-in
-//!    ([`RecordingSink::with_wall_time`]) for bench binaries only.
+//!    bit-identical at `ACORN_THREADS=1/2/8`. Only a sink outside the
+//!    simulations (perfbench's stage timer) opts into wall-clock span
+//!    durations, through [`Sink::wants_wall_time`].
 //! 3. **One namespace.** The metric names in [`names`] are shared by
 //!    events, sim, and bench consumers; [`Telemetry`] (moved here from
 //!    `acorn-events`, which now re-exports it) is the single recorder

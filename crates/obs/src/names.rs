@@ -69,8 +69,8 @@ pub const IAPP_HOLD_DOWNS: &str = "iapp.hold_downs";
 
 /// Baseband packets pushed through `run_packet`.
 pub const BASEBAND_PACKETS: &str = "baseband.packets";
-/// Baseband pipeline stage spans (entry counts; wall time only in
-/// bench binaries that opt in).
+/// Baseband pipeline stage spans (entry counts; wall time only for a
+/// sink that opts in, such as perfbench's stage timer).
 pub const BASEBAND_STAGE_ENCODE: &str = "baseband.stage.encode";
 /// Space-time/SISO stream construction stage.
 pub const BASEBAND_STAGE_STREAMS: &str = "baseband.stage.streams";

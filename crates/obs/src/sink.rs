@@ -7,9 +7,9 @@
 //! verifies the baseband steady state stays at 0 allocs/packet with it
 //! attached. [`RecordingSink`] is the enabled configuration — a
 //! `Mutex<Telemetry>` that is `Sync` (restart fan-outs share one sink
-//! across `par_map` threads) and **never reads the wall clock** unless
-//! explicitly built with [`RecordingSink::with_wall_time`], which only
-//! bench binaries may do.
+//! across `par_map` threads) and **never reads the wall clock**. A sink
+//! that wants span durations (perfbench's stage timer) opts in through
+//! [`Sink::wants_wall_time`] and [`Sink::span_wall_s`].
 //!
 //! # Determinism rules
 //!
@@ -24,9 +24,9 @@
 //!    or last-write-wins state — emit them only from sequential
 //!    contexts (controller level, event handlers).
 //!
-//! A default-constructed `RecordingSink` records span *entry counts*
-//! instead of durations — monotonic sequence information, not time — so
-//! a recorded run snapshots byte-identically at any thread count.
+//! A `RecordingSink` records span *entry counts* instead of durations —
+//! monotonic sequence information, not time — so a recorded run
+//! snapshots byte-identically at any thread count.
 
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use std::sync::{Mutex, PoisonError};
@@ -185,16 +185,11 @@ impl Sink for NullSink {
 /// The enabled sink: records into an interior [`Telemetry`] behind a
 /// `Mutex` so it is `Sync` and shareable across restart fan-outs.
 ///
-/// Built with [`new`](RecordingSink::new) it is fully deterministic —
-/// it never reads the wall clock, and spans record entry counts only.
-/// [`with_wall_time`](RecordingSink::with_wall_time) additionally
-/// accumulates real span durations into `<name>.wall_s` counters-like
-/// histogram observations; that mode is **explicitly non-deterministic**
-/// and reserved for bench binaries outside any bit-identity contract.
+/// It is fully deterministic: it never reads the wall clock, and spans
+/// record entry counts only.
 #[derive(Debug, Default)]
 pub struct RecordingSink {
     inner: Mutex<Telemetry>,
-    wall: bool,
 }
 
 impl RecordingSink {
@@ -202,17 +197,6 @@ impl RecordingSink {
     pub fn new() -> RecordingSink {
         RecordingSink {
             inner: Mutex::new(Telemetry::new()),
-            wall: false,
-        }
-    }
-
-    /// A recording sink that also measures wall-clock span durations.
-    /// Non-deterministic by construction — bench binaries only, never
-    /// inside the determinism-swept simulations.
-    pub fn with_wall_time() -> RecordingSink {
-        RecordingSink {
-            inner: Mutex::new(Telemetry::new()),
-            wall: true,
         }
     }
 
@@ -256,14 +240,6 @@ impl Sink for RecordingSink {
     fn sketch_observe(&self, name: &str, x: f64) {
         self.lock().sketch_observe(name, x);
     }
-    fn wants_wall_time(&self) -> bool {
-        self.wall
-    }
-    fn span_wall_s(&self, name: &str, secs: f64) {
-        let mut t = self.lock();
-        let key = format!("{name}.wall_s");
-        t.observe(&key, secs);
-    }
 }
 
 #[cfg(test)]
@@ -301,19 +277,6 @@ mod tests {
         assert!(snap.gauges.iter().any(|g| g.name == "g" && g.value == 4.0));
         // Deterministic sink: spans count entries, never record wall time.
         assert!(!snap.histograms.iter().any(|h| h.name.ends_with(".wall_s")));
-    }
-
-    #[test]
-    fn wall_time_mode_records_span_durations() {
-        let s = RecordingSink::with_wall_time();
-        {
-            let _span = s.span("work");
-        }
-        let snap = s.snapshot();
-        assert!(snap
-            .histograms
-            .iter()
-            .any(|h| h.name == "work.wall_s" && h.count == 1));
     }
 
     #[test]

@@ -31,11 +31,6 @@ impl ChannelWidth {
         }
     }
 
-    /// Bandwidth in MHz, as the paper quotes it.
-    pub fn bandwidth_mhz(self) -> f64 {
-        self.bandwidth_hz() / 1e6
-    }
-
     /// Number of OFDM *data* subcarriers (802.11n-2009: 52 for HT20,
     /// 108 for HT40).
     pub fn data_subcarriers(self) -> usize {

@@ -78,11 +78,6 @@ impl ChurnReport {
             self.snapshots.iter().map(|s| s.after_bps).sum::<f64>() / self.snapshots.len() as f64
         }
     }
-
-    /// Total channel switches across the run.
-    pub fn total_switches(&self) -> usize {
-        self.snapshots.iter().map(|s| s.switches).sum()
-    }
 }
 
 /// Runs the closed loop. `wlan` must have at least one client slot per
@@ -132,21 +127,6 @@ pub fn run_churn(
         snapshots,
         final_state: sim.world.state.clone(),
     }
-}
-
-/// Monte-Carlo over churn seeds: one independent [`run_churn`] per seed,
-/// fanned out over the evaluation engine's thread pool. Each repetition
-/// derives everything from its own seed, and results come back in seed
-/// order — the batch is bit-identical to calling [`run_churn`] in a loop,
-/// for any `ACORN_THREADS`.
-pub fn run_churn_batch(
-    wlan: &Wlan,
-    ctl: &AcornController,
-    sessions: &[Session],
-    config: &ChurnConfig,
-    seeds: &[u64],
-) -> Vec<ChurnReport> {
-    acorn_core::par::par_map(seeds, |&seed| run_churn(wlan, ctl, sessions, config, seed))
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! at most one pending tick plus one departure per active client.
 //!
 //! Determinism: all draws come from one `StdRng` seeded via
-//! [`mix_seed`](acorn_events::mix_seed) and consumed inside sequential
+//! [`mix_seed`] and consumed inside sequential
 //! event handlers, so runs are bit-identical at any `ACORN_THREADS`.
 
 use acorn_events::{mix_seed, AcornEvent, CityWorld, Ctx, Process};
@@ -56,7 +56,7 @@ pub struct WorkloadSpec {
     pub flash: Vec<FlashCrowd>,
     /// Association-duration model (CRAWDAD-fit lognormal + tail).
     pub durations: AssociationDurations,
-    /// Workload seed, mixed with [`mix_seed`](acorn_events::mix_seed)
+    /// Workload seed, mixed with [`mix_seed`]
     /// into the generator's RNG stream — independent of the scenario
     /// seed so fault and workload streams never alias.
     pub mix_seed: u64,
