@@ -352,17 +352,22 @@ mod tests {
         fn ranges_and_vecs_behave(
             x in 0.5f64..2.0,
             n in 1usize..10,
-            flag in any::<bool>(),
             v in crate::collection::vec(0u8..4, 2..6),
             even in parity(),
         ) {
             prop_assert!((0.5..2.0).contains(&x));
             prop_assert!((1..10).contains(&n));
-            prop_assert!(flag || !flag);
             prop_assert!(v.len() >= 2 && v.len() < 6);
             prop_assert!(v.iter().all(|&b| b < 4));
             prop_assert_eq!(even % 2, 0);
         }
+    }
+
+    #[test]
+    fn any_bool_draws_both_values() {
+        let mut rng = crate::TestRng::for_test("any_bool_draws_both_values");
+        let draws: Vec<bool> = (0..64).map(|_| any::<bool>().sample(&mut rng)).collect();
+        assert!(draws.contains(&true) && draws.contains(&false), "{draws:?}");
     }
 
     proptest! {

@@ -24,13 +24,17 @@
 //!
 //! ## Evaluation engine
 //!
-//! Candidate scoring uses [`ThroughputModel::best_switch`] — on
-//! [`NetworkModel`](crate::model::NetworkModel) the whole colour scan
-//! costs O(Δ) because a switch only perturbs the AP and its neighbours,
-//! not a full-network recompute per colour — and fans the per-AP ranking
-//! out over [`crate::par::par_map`]. Restarts parallelize across seeds
-//! the same way. Both reductions are order-stable, so results are
-//! bit-identical for every thread count (`ACORN_THREADS=1` included).
+//! Candidate scoring uses [`ThroughputModel::best_switch`] and fans the
+//! per-AP ranking out over [`crate::par::par_map`]. A switch only
+//! perturbs the AP and its neighbours, so on
+//! [`NetworkModel`](crate::model::NetworkModel) a whole colour scan
+//! groups the neighbours once by the 20 MHz channels they occupy and
+//! scores each colour with a few bit-set operations plus one add per
+//! neighbour whose edge the colour changes, in neighbour order, so every
+//! gain equals the per-colour [`ThroughputModel::delta_bps`] fold bit for
+//! bit. Restarts parallelize across seeds the same way. Both reductions
+//! are order-stable, so results are bit-identical for every thread count
+//! (`ACORN_THREADS=1` included).
 //!
 //! [`allocate`] is the one entry point: the greedy under its restart
 //! hedge, on one model. A deployment whose conflict graph falls apart

@@ -67,6 +67,19 @@ impl Candidate {
     pub fn x_without(&self) -> f64 {
         safe_div(self.access_share, self.atd_including_u_s - self.delay_u_s)
     }
+
+    /// The cell's term of `U_assoc` when it is the choice: its aggregate
+    /// with u, `K·X_{w,u}`.
+    fn with_term(&self) -> f64 {
+        self.k_including_u as f64 * self.x_with()
+    }
+
+    /// The cell's term of `U_assoc` when u declines it: its aggregate
+    /// without u. `K` includes u by definition, so the cell then serves
+    /// `K − 1` clients.
+    fn without_term(&self) -> f64 {
+        (self.k_including_u.saturating_sub(1)) as f64 * self.x_without()
+    }
 }
 
 fn safe_div(num: f64, den: f64) -> f64 {
@@ -82,13 +95,21 @@ fn safe_div(num: f64, den: f64) -> f64 {
 pub fn utility(candidates: &[Candidate], choice: usize) -> f64 {
     let mut u = 0.0;
     for (j, cand) in candidates.iter().enumerate() {
-        if j == choice {
-            u += cand.k_including_u as f64 * cand.x_with();
+        u += if j == choice {
+            cand.with_term()
         } else {
-            // K_j includes u by definition; the cell without u serves
-            // K_j − 1 clients.
-            u += (cand.k_including_u.saturating_sub(1)) as f64 * cand.x_without();
-        }
+            cand.without_term()
+        };
+    }
+    u
+}
+
+/// [`utility`] from every candidate's `(with_term, without_term)`,
+/// summed in the same order.
+fn utility_of(terms: &[(f64, f64)], choice: usize) -> f64 {
+    let mut u = 0.0;
+    for (j, &(with, without)) in terms.iter().enumerate() {
+        u += if j == choice { with } else { without };
     }
     u
 }
@@ -111,30 +132,41 @@ pub fn screen_score(score: f64) -> f64 {
 /// is replaced only on a *strictly greater* score — so the earliest
 /// maximal candidate wins every tie by construction (no `max_by`
 /// last-maximal subtlety to invert).
-fn choose_by_score<S: Sink>(
-    n: usize,
-    sink: &S,
-    mut score: impl FnMut(usize) -> f64,
-) -> Option<usize> {
+fn argmax(scores: impl IntoIterator<Item = f64>) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
-    let mut nans = 0u64;
-    for i in 0..n {
-        let raw = score(i);
-        if raw.is_nan() {
-            nans += 1;
-        }
+    for (i, raw) in scores.into_iter().enumerate() {
         let s = screen_score(raw);
         match best {
             Some((_, b)) if s.total_cmp(&b) != Ordering::Greater => {}
             _ => best = Some((i, s)),
         }
     }
+    best.map(|(i, _)| i)
+}
+
+/// Reports one choice over `n` candidates, `nans` of them NaN-scored.
+fn record<S: Sink>(sink: &S, n: usize, nans: usize) {
     if sink.enabled() {
         sink.inc(names::ASSOC_CHOICES);
         sink.add(names::ASSOC_CANDIDATES, n as u64);
-        sink.add(names::ASSOC_NAN_UTILITIES, nans);
+        sink.add(names::ASSOC_NAN_UTILITIES, nans as u64);
     }
-    best.map(|(i, _)| i)
+}
+
+/// [`argmax`] over `score(0..n)`, reported through [`record`].
+fn choose_by_score<S: Sink>(
+    n: usize,
+    sink: &S,
+    mut score: impl FnMut(usize) -> f64,
+) -> Option<usize> {
+    let mut nans = 0;
+    let best = argmax((0..n).map(|i| {
+        let s = score(i);
+        nans += usize::from(s.is_nan());
+        s
+    }));
+    record(sink, n, nans);
+    best
 }
 
 /// Algorithm 1: returns the index of the utility-maximizing candidate, or
@@ -144,6 +176,84 @@ fn choose_by_score<S: Sink>(
 /// counters into `sink`.
 pub fn choose_ap<S: Sink>(candidates: &[Candidate], sink: &S) -> Option<usize> {
     choose_by_score(candidates.len(), sink, |i| utility(candidates, i))
+}
+
+/// [`choose_ap`] for a candidate set whose empty cells
+/// (`k_including_u == 1`) may carry a lower bound on u's delay in place
+/// of its searched one, in both `delay_u_s` and `atd_including_u_s`.
+/// `search` returns such a candidate's searched delay; it runs only for
+/// an empty cell whose bound comes out on top of the ranking, which then
+/// takes the searched utility and runs again. The choice, the chosen
+/// candidate's fields and the `assoc.*` counters are those of
+/// [`choose_ap`] on the searched set.
+///
+/// Why a bound is as good as a search until it comes out on top:
+/// * **An empty cell's without-u term is exactly 0.0, whatever its
+///   delay.** Its ATD without u is zero, so `x_without` divides by
+///   `d − d`, which is 0 or NaN, and gets 0.0 from the guarded division;
+///   `K − 1 = 0` times 0.0 is 0.0. A bound moves no other candidate's
+///   utility.
+/// * **Its utility at the bound is an upper bound, bit for bit.** Its own
+///   term `1·x_with` is `M/d` for a finite `d > 0` and 0.0 otherwise; with
+///   `M ≥ 0` that can only fall as `d` grows, and float division and
+///   addition are monotone, so the sum with the bound is at least the
+///   searched sum.
+/// * **A skipped candidate's utility cannot be NaN unless its bound is.**
+///   With every share `≥ 0`, every term is a number `≥ 0` (possibly
+///   `+∞`) or NaN, so no partial sum meets `+∞ − ∞`; the two sums differ
+///   only in the candidate's own term, a number either way, so one is NaN
+///   exactly when the other is. `assoc.nan_utilities` counts the same,
+///   and the screened bound orders at or above the screened utility.
+/// * **The ranking keeps the earliest maximum**, so a candidate that does
+///   not come out on top with its bound would not with its utility.
+///
+/// A negative or NaN share voids the argument: such a set is searched in
+/// full before it is ranked.
+pub fn choose_ap_bounded<S: Sink>(
+    candidates: &mut [Candidate],
+    mut search: impl FnMut(&Candidate) -> f64,
+    sink: &S,
+) -> Option<usize> {
+    let mut bounded: Vec<bool> = candidates.iter().map(|c| c.k_including_u == 1).collect();
+    let mut settle = |c: &mut Candidate, bounded: &mut bool| {
+        debug_assert_eq!(
+            c.atd_including_u_s.to_bits(),
+            c.delay_u_s.to_bits(),
+            "an empty cell's ATD is u's delay"
+        );
+        let d = search(c);
+        (c.delay_u_s, c.atd_including_u_s, *bounded) = (d, d, false);
+    };
+    if candidates
+        .iter()
+        .any(|c| c.access_share.is_nan() || c.access_share < 0.0)
+    {
+        for (c, b) in candidates.iter_mut().zip(&mut bounded).filter(|(_, b)| **b) {
+            settle(c, b);
+        }
+    }
+    let mut terms: Vec<(f64, f64)> = candidates
+        .iter()
+        .map(|c| (c.with_term(), c.without_term()))
+        .collect();
+    let mut scores: Vec<f64> = (0..terms.len()).map(|i| utility_of(&terms, i)).collect();
+    let best = loop {
+        match argmax(scores.iter().copied()) {
+            Some(i) if bounded[i] => {
+                settle(&mut candidates[i], &mut bounded[i]);
+                // Its without-u term is 0.0 either way.
+                terms[i].0 = candidates[i].with_term();
+                scores[i] = utility_of(&terms, i);
+            }
+            best => break best,
+        }
+    };
+    record(
+        sink,
+        scores.len(),
+        scores.iter().filter(|s| s.is_nan()).count(),
+    );
+    best
 }
 
 /// Greedy/selfish baseline for comparison and ablations: pick the AP

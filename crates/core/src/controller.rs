@@ -30,8 +30,8 @@ use crate::par;
 use acorn_mac::contention::access_share;
 use acorn_mac::timing::delivery_delay_s;
 use acorn_obs::{names, Sink};
-use acorn_phy::estimator::{LinkQualityEstimator, RatePoint};
-use acorn_phy::{ChannelWidth, GoodputTable};
+use acorn_phy::estimator::LinkQualityEstimator;
+use acorn_phy::{ChannelWidth, GoodputTable, McsIndex};
 use acorn_topology::{ApId, ChannelAssignment, ChannelPlan, ClientId, Wlan};
 use std::sync::Arc;
 
@@ -217,7 +217,7 @@ impl AcornController {
             Some(t) => t.estimate(snr20_db, ChannelWidth::Ht20).rate_point(width),
             None => e.best_rate_point(e.calibrate_snr(snr20_db, ChannelWidth::Ht20, width), width),
         };
-        self.delay_at(point, width)
+        self.delay_at(point.mcs, point.per, width)
     }
 
     /// [`delay_from_snr`](AcornController::delay_from_snr) at both widths,
@@ -229,15 +229,28 @@ impl AcornController {
         match &self.table {
             Some(t) => {
                 let est = t.estimate(snr20_db, ChannelWidth::Ht20);
-                widths.map(|w| self.delay_at(est.rate_point(w), w))
+                widths.map(|w| {
+                    let point = est.rate_point(w);
+                    self.delay_at(point.mcs, point.per, w)
+                })
             }
             None => widths.map(|w| self.delay_from_snr(snr20_db, w)),
         }
     }
 
-    fn delay_at(&self, point: RatePoint, width: ChannelWidth) -> f64 {
-        let rate_bps = point.mcs.mcs().rate_bps(width, self.config.estimator.gi);
-        delivery_delay_s(self.config.payload_bytes, rate_bps, point.per)
+    fn delay_at(&self, mcs: McsIndex, per: f64, width: ChannelWidth) -> f64 {
+        let rate_bps = mcs.mcs().rate_bps(width, self.config.estimator.gi);
+        delivery_delay_s(self.config.payload_bytes, rate_bps, per)
+    }
+
+    /// The fastest delay any link can have at `width`: the top MCS at
+    /// PER 0, through the formula every delay query uses. No
+    /// [`delay_from_snr`](AcornController::delay_from_snr) is below it
+    /// (a NaN one is not below anything): every MCS is at most as fast
+    /// as the top one, `delivery_delay_s` clamps the PER into [0, 1],
+    /// and each float operation on the way is monotone.
+    pub fn delay_floor_s(&self, width: ChannelWidth) -> f64 {
+        self.delay_at(McsIndex::MAX, 0.0, width)
     }
 
     /// The advertised delay for a *tracked* link at the controller

@@ -56,7 +56,9 @@ pub use acorn_mac::airtime::cell_throughput_from_atd_bps;
 /// switch observability off without depending on `acorn-obs` themselves.
 pub use acorn_obs::NullSink;
 pub use allocation::{allocate, random_initial, AllocSpec, AllocationConfig, AllocationResult};
-pub use association::{choose_ap, choose_ap_selfish, screen_score, utility, Candidate};
+pub use association::{
+    choose_ap, choose_ap_bounded, choose_ap_selfish, screen_score, utility, Candidate,
+};
 pub use beacon::Beacon;
 pub use controller::{AcornConfig, AcornController, NetworkState};
 pub use csa::{switch_plans, ApCsa, ClientCsa, CsaAction, SwitchPlan};

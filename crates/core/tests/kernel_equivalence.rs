@@ -7,15 +7,24 @@
 //! width. [`AcornController::delays_from_snr`], which fills the city
 //! world's advert cache, must return exactly `delay_from_snr` at each
 //! width, with and without a goodput table.
+//! No `delay_from_snr` is below [`AcornController::delay_floor_s`], the
+//! bound Algorithm 1 ranks an empty cell by.
 //! [`AcornController::adapt_widths`] reads a bonded AP's two
 //! contention-free throughputs from the model's `cell_base` table instead
 //! of re-estimating its cell, which relies on that table holding exactly
-//! `cell_airtime(ap, w).cell_throughput_bps(1.0)`.
+//! `cell_airtime(ap, w).cell_throughput_bps(1.0)`. And
+//! `NetworkModel::best_switch`, Algorithm 2's colour scan over
+//! per-channel neighbour sets, must pick the colour and the gain bits of
+//! the per-colour [`ThroughputModel::delta_bps`] fold.
 
-use acorn_core::{AcornConfig, AcornController, NetworkModel, NullSink};
+use acorn_core::{
+    AcornConfig, AcornController, ClientSnr, NetworkModel, NullSink, ThroughputModel,
+};
 use acorn_mac::timing::delivery_delay_s;
 use acorn_phy::{ChannelWidth, GoodputTable, LinkQualityEstimator};
-use acorn_topology::{ApId, ClientId, InterferenceGraph, Point, Wlan};
+use acorn_topology::{
+    ApId, Channel20, ChannelAssignment, ChannelPlan, ClientId, InterferenceGraph, Point, Wlan,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -66,6 +75,8 @@ fn exact_queries_match_the_two_width_estimate() {
             ..AcornConfig::default()
         };
         let ctl = AcornController::new(config);
+        let table = Arc::new(GoodputTable::build(e, -12.0, 48.0, 0.25));
+        let tabled = AcornController::with_table(config, table);
         let model = NetworkModel::with_config(
             InterferenceGraph::new(0),
             Vec::new(),
@@ -91,6 +102,17 @@ fn exact_queries_match_the_two_width_estimate() {
                     "delay_from_snr at {snr} dB, {width:?}, sigma {}",
                     e.fading_sigma_db
                 );
+                // Algorithm 1 ranks an empty cell by this floor until it
+                // could win; no searched delay may fall below it.
+                for c in [&ctl, &tabled] {
+                    let d = c.delay_from_snr(snr, width);
+                    assert!(
+                        d.is_nan() || d >= c.delay_floor_s(width),
+                        "delay below the floor at {snr} dB, {width:?}, sigma {}, table {}",
+                        e.fading_sigma_db,
+                        c.table().is_some()
+                    );
+                }
             }
         }
     }
@@ -156,5 +178,102 @@ fn cell_base_is_the_contention_free_cell_throughput() {
             }
         }
         assert!(populated > 10, "only {populated} cells have clients");
+    }
+}
+
+/// The first-max fold over [`ThroughputModel::delta_bps`] that
+/// `NetworkModel::best_switch` replaces: the same colour, the same gain.
+fn per_colour_scan(
+    model: &NetworkModel,
+    ap: ApId,
+    colours: &[ChannelAssignment],
+    assignments: &[ChannelAssignment],
+) -> (ChannelAssignment, f64) {
+    let mut best: Option<(ChannelAssignment, f64)> = None;
+    for &c in colours {
+        let gain = model.delta_bps(ap, c, assignments);
+        match best {
+            Some((_, g)) if g >= gain => {}
+            _ => best = Some((c, gain)),
+        }
+    }
+    best.unwrap_or((assignments[ap.0], 0.0))
+}
+
+/// Every plan size's colours, moved up by `offset` channels (even, so the
+/// bonds stay legal).
+fn colours_at(plan_size: u8, offset: u8) -> Vec<ChannelAssignment> {
+    ChannelPlan::restricted(plan_size)
+        .all_assignments()
+        .into_iter()
+        .map(|a| match a {
+            ChannelAssignment::Single(c) => ChannelAssignment::Single(Channel20(c.0 + offset)),
+            ChannelAssignment::Bonded(c) => ChannelAssignment::Bonded(Channel20(c.0 + offset)),
+        })
+        .collect()
+}
+
+/// Random cells of zero to three clients at uniform −2…40 dB.
+fn random_cells(rng: &mut StdRng, n: usize) -> Vec<Vec<ClientSnr>> {
+    (0..n)
+        .map(|_| {
+            (0..rng.gen_range(0..4usize))
+                .map(|client| ClientSnr {
+                    client,
+                    snr20_db: rng.gen_range(-2.0..40.0),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn best_switch_matches_the_per_colour_scan_exactly() {
+    // Seeded random graphs at every plan size, a 70-AP complete graph
+    // (degree 69: two blocks of neighbour slots, heap-held terms), and
+    // channel indices beyond 64 (heap-held channel sets). Every AP's
+    // colour scan must pick the per-colour fold's colour with its gain's
+    // bits.
+    let mut rng = StdRng::seed_from_u64(2010);
+    let mut cases: Vec<(InterferenceGraph, u8, u8)> = Vec::new();
+    for plan_size in 1..=12u8 {
+        for _ in 0..4 {
+            let n = rng.gen_range(1..16usize);
+            let p = rng.gen_range(0.2..0.9);
+            let edges: Vec<(usize, usize)> = (0..n)
+                .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+                .filter(|_| rng.gen_bool(p))
+                .collect();
+            cases.push((InterferenceGraph::from_edges(n, &edges), plan_size, 0));
+        }
+    }
+    for (plan_size, offset) in [(12, 0), (5, 0), (12, 64), (7, 200), (12, 240)] {
+        cases.push((InterferenceGraph::complete(70), plan_size, offset));
+    }
+    for (case, (graph, plan_size, offset)) in cases.into_iter().enumerate() {
+        let n = graph.len();
+        let model = NetworkModel::new(graph, random_cells(&mut rng, n));
+        let colours = colours_at(plan_size, offset);
+        // Debug builds scan every 7th AP of the complete graph.
+        let stride = if cfg!(debug_assertions) && n > 16 {
+            7
+        } else {
+            1
+        };
+        for _ in 0..3 {
+            let assignments: Vec<ChannelAssignment> = (0..n)
+                .map(|_| colours[rng.gen_range(0..colours.len())])
+                .collect();
+            for ap in (0..n).step_by(stride).map(ApId) {
+                let (c_fast, g_fast) = model.best_switch(ap, &colours, &assignments);
+                let (c_ref, g_ref) = per_colour_scan(&model, ap, &colours, &assignments);
+                assert_eq!(
+                    (c_fast, g_fast.to_bits()),
+                    (c_ref, g_ref.to_bits()),
+                    "case {case} (plan {plan_size} at +{offset}), AP {}: {g_fast} vs {g_ref}",
+                    ap.0
+                );
+            }
+        }
     }
 }

@@ -78,11 +78,11 @@ impl CityFaultProcess {
 
         // --- 2. Beacons: the cell's cached delays at its operating width,
         // access share over live neighbours.
-        let advert = |w: &CityWorld, ap: usize| {
+        let advert = |w: &CityWorld, ap: usize, delays: &mut Vec<f64>| {
             let width = w.state.operating_width[ap] as usize;
             let cell = w.cell_clients(ap).iter();
-            let delays = cell.map(|&c| w.client_delays[c as usize][width]).collect();
-            (delays, w.access_share(ap, true))
+            delays.extend(cell.map(|&c| w.client_delays[c as usize][width]));
+            w.access_share(ap, true)
         };
         self.core.beacons(ctx, advert, |_, _| {});
 

@@ -552,24 +552,27 @@ impl FaultCore {
     }
 
     /// The beacon step: each live AP with clients serializes ONE frame —
-    /// its cell's advertised delays and access share come from `advert` —
-    /// and parses it once; every client of its cell gets an independent
-    /// copy through the gauntlet ([`FaultCore::copy`]): lost, queued for
-    /// late delivery, or delivered now. Only a copy the real parser
-    /// decodes counts as heard; `heard(ap, client)` runs for each.
+    /// `advert` fills its cell's advertised delays into the step's one
+    /// buffer and returns its access share — and parses it once; every
+    /// client of its cell gets an independent copy through the gauntlet
+    /// ([`FaultCore::copy`]): lost, queued for late delivery, or
+    /// delivered now. Only a copy the real parser decodes counts as
+    /// heard; `heard(ap, client)` runs for each.
     pub(crate) fn beacons<L: Locality>(
         &mut self,
         ctx: &mut Ctx<'_, World<L>, AcornEvent>,
-        mut advert: impl FnMut(&World<L>, usize) -> (Vec<f64>, f64),
+        mut advert: impl FnMut(&World<L>, usize, &mut Vec<f64>) -> f64,
         mut heard: impl FnMut(usize, usize),
     ) {
         let mut rng = self.rng(ctx, SALT_BEACON);
+        let mut delays = Vec::new();
         for ap in 0..ctx.world.wlan.aps.len() {
             let n_clients = ctx.world.cell_clients(ap).len();
             if !ctx.world.ap_up[ap] || n_clients == 0 {
                 continue;
             }
-            let (delays, access_share) = advert(ctx.world, ap);
+            delays.clear();
+            let access_share = advert(ctx.world, ap, &mut delays);
             let beacon = Beacon {
                 ap: ApId(ap),
                 assignment: ctx.world.state.effective_assignment(ApId(ap)),
@@ -578,7 +581,9 @@ impl FaultCore {
                 client_delays_s: delays,
                 access_share,
             };
-            let Ok(frame) = serialize_beacon(&beacon, bssid(ap), self.round) else {
+            let frame = serialize_beacon(&beacon, bssid(ap), self.round);
+            delays = beacon.client_delays_s;
+            let Ok(frame) = frame else {
                 continue; // more clients than a beacon can count (255)
             };
             let parse = |f: &[u8]| parse_beacon(f).is_ok();
@@ -850,18 +855,17 @@ impl FaultProcess {
         // --- 3. Beacons: delays from the trackers (∞ until a confirmed
         // sample), access share from the AP's IAPP view.
         let (trackers, agents, client_csa) = (&self.trackers, &self.agents, &mut self.client_csa);
-        let advert = |w: &AcornWorld, ap: usize| {
+        let advert = |w: &AcornWorld, ap: usize, delays: &mut Vec<f64>| {
             let width = w.state.operating_width[ap];
-            let delays = w
-                .cell_clients(ap)
-                .iter()
-                .map(|&c| match &trackers[c as usize] {
-                    Some(t) => w.ctl.tracked_delay_s(t, now, width),
-                    None => f64::INFINITY,
-                })
-                .collect();
-            let share = agents[ap].access_share(w.state.effective_assignment(ApId(ap)));
-            (delays, share)
+            delays.extend(
+                w.cell_clients(ap)
+                    .iter()
+                    .map(|&c| match &trackers[c as usize] {
+                        Some(t) => w.ctl.tracked_delay_s(t, now, width),
+                        None => f64::INFINITY,
+                    }),
+            );
+            agents[ap].access_share(w.state.effective_assignment(ApId(ap)))
         };
         self.core.beacons(ctx, advert, |ap, c| {
             client_csa[c].note_heard(round);

@@ -59,8 +59,8 @@ use crate::faults::ResilienceReport;
 use crate::sim::{mix_seed, Ctx, EventLog, Process, RunStats, Simulation};
 use crate::telemetry::{Histogram, Telemetry, TelemetrySnapshot};
 use acorn_core::{
-    cell_throughput_from_atd_bps, choose_ap, AcornController, Candidate, ClientSnr, NetworkModel,
-    NetworkState,
+    cell_throughput_from_atd_bps, choose_ap_bounded, AcornController, Candidate, ClientSnr,
+    NetworkModel, NetworkState,
 };
 use acorn_obs::{names, RecordingSink, Sink};
 use acorn_phy::ChannelWidth;
@@ -228,6 +228,12 @@ impl<L: Locality> World<L> {
         self.client_snr20[c]
     }
 
+    /// The cached delivery delays of client `c` to its AP at both widths,
+    /// indexed by `width as usize` (meaningless for unassociated clients).
+    pub fn client_delays_cached(&self, c: usize) -> [f64; 2] {
+        self.client_delays[c]
+    }
+
     /// Whether the link and advert caches equal a fresh recomputation,
     /// bit for bit: every active client's cached HT20 SNR against
     /// `wlan.snr_db` to its AP, and its delays at both widths and every
@@ -336,6 +342,12 @@ impl<L: Locality> World<L> {
     /// the cell's size and cached ATD, and the AP's access share over all
     /// its neighbours.
     pub fn candidates(&self, c: usize) -> Vec<Candidate> {
+        self.probe(c, |_, snr20, width| self.ctl.delay_from_snr(snr20, width))
+    }
+
+    /// The candidate set with `c`'s delay at each AP from `delay(ap, snr20,
+    /// width)`.
+    fn probe(&self, c: usize, delay: impl Fn(usize, f64, ChannelWidth) -> f64) -> Vec<Candidate> {
         let mut out = Vec::new();
         for ap in L::probe_scope(self, c) {
             if !self.ap_up[ap] {
@@ -346,7 +358,7 @@ impl<L: Locality> World<L> {
                 continue;
             }
             let width = self.state.operating_width[ap];
-            let d_u = self.ctl.delay_from_snr(snr20, width);
+            let d_u = delay(ap, snr20, width);
             out.push(Candidate {
                 ap: ApId(ap),
                 k_including_u: self.cells[ap].len() + 1,
@@ -361,16 +373,31 @@ impl<L: Locality> World<L> {
     /// Algorithm 1 for unassociated client `c` over the locality's
     /// candidate set, then the join: its cell entry, its client-mediated
     /// edges and its cached link. Dead APs don't beacon, so they are
-    /// never candidates. Returns the chosen AP and the client's own
-    /// delivery delay there, recording candidate metrics into `sink`.
+    /// never candidates. An empty cell enters the ranking at
+    /// [`AcornController::delay_floor_s`] and is searched only if it
+    /// could win ([`choose_ap_bounded`]), so the choice is
+    /// [`choose_ap`](acorn_core::choose_ap)'s over [`World::candidates`].
+    /// Returns the chosen AP and the client's own delivery delay there,
+    /// recording candidate metrics into `sink`.
     pub fn associate<S: Sink>(&mut self, c: usize, sink: &S) -> Option<(usize, f64)> {
         debug_assert!(
             self.state.assoc[c].is_none(),
             "client {c} is already associated"
         );
-        let candidates = self.candidates(c);
-        let chosen = &candidates[choose_ap(&candidates, sink)?];
-        let (ap, delay) = (chosen.ap.0, chosen.delay_u_s);
+        let mut candidates = self.probe(c, |ap, snr20, width| {
+            if self.cells[ap].is_empty() {
+                self.ctl.delay_floor_s(width)
+            } else {
+                self.ctl.delay_from_snr(snr20, width)
+            }
+        });
+        let search = |cand: &Candidate| {
+            let snr20 = self.wlan.snr_db(cand.ap, ClientId(c), ChannelWidth::Ht20);
+            let width = self.state.operating_width[cand.ap.0];
+            self.ctl.delay_from_snr(snr20, width)
+        };
+        let chosen = choose_ap_bounded(&mut candidates, search, sink)?;
+        let (ap, delay) = (candidates[chosen].ap.0, candidates[chosen].delay_u_s);
         self.state.assoc[c] = Some(ApId(ap));
         let cell = &mut self.cells[ap];
         let at = if L::ASSOCIATION_ORDER {

@@ -6,8 +6,10 @@
 #      library crates, one for the bench/figure binaries — fallible
 #      library paths return typed errors instead); a count below its
 #      baseline fails too, so removed panics lower the baseline,
-#   3. warnings-clean check build of the whole workspace, and a
+#   3. warnings-clean check build of the whole workspace, a
 #      warning-free rustdoc build (`cargo doc --workspace --no-deps`),
+#      and clippy over every target, failing on deny-level lints (its
+#      style warnings are reported, not gated),
 #   4. release build,
 #   5. the root test suite (tier-1: reproduction guards, properties,
 #      determinism, resilience, event-runtime goldens, and the wire-bytes
@@ -15,8 +17,11 @@
 #      envelope frame in tests/wire_golden.rs). The properties include
 #      the exact world's twin (exact_world_twins_the_controller: its
 #      maintained cells, graph and adverts against the controller's
-#      from-scratch API, bit for bit); the goldens include an
-#      associated walker with and without faults
+#      from-scratch API, bit for bit), and in both worlds every arrival
+#      and re-scan joins the AP, with the delay bits, that choose_ap
+#      picks over the eagerly searched candidates (the bounded chooser
+#      searches an empty cell only when it could win); the goldens
+#      include an associated walker with and without faults
 #      (associated_walker_is_pinned); the resilience suite shows that
 #      measurement faults alone leave the city world where its benign
 #      twin ends (measurement_faults_alone_leave_the_city_world_untouched),
@@ -118,6 +123,12 @@ echo "== warning-free docs =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo
+echo "== clippy (deny-level lints) =="
+# Deny-by-default lints (correctness: tautologies, impossible
+# comparisons, …) are errors, so clippy exits non-zero on any of them.
+cargo clippy --offline --workspace --all-targets
+
+echo
 echo "== release build =="
 cargo build --release --offline
 
@@ -150,7 +161,11 @@ echo "== kernel-equivalence gate (release) =="
 # bound's exit once its running sum reaches the 0.5 clamp) must equal the
 # retained term-by-term union bound and an unpruned ascending 16-MCS scan
 # over the full 1/64 dB SNR grid, and the controller's one-width queries
-# the two-width estimate, bit for bit.
+# the two-width estimate, bit for bit; no searched delay may fall below
+# the delay floor Algorithm 1 ranks empty cells by. Algorithm 2's colour
+# scan over per-channel neighbour sets must pick the colour and the gain
+# bits of the per-colour delta_bps fold on seeded random graphs at every
+# plan size, degree above 64 and channel indices above 64 included.
 # The lane-shaped Viterbi and batched FFT kernels must equal their
 # scalar oracles. Release builds walk the full grids.
 cargo test -q --offline --release -p acorn-phy --test kernel_equivalence

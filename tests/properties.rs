@@ -694,6 +694,34 @@ fn candidate_bits(c: &acorn::core::Candidate) -> (usize, usize, u64, u64, u64) {
     )
 }
 
+/// What Algorithm 1 over the eager candidate set picks for unassociated
+/// client `c`: the AP, its operating width, and `c`'s delay there as bits.
+fn eager_choice<L: acorn::events::Locality>(
+    w: &acorn::events::World<L>,
+    c: usize,
+) -> Option<(usize, ChannelWidth, u64)> {
+    let candidates = w.candidates(c);
+    let chosen = &candidates[acorn::core::choose_ap(&candidates, &NullSink)?];
+    let ap = chosen.ap.0;
+    Some((ap, w.state.operating_width[ap], chosen.delay_u_s.to_bits()))
+}
+
+/// Where client `c` joined, in [`eager_choice`]'s terms: its AP, and its
+/// cached delay there at the width `expected` names.
+fn joined<L: acorn::events::Locality>(
+    w: &acorn::events::World<L>,
+    c: usize,
+    expected: Option<(usize, ChannelWidth, u64)>,
+) -> Option<(usize, ChannelWidth, u64)> {
+    let ap = w.state.assoc[c]?.0;
+    let width = expected.map_or(ChannelWidth::Ht20, |(_, width, _)| width);
+    Some((
+        ap,
+        width,
+        w.client_delays_cached(c)[width as usize].to_bits(),
+    ))
+}
+
 /// What `CityWorld::cell_bps_up` computed before the advert cache: a fresh
 /// `delay_from_snr` per client of the cell, summed in association order.
 fn reference_cell_bps(w: &acorn::events::CityWorld, ap: usize) -> f64 {
@@ -737,7 +765,9 @@ proptest! {
             let ap = (x >> 8) as usize % n_aps;
             match x % 6 {
                 0 | 1 if w.state.assoc[c].is_none() => {
+                    let expected = eager_choice(&w, c);
                     w.arrive(c, true, &mut tel);
+                    prop_assert_eq!(joined(&w, c, expected), expected, "arrival of {}", c);
                 }
                 2 => {
                     w.depart(c, true, &mut tel);
@@ -752,8 +782,11 @@ proptest! {
                     // re-scan over the live APs.
                     w.ap_up[ap] = false;
                     for c in w.cell_clients(ap).to_vec() {
-                        w.deassociate(c as usize);
-                        w.associate(c as usize, &NullSink);
+                        let c = c as usize;
+                        w.deassociate(c);
+                        let expected = eager_choice(&w, c).map(|(ap, _, d)| (ap, d));
+                        let found = w.associate(c, &NullSink).map(|(ap, d)| (ap, d.to_bits()));
+                        prop_assert_eq!(found, expected, "re-scan of {}", c);
                     }
                 }
                 5 => w.ap_up[ap] = true,
@@ -805,7 +838,9 @@ proptest! {
             };
             match x % 10 {
                 0 | 1 if w.state.assoc[c].is_none() => {
+                    let expected = eager_choice(&w, c);
                     w.arrive(c, true, &mut tel);
+                    prop_assert_eq!(joined(&w, c, expected), expected, "arrival of {}", c);
                 }
                 2 => {
                     w.depart(c, true, &mut tel);
@@ -824,8 +859,11 @@ proptest! {
                     // re-scan over the live APs.
                     w.ap_up[ap] = false;
                     for c in w.cell_clients(ap).to_vec() {
-                        w.deassociate(c as usize);
-                        w.associate(c as usize, &NullSink);
+                        let c = c as usize;
+                        w.deassociate(c);
+                        let expected = eager_choice(&w, c).map(|(ap, _, d)| (ap, d));
+                        let found = w.associate(c, &NullSink).map(|(ap, d)| (ap, d.to_bits()));
+                        prop_assert_eq!(found, expected, "re-scan of {}", c);
                     }
                 }
                 6 => w.ap_up[ap] = true,
