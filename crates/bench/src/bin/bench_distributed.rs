@@ -4,10 +4,11 @@
 //!
 //! Each level runs the full distributed plane (gossip, acks,
 //! retransmits, catch-up replay) to quiescence and the centralized
-//! golden twin over the same epoch schedule, recording wall time for
-//! both, the convergence epoch (last epoch that changed any AP's
-//! assignment), the message cost per AP, and whether the distributed
-//! plan landed bit-exactly on the twin.
+//! golden twin over the same epoch schedule, recording the convergence
+//! epoch (last epoch that changed any AP's assignment), the message cost
+//! per AP, and whether the distributed plan landed bit-exactly on the
+//! twin. Run time is perfbench's to measure (`perfbench -- --workload
+//! ctrlplane`), so nothing here times itself.
 
 use acorn_bench::header;
 use acorn_core::{AcornConfig, AcornController};
@@ -17,14 +18,11 @@ use acorn_phy::{GoodputTable, LinkQualityEstimator};
 use acorn_sim::scenario::city_grid;
 use serde::Serialize;
 use std::sync::Arc;
-use std::time::Instant;
 
 #[derive(Serialize)]
 struct LossLevel {
     loss: f64,
     corruption: f64,
-    distributed_wall_s: f64,
-    centralized_wall_s: f64,
     matches_twin: bool,
     convergence_epoch: u64,
     msgs_per_ap: f64,
@@ -73,13 +71,8 @@ fn level(loss: f64, corruption: f64, table: &Arc<GoodputTable>) -> LossLevel {
     let n_aps = wlan.aps.len();
     let mut plane = DistributedPlane::new(wlan, ctl, plane_cfg(loss, corruption));
 
-    let t0 = Instant::now();
     plane.run_to_quiescence();
-    let distributed_wall_s = t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
     let twin = plane.centralized_twin();
-    let centralized_wall_s = t1.elapsed().as_secs_f64();
 
     let matches_twin = plane.state().assignments == twin.assignments
         && plane.state().operating_width == twin.operating_width;
@@ -107,17 +100,10 @@ fn level(loss: f64, corruption: f64, table: &Arc<GoodputTable>) -> LossLevel {
         report.msgs_deduped,
         report.msgs_expired,
     );
-    println!(
-        "distributed {:.2} s, centralized twin {:.2} s, {:.1} Mbit/s total",
-        distributed_wall_s,
-        centralized_wall_s,
-        report.total_bps / 1e6,
-    );
+    println!("{:.1} Mbit/s total", report.total_bps / 1e6);
     LossLevel {
         loss,
         corruption,
-        distributed_wall_s,
-        centralized_wall_s,
         matches_twin,
         convergence_epoch: report.last_change_epoch,
         msgs_per_ap,

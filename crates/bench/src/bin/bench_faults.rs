@@ -7,7 +7,8 @@
 //! (crashes, lost/corrupted/delayed frames, measurement faults), the
 //! detection and downtime latencies, how many re-allocation epochs the
 //! controller spent in safe mode, and the headline number — throughput
-//! retained relative to the fault-free twin.
+//! retained relative to the fault-free twin. Nothing here times itself:
+//! perfbench is the repository's one timing producer.
 
 use acorn_bench::header;
 use acorn_core::{AcornConfig, AcornController};
@@ -18,7 +19,6 @@ use acorn_traces::SessionGenerator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
-use std::time::Instant;
 
 #[derive(Serialize)]
 struct FaultBench {
@@ -29,7 +29,6 @@ struct FaultBench {
     corruption: f64,
     delay_prob: f64,
     ap_mttf_s: Option<f64>,
-    wall_s: f64,
     events: u64,
     report: ResilienceReport,
 }
@@ -85,9 +84,7 @@ fn level(name: &'static str, plan: FaultPlan) -> FaultBench {
     let sc = scenario(42, plan);
     let n_aps = sc.wlan.aps.len();
     let n_clients = sc.wlan.clients.len();
-    let t0 = Instant::now();
     let report = sc.run_resilience(&ctl);
-    let wall = t0.elapsed().as_secs_f64();
     let r = report
         .resilience
         .expect("faulty scenarios always carry a report");
@@ -122,7 +119,6 @@ fn level(name: &'static str, plan: FaultPlan) -> FaultBench {
         corruption: plan.corruption,
         delay_prob: plan.delay_prob,
         ap_mttf_s: plan.ap_mttf_s,
-        wall_s: wall,
         events: report.stats.events,
         report: r,
     }

@@ -4,11 +4,12 @@
 //!
 //! Each profile streams a diurnal heavy-tailed workload over the same
 //! 64-AP city grid for three virtual days with the invariant watchdog
-//! on, and records the numbers the soak story stands on: event
-//! throughput (events/s of wall time), peak RSS (the bounded-memory
-//! telemetry claim, measured), quality drift over the probe window, the
-//! sketch-backed client goodput quantiles, and — for the fault profiles
-//! — throughput retained against the fault-free golden twin.
+//! on, and records the numbers the soak story stands on: events
+//! dispatched, peak RSS (the bounded-memory telemetry claim, measured),
+//! quality drift over the probe window, the sketch-backed client goodput
+//! quantiles, and — for the fault profiles — throughput retained against
+//! the fault-free golden twin. Event rates are perfbench's to measure
+//! (`perfbench -- --workload soak`), so nothing here times itself.
 
 use acorn_bench::header;
 use acorn_core::{AcornConfig, AcornController};
@@ -18,7 +19,6 @@ use acorn_sim::scenario::city_grid;
 use acorn_soak::{peak_rss_kb, FlashCrowd, SoakReport, SoakScenario, WatchdogSpec, WorkloadSpec};
 use serde::Serialize;
 use std::sync::Arc;
-use std::time::Instant;
 
 const HORIZON_S: f64 = 3.0 * 86_400.0;
 const SEED: u64 = 0x50AC;
@@ -29,9 +29,7 @@ struct SoakRow {
     n_aps: usize,
     n_clients: usize,
     horizon_s: f64,
-    wall_s: f64,
     events: u64,
-    events_per_s: f64,
     peak_rss_kb: Option<u64>,
     arrivals: u64,
     departures: u64,
@@ -114,22 +112,14 @@ fn row(profile: &'static str, sc: &SoakScenario, resilience_twin: bool) -> SoakR
     // keeps the process-global hit counters comparable across rows.
     let table = Arc::new(GoodputTable::new(LinkQualityEstimator::default()));
     let ctl = AcornController::with_table(AcornConfig::default(), table);
-    let t0 = Instant::now();
     let r: SoakReport = if resilience_twin {
         sc.run_resilience(&ctl)
     } else {
         sc.run(&ctl)
     };
-    let wall = t0.elapsed().as_secs_f64();
     let client = r.sketch(acorn_soak::probe::CLIENT_BPS);
     let retained = r.resilience.as_ref().map(|res| res.throughput_retained);
-    println!(
-        "{} events in {:.1} s wall ({:.0} events/s), peak RSS {:?} kB",
-        r.stats.events,
-        wall,
-        r.stats.events as f64 / wall.max(1e-9),
-        peak_rss_kb(),
-    );
+    println!("{} events, peak RSS {:?} kB", r.stats.events, peak_rss_kb());
     println!(
         "arrivals {}, watchdog {} checks / {} violations, mean goodput {:.1} Mbit/s, \
          drift {:?}, retained {:?}",
@@ -146,9 +136,7 @@ fn row(profile: &'static str, sc: &SoakScenario, resilience_twin: bool) -> SoakR
         n_aps: sc.wlan.aps.len(),
         n_clients: sc.wlan.clients.len(),
         horizon_s: sc.horizon_s,
-        wall_s: wall,
         events: r.stats.events,
-        events_per_s: r.stats.events as f64 / wall.max(1e-9),
         peak_rss_kb: r.peak_rss_kb,
         arrivals: r.counter("sessions.arrivals"),
         departures: r.counter("sessions.departures"),

@@ -25,6 +25,11 @@
 use acorn_topology::{ApId, ChannelAssignment, Wlan};
 use std::collections::HashMap;
 
+/// Weakest AP-to-AP signal (dBm) at which an announcement decodes.
+/// Broadcast management frames ride robust base rates, so this sits well
+/// below the data decode floor.
+pub const DECODE_FLOOR_DBM: f64 = -85.0;
+
 /// One IAPP announcement frame.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Announcement {
@@ -250,9 +255,8 @@ impl IappAgent {
 pub struct IappBus<'a> {
     /// The deployment providing propagation.
     pub wlan: &'a Wlan,
-    /// Minimum receive power to decode an announcement (dBm). Broadcast
-    /// management frames ride robust base rates, so this sits well below
-    /// the data decode floor; −85 dBm is a sensible default.
+    /// Minimum receive power to decode an announcement (dBm);
+    /// [`DECODE_FLOOR_DBM`] by default.
     pub decode_floor_dbm: f64,
     /// Independent per-copy loss probability in `[0, 1)`.
     pub loss: f64,
@@ -261,11 +265,11 @@ pub struct IappBus<'a> {
 }
 
 impl<'a> IappBus<'a> {
-    /// Creates a lossless bus with a −85 dBm decode floor.
+    /// Creates a lossless bus with the [`DECODE_FLOOR_DBM`] decode floor.
     pub fn new(wlan: &'a Wlan) -> IappBus<'a> {
         IappBus {
             wlan,
-            decode_floor_dbm: -85.0,
+            decode_floor_dbm: DECODE_FLOOR_DBM,
             loss: 0.0,
             seed: 0,
         }

@@ -24,7 +24,6 @@ use acorn_core::wire::{
     assignment_bytes, open, put_assignment, seal, Reader, WireError, FCS_LEN, FC_ACTION,
 };
 use acorn_topology::ChannelAssignment;
-use serde::Serialize;
 
 /// Vendor action subtype distinguishing control-plane envelopes from the
 /// CSA announcements (`0x01`/`0x02`) of `acorn_core::wire`.
@@ -236,89 +235,6 @@ pub fn fingerprint_slice(assignments: &[ChannelAssignment]) -> u64 {
         })
 }
 
-// The vendored serde derive handles structs only, so the enum's tagged
-// encoding (`"type"` discriminant first, then the variant fields) is
-// written by hand against the same `write_object` runtime the derive
-// emits — snapshots stay byte-stable alongside derived neighbours.
-impl Serialize for CtrlMsg {
-    fn serialize_json(&self, out: &mut String, indent: usize) {
-        match *self {
-            CtrlMsg::BeaconDigest {
-                ap,
-                assignment,
-                n_clients,
-            } => {
-                let [channel, width_mhz] = assignment_bytes(assignment);
-                serde::write_object(
-                    out,
-                    indent,
-                    &[
-                        ("type", &"beacon_digest"),
-                        ("ap", &ap),
-                        ("channel", &channel),
-                        ("width_mhz", &width_mhz),
-                        ("n_clients", &n_clients),
-                    ],
-                );
-            }
-            CtrlMsg::IappState {
-                zone,
-                epoch,
-                fingerprint,
-                safe_mode,
-            } => {
-                serde::write_object(
-                    out,
-                    indent,
-                    &[
-                        ("type", &"iapp_state"),
-                        ("zone", &zone),
-                        ("epoch", &epoch),
-                        ("fingerprint", &fingerprint),
-                        ("safe_mode", &safe_mode),
-                    ],
-                );
-            }
-            CtrlMsg::ProposedSwitch {
-                ap,
-                assignment,
-                epoch,
-            } => {
-                let [channel, width_mhz] = assignment_bytes(assignment);
-                serde::write_object(
-                    out,
-                    indent,
-                    &[
-                        ("type", &"proposed_switch"),
-                        ("ap", &ap),
-                        ("channel", &channel),
-                        ("width_mhz", &width_mhz),
-                        ("epoch", &epoch),
-                    ],
-                );
-            }
-            CtrlMsg::Ack { ack_of } => {
-                serde::write_object(out, indent, &[("type", &"ack"), ("ack_of", &ack_of)]);
-            }
-        }
-    }
-}
-
-impl Serialize for CtrlEnvelope {
-    fn serialize_json(&self, out: &mut String, indent: usize) {
-        serde::write_object(
-            out,
-            indent,
-            &[
-                ("from", &self.from),
-                ("to", &self.to),
-                ("msg_id", &self.msg_id),
-                ("msgs", &self.msgs),
-            ],
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,12 +340,5 @@ mod tests {
         assert_ne!(fingerprint_slice(&a), fingerprint_slice(&b));
         assert_ne!(fingerprint_slice(&a), fingerprint_slice(&c));
         assert_eq!(fingerprint_slice(&a), fingerprint_slice(&a));
-    }
-
-    #[test]
-    fn tagged_json_is_stable() {
-        let mut out = String::new();
-        CtrlMsg::Ack { ack_of: 7 }.serialize_json(&mut out, 0);
-        assert_eq!(out, "{\n  \"type\": \"ack\",\n  \"ack_of\": 7\n}");
     }
 }

@@ -20,6 +20,7 @@
 //! [`NetworkModel::restrict`]: acorn_core::NetworkModel::restrict
 //! [`ZoneController`]: crate::zone::ZoneController
 
+use crate::msg::CtrlEnvelope;
 use crate::zone::ZoneController;
 use acorn_core::{AcornController, NetworkModel, NetworkState, NullSink};
 use acorn_events::{
@@ -50,7 +51,7 @@ pub enum PlaneEvent {
     /// The `k`-th re-allocation epoch (global, 1-based). Every zone
     /// chains its own `Epoch` timer so indices agree network-wide.
     Epoch(u64),
-    /// A wire frame (by in-flight frame id) reaches its target zone.
+    /// A wire copy (by in-flight frame id) reaches its target zone.
     Deliver(u64),
     /// The retransmit timer for an unacked envelope (by msg id) fires.
     Resend(u64),
@@ -153,11 +154,14 @@ impl PlaneConfig {
     }
 }
 
-/// In-flight wire frames, keyed by frame id.
+/// Wire copies in flight, keyed by frame id.
 #[derive(Debug, Default)]
 pub struct NetState {
-    /// Encoded frames awaiting their `Deliver` event.
-    pub pending: BTreeMap<u64, Vec<u8>>,
+    /// Each copy's decode awaiting its `Deliver` event, taken at send by
+    /// the fault gauntlet: the envelope sent for an intact copy, `None`
+    /// for a damaged copy the parser rejected. Nothing is parsed on
+    /// delivery.
+    pub pending: BTreeMap<u64, Option<CtrlEnvelope>>,
     /// Next frame id (also the `FaultRng` gauntlet key).
     pub next_frame_id: u64,
 }
@@ -189,7 +193,7 @@ pub struct PlaneWorld {
     pub applied_epoch: Vec<u64>,
     /// Each zone's current plan fingerprint.
     pub fingerprints: Vec<u64>,
-    /// Wire frames in flight.
+    /// Wire copies in flight, as their decodes.
     pub net: NetState,
     /// Last epoch in which any zone's slice changed (convergence metric).
     pub last_change_epoch: u64,

@@ -18,8 +18,10 @@
 //!   (an [`EventQueue`] tombstone); duplicate envelopes are deduped by
 //!   `(from, msg_id)` and re-acked without reprocessing.
 //! * **Failure handling.** Every frame crosses the loss/corruption/delay
-//!   gauntlet; a corrupted frame fails its FCS at parse and is dropped
-//!   for the retransmit timer to recover. When a majority of peers go
+//!   gauntlet, which hands each copy's decode to its delivery: an
+//!   intact copy carries the envelope sent, and only a corrupted copy
+//!   is parsed, where its FCS fails; the receiver drops it for the
+//!   retransmit timer to recover. When a majority of peers go
 //!   quiet the zone enters *safe mode*: it freezes its last-known-good
 //!   plan, forces border APs down to 20 MHz, and stops advancing its
 //!   applied epoch until quorum returns.
@@ -102,9 +104,11 @@ impl ZoneController {
             .any(|w| w.zone == zone && t >= w.from_s && t < w.until_s)
     }
 
-    /// Pushes one envelope through the wire: encode → partition check →
-    /// fault gauntlet → schedule delivery. Loss and partition drops are
-    /// silent here; the retransmit timer owns recovery.
+    /// Pushes one envelope through the wire: partition check → encode →
+    /// fault gauntlet → schedule delivery of the copy's decode: the
+    /// envelope sent when the copy is intact, the parser's verdict on
+    /// its bytes when it is damaged. Loss and partition drops are silent
+    /// here; the retransmit timer owns recovery.
     fn transmit(&mut self, ctx: &mut Ctx<'_, PlaneWorld, PlaneEvent>, env: &CtrlEnvelope) {
         let now = ctx.now();
         let to = env.to as usize;
@@ -112,7 +116,8 @@ impl ZoneController {
             ctx.telemetry.inc(names::CTRL_MSGS_PARTITION_DROPPED);
             return;
         }
-        let bytes = encode_envelope(env);
+        let frame = encode_envelope(env);
+        debug_assert_eq!(parse_envelope(&frame).as_ref(), Ok(env));
         let (frame_id, target) = {
             let w = &mut *ctx.world;
             let id = w.net.next_frame_id;
@@ -120,12 +125,16 @@ impl ZoneController {
             (id, w.zone_pids[to])
         };
         let mut rng = FaultRng::new(self.cfg.faults.seed, frame_id, SALT_CTRL);
-        let rolled = self
-            .cfg
-            .faults
-            .roll_copy(ctx.telemetry, &mut rng, &bytes, &CTRL_GAUNTLET);
-        if let Some((frame, delay)) = rolled {
-            ctx.world.net.pending.insert(frame_id, frame.into_owned());
+        let rolled = self.cfg.faults.roll_copy(
+            ctx.telemetry,
+            &mut rng,
+            &CTRL_GAUNTLET,
+            &frame,
+            || Some(env.clone()),
+            |f| parse_envelope(f).ok(),
+        );
+        if let Some((decode, delay)) = rolled {
+            ctx.world.net.pending.insert(frame_id, decode);
             let t = now + LINK_LATENCY_S + delay.unwrap_or(0.0);
             ctx.send_at(t, target, PlaneEvent::Deliver(frame_id));
         }
@@ -316,7 +325,7 @@ impl ZoneController {
     }
 
     fn on_deliver(&mut self, frame_id: u64, ctx: &mut Ctx<'_, PlaneWorld, PlaneEvent>) {
-        let Some(frame) = ctx.world.net.pending.remove(&frame_id) else {
+        let Some(decode) = ctx.world.net.pending.remove(&frame_id) else {
             return;
         };
         if !self.up {
@@ -327,13 +336,11 @@ impl ZoneController {
             ctx.telemetry.inc(names::CTRL_MSGS_PARTITION_DROPPED);
             return;
         }
-        let env = match parse_envelope(&frame) {
-            Ok(env) => env,
-            Err(_) => {
-                // Corruption lands here as a typed error — never a panic.
-                ctx.telemetry.inc(names::CTRL_PARSE_ERRORS);
-                return;
-            }
+        let Some(env) = decode else {
+            // A damaged copy the parser rejected at send, with a typed
+            // error — never a panic.
+            ctx.telemetry.inc(names::CTRL_PARSE_ERRORS);
+            return;
         };
         let from = env.from as usize;
         if self.partitioned(from, now) {

@@ -5,9 +5,9 @@
 //! too expensive per event, and its fault process keeps that discipline:
 //! an AP crash touches only its own cell's clients (who detect beacon
 //! silence and re-scan through the spatial index), a measurement fault
-//! is one gated report of one cached link, and a beacon goes through the
-//! real `wire` encode → (corrupt) → parse path — so chaos at 1 000 APs
-//! costs O(faults), not O(network). A beacon's delays are read from the
+//! is one gated report of one cached link, and a beacon is encoded once
+//! by the real `wire` codec and only the copies the gauntlet damages are
+//! parsed — so chaos at 1 000 APs costs O(faults), not O(network). A beacon's delays are read from the
 //! world's advert cache, never re-estimated here.
 //!
 //! What the process adds to the fault core it shares with

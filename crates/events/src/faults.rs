@@ -2,8 +2,8 @@
 //!
 //! The robustness layer: a periodic *control round* over the world that
 //! exercises the real control-plane machinery — beacons (and, in the
-//! exact world, IAPP announcements) go through the actual `wire` encode →
-//! (corrupt) → parse path — while injecting seeded faults:
+//! exact world, IAPP announcements) go through the actual `wire` codec,
+//! damaged copies through its parser — while injecting seeded faults:
 //!
 //! * **AP crash/restart** — exponential inter-failure times (MTTF) with a
 //!   fixed repair time (MTTR). A down AP stops beaconing and announcing;
@@ -24,12 +24,12 @@
 //! its delayed-delivery queue, beacon-silence detection with the re-scan
 //! through the locality's Algorithm 1, and the per-round
 //! `resilience.network_bps` sample. Each AP's beacon (and, in the exact
-//! world, each IAPP announcement) is serialized once and parsed once per
-//! round, where it is sent. Each copy then rolls the gauntlet and carries
-//! its receiver's decode: the sender's parse when it is intact, a parse
-//! of its damaged bytes when it is corrupted. So no intact frame is
-//! copied, a delayed copy waits in the queue as its decode rather than
-//! as bytes, and nothing is parsed on delivery.
+//! world, each IAPP announcement) is serialized once per round and never
+//! parsed by its sender. Each copy rolls [`FaultPlan::roll_copy`] and
+//! carries its receiver's decode: what was sent if intact (debug builds
+//! check that round trip at every send), the parser's verdict on its
+//! damaged bytes if corrupted. A delayed copy waits in the queue as that
+//! decode, and nothing is parsed on delivery.
 //! [`FaultProcess`] adds what only the exact world models — IAPP, CSA,
 //! and per-client [`ClientTracker`]s;
 //! [`CityFaultProcess`](crate::CityFaultProcess) adds only the counting
@@ -45,7 +45,7 @@ use crate::sim::{mix_seed, Ctx, Process};
 use crate::telemetry::{Histogram, Telemetry};
 use crate::world::{AcornEvent, Locality, World};
 use acorn_core::csa::CsaAction;
-use acorn_core::iapp::{Announcement, IappAgent};
+use acorn_core::iapp::{Announcement, IappAgent, DECODE_FLOOR_DBM};
 use acorn_core::{
     parse_announcement, parse_beacon, serialize_announcement, serialize_beacon, switch_plans,
     ApCsa, Beacon, ClientCsa, ClientTracker,
@@ -53,7 +53,6 @@ use acorn_core::{
 use acorn_obs::{names, RecordingSink};
 use acorn_topology::{ApId, ChannelAssignment};
 use serde::Serialize;
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Stream salts: each fault decision draws from its own independent
@@ -71,8 +70,6 @@ pub(crate) const OUTLIER_DB: f64 = 25.0;
 const CSA_COUNTDOWN: u8 = 4;
 /// Rounds of beacon silence before a client declares its AP dead.
 const MISS_LIMIT: u64 = 3;
-/// Weakest AP-to-AP signal (dBm) at which an IAPP announcement decodes.
-const IAPP_DECODE_FLOOR_DBM: f64 = -85.0;
 
 /// What faults to inject, and how hard. `Default` is fully benign (no
 /// crashes, no message faults, no measurement faults) — useful as the
@@ -141,37 +138,45 @@ impl FaultPlan {
         }
     }
 
-    /// Rolls the per-copy message-fault gauntlet. Returns `None` if the
-    /// copy is lost, `Some((frame, Some(dt)))` if it is delayed by `dt`,
-    /// and `Some((frame, None))` for immediate delivery. The copy borrows
-    /// `frame` unless corruption mutated it (breaking its FCS —
-    /// deliberately *not* repaired), so only a damaged copy is
-    /// [`Cow::Owned`]. Counters are reported under `counters`' names, so
-    /// the AP control round and the distributed control plane share one
-    /// pipeline with distinct namespaces.
-    pub fn roll_copy<'a>(
+    /// Rolls one copy of `frame` through the per-copy message-fault
+    /// gauntlet — loss, then corruption (1–3 bit flips, the FCS
+    /// deliberately *not* repaired), then delay — and returns its
+    /// receiver's decode with its delay: `None` if the copy is lost,
+    /// `Some((decode, Some(dt)))` if delayed by `dt`, `Some((decode,
+    /// None))` otherwise. An intact copy decodes, by construction, to
+    /// what was sent: `sent()`, with nothing copied or parsed. Only a
+    /// damaged copy is copied and handed to `parse`. Counters go under
+    /// `counters`' names, so the AP control round and the distributed
+    /// control plane share one gauntlet with distinct namespaces.
+    pub fn roll_copy<T>(
         &self,
         tel: &mut Telemetry,
         rng: &mut FaultRng,
-        frame: &'a [u8],
         counters: &GauntletCounters,
-    ) -> Option<(Cow<'a, [u8]>, Option<f64>)> {
+        frame: &[u8],
+        sent: impl FnOnce() -> T,
+        parse: impl FnOnce(&[u8]) -> T,
+    ) -> Option<(T, Option<f64>)> {
         tel.inc(counters.sent);
         if self.loss > 0.0 && rng.u01() < self.loss {
             tel.inc(counters.lost);
             return None;
         }
-        let mut frame = Cow::Borrowed(frame);
-        if self.corruption > 0.0 && rng.u01() < self.corruption {
+        let decode = if self.corruption > 0.0 && rng.u01() < self.corruption {
             tel.inc(counters.corrupted);
-            corrupt_frame(frame.to_mut(), rng);
-        }
-        if self.delay_prob > 0.0 && rng.u01() < self.delay_prob {
+            let mut damaged = frame.to_vec();
+            corrupt_frame(&mut damaged, rng);
+            parse(&damaged)
+        } else {
+            sent()
+        };
+        let delay = if self.delay_prob > 0.0 && rng.u01() < self.delay_prob {
             tel.inc(counters.delayed);
-            let dt = rng.u01_open() * self.delay_max_s;
-            return Some((frame, Some(dt)));
-        }
-        Some((frame, None))
+            Some(rng.u01_open() * self.delay_max_s)
+        } else {
+            None
+        };
+        Some((decode, delay))
     }
 }
 
@@ -190,7 +195,7 @@ pub struct ResilienceReport {
     pub frames_corrupted: u64,
     /// Copies delivered late.
     pub frames_delayed: u64,
-    /// Delivered frames the parser rejected (all typed errors).
+    /// Delivered copies the parser rejected (all typed errors).
     pub parse_errors: u64,
     /// Non-finite measurement reports rejected by the trackers.
     pub measurement_faults: u64,
@@ -356,7 +361,7 @@ pub fn run_with_golden_twin<R>(
 }
 
 /// A frame copy in flight (delayed by the fault layer), carrying the
-/// decode its receiver will get ([`FaultCore::copy`]).
+/// decode its receiver will get ([`FaultPlan::roll_copy`]).
 pub(crate) enum Delivery {
     /// A beacon copy addressed to one client of `ap`; `ok` if it decodes.
     Beacon { ok: bool, ap: usize, client: usize },
@@ -391,7 +396,7 @@ pub(crate) struct FaultCore {
     /// association change) resets the clock.
     bound_ap: Vec<Option<ApId>>,
     last_heard_round: Vec<u64>,
-    /// Delayed copies in flight, by message id.
+    /// Delayed copies in flight, as their decodes, by message id.
     pub(crate) pending: HashMap<u32, Delivery>,
     next_msg_id: u32,
     crash_count: usize,
@@ -529,35 +534,14 @@ impl FaultCore {
         })
     }
 
-    /// Rolls one copy of `frame` through the gauntlet
-    /// ([`FaultPlan::roll_copy`]) and returns what its receiver decodes,
-    /// with the copy's delay (`None` if the copy is lost). An intact copy
-    /// decodes to `sent`, the sender's one parse of `frame`; a corrupted
-    /// one to `parse` of its damaged bytes. Either way the decode happens
-    /// here, at send, so a delayed copy carries it instead of bytes.
-    fn copy<T>(
-        &self,
-        tel: &mut Telemetry,
-        rng: &mut FaultRng,
-        frame: &[u8],
-        sent: T,
-        parse: impl FnOnce(&[u8]) -> T,
-    ) -> Option<(T, Option<f64>)> {
-        let (copy, delay) = self.plan.roll_copy(tel, rng, frame, &FAULT_GAUNTLET)?;
-        let decoded = match copy {
-            Cow::Borrowed(_) => sent,
-            Cow::Owned(damaged) => parse(&damaged),
-        };
-        Some((decoded, delay))
-    }
-
     /// The beacon step: each live AP with clients serializes ONE frame —
     /// `advert` fills its cell's advertised delays into the step's one
-    /// buffer and returns its access share — and parses it once; every
-    /// client of its cell gets an independent copy through the gauntlet
-    /// ([`FaultCore::copy`]): lost, queued for late delivery, or
-    /// delivered now. Only a copy the real parser decodes counts as
-    /// heard; `heard(ap, client)` runs for each.
+    /// buffer and returns its access share — and every client of its
+    /// cell gets an independent copy through the gauntlet
+    /// ([`FaultPlan::roll_copy`]): lost, queued for late delivery, or
+    /// delivered now. An intact copy is heard (`serialize_beacon`
+    /// accepted the frame); a damaged one only if the parser decodes it.
+    /// `heard(ap, client)` runs for each copy heard.
     pub(crate) fn beacons<L: Locality>(
         &mut self,
         ctx: &mut Ctx<'_, World<L>, AcornEvent>,
@@ -586,12 +570,18 @@ impl FaultCore {
             let Ok(frame) = frame else {
                 continue; // more clients than a beacon can count (255)
             };
-            let parse = |f: &[u8]| parse_beacon(f).is_ok();
-            let sent = parse(&frame);
+            debug_assert!(parse_beacon(&frame).is_ok(), "AP {ap}'s beacon");
             for i in 0..n_clients {
                 let client = ctx.world.cell_clients(ap)[i] as usize;
-                let Some((ok, delay)) = self.copy(ctx.telemetry, &mut rng, &frame, sent, parse)
-                else {
+                let rolled = self.plan.roll_copy(
+                    ctx.telemetry,
+                    &mut rng,
+                    &FAULT_GAUNTLET,
+                    &frame,
+                    || true,
+                    |f| parse_beacon(f).is_ok(),
+                );
+                let Some((ok, delay)) = rolled else {
                     continue;
                 };
                 if let Some(dt) = delay {
@@ -732,35 +722,37 @@ impl FaultProcess {
     }
 
     /// AP `from`'s IAPP announcement of its effective assignment and
-    /// cell size: one frame, serialized and parsed once. Each receiver
-    /// then gets its own gauntlet copy ([`FaultProcess::send_iapp`]).
-    fn announcement(
-        &mut self,
-        w: &AcornWorld,
-        from: usize,
-        now: f64,
-    ) -> (Vec<u8>, Option<Announcement>) {
+    /// cell size, with its one frame. Each receiver then gets its own
+    /// gauntlet copy ([`FaultProcess::send_iapp`]).
+    fn announcement(&mut self, w: &AcornWorld, from: usize, now: f64) -> (Vec<u8>, Announcement) {
         let eff = w.state.effective_assignment(ApId(from));
         let ann = self.agents[from].announce(eff, w.cell_clients(from).len(), now);
         let frame = serialize_announcement(&ann, bssid(from));
-        let sent = parse_announcement(&frame).ok();
-        (frame, sent)
+        debug_assert_eq!(parse_announcement(&frame), Ok(ann));
+        (frame, ann)
     }
 
-    /// One gauntlet copy ([`FaultCore::copy`]) of an IAPP `frame`, whose
-    /// sender's parse is `sent`, to AP `to`: lost, queued for late
-    /// delivery, or delivered now.
+    /// One gauntlet copy ([`FaultPlan::roll_copy`]) of the IAPP `frame`
+    /// encoding `sent`, to AP `to`: lost, queued for late delivery, or
+    /// delivered now.
     fn send_iapp(
         &mut self,
         ctx: &mut Ctx<'_, AcornWorld, AcornEvent>,
         rng: &mut FaultRng,
         frame: &[u8],
-        sent: Option<Announcement>,
+        sent: Announcement,
         to: usize,
         rx_dbm: f64,
     ) {
-        let parse = |f: &[u8]| parse_announcement(f).ok();
-        let Some((ann, delay)) = self.core.copy(ctx.telemetry, rng, frame, sent, parse) else {
+        let rolled = self.core.plan.roll_copy(
+            ctx.telemetry,
+            rng,
+            &FAULT_GAUNTLET,
+            frame,
+            || Some(sent),
+            |f| parse_announcement(f).ok(),
+        );
+        let Some((ann, delay)) = rolled else {
             return;
         };
         match delay {
@@ -887,7 +879,7 @@ impl FaultProcess {
                     continue;
                 }
                 let rx = ctx.world.wlan.ap_to_ap_rx_dbm(ApId(ap), ApId(to));
-                if rx >= IAPP_DECODE_FLOOR_DBM {
+                if rx >= DECODE_FLOOR_DBM {
                     self.send_iapp(ctx, &mut iapp_rng, &frame, sent, to, rx);
                 }
             }

@@ -200,10 +200,19 @@ proptest! {
         ap in 0usize..1000,
         channel in 0u8..12,
         bond in any::<bool>(),
-        share in 0.05f64..1.0,
+        // Any share, or the exact world's IAPP share 1/(k+1) for k
+        // contenders (1.0 with none).
+        share in prop_oneof![
+            0.05f64..1.0,
+            (0usize..20).prop_map(|k| 1.0 / (k as f64 + 1.0)),
+        ],
         // Up to the one-byte client count's limit: past 59 delays the
         // element continues in Fragment elements.
         delays in proptest::collection::vec(1e-6f64..10.0, 0..=255),
+        // The exact world advertises ∞ for a client its tracker holds no
+        // fresh sample of, and so an ∞ ATD: every `untracked`-th client
+        // is one (none when 0).
+        untracked in 0usize..4,
     ) {
         use acorn::core::wire::{parse_beacon, serialize_beacon};
         use acorn::core::Beacon;
@@ -213,6 +222,11 @@ proptest! {
         } else {
             ChannelAssignment::Single(Channel20(channel))
         };
+        let delays: Vec<f64> = delays
+            .iter()
+            .enumerate()
+            .map(|(i, &d)| if untracked > 0 && i % untracked == 0 { f64::INFINITY } else { d })
+            .collect();
         let b = Beacon {
             ap: ApId(ap),
             assignment,
@@ -221,14 +235,19 @@ proptest! {
             client_delays_s: delays,
             access_share: share,
         };
+        // Every frame the fault layer sends must decode: it hands an
+        // intact copy its sender's value without parsing it.
         let frame = serialize_beacon(&b, [7; 6], 42).unwrap();
         let parsed = parse_beacon(&frame).unwrap();
         prop_assert_eq!(parsed.ap, b.ap);
         prop_assert_eq!(parsed.assignment, b.assignment);
         prop_assert_eq!(parsed.n_clients, b.n_clients);
         prop_assert!((parsed.access_share - b.access_share).abs() < 1e-4);
+        // Delays quantize to 1 µs; ∞ survives exactly.
+        let close = |x: f64, y: f64| if y.is_finite() { (x - y).abs() < 2e-6 } else { x == y };
+        prop_assert!(close(parsed.atd_s, b.atd_s), "ATD {} vs {}", parsed.atd_s, b.atd_s);
         for (x, y) in parsed.client_delays_s.iter().zip(&b.client_delays_s) {
-            prop_assert!((x - y).abs() < 2e-6);
+            prop_assert!(close(*x, *y), "delay {x} vs {y}");
         }
     }
 
@@ -264,15 +283,18 @@ proptest! {
 
     #[test]
     fn wire_roundtrip_under_bit_flips_never_panics_or_lies(
-        n_flips in 1usize..=3,
+        n_flips in 0usize..=3,
         positions in proptest::collection::vec(0usize..4096, 3),
         seed in any::<u64>(),
         beacon_side in any::<bool>(),
     ) {
         // CRC-32 has Hamming distance ≥ 4 at these frame lengths, so a
-        // frame with 1–3 flipped bits (possibly coincident, i.e. weight
-        // 0–3) either parses back to the original fields or fails typed.
-        // Panics and silently-wrong decodes are both bugs.
+        // frame with 0–3 flipped bits (possibly coincident, i.e. weight
+        // 0–3) decodes to exactly what was sent when it is undamaged (no
+        // flips, or flips that cancel out) and fails typed otherwise.
+        // Panics, silently-wrong decodes and rejected intact frames are
+        // all bugs: the fault layer decodes an intact copy as what its
+        // sender sent, without parsing it.
         use acorn::core::wire::{
             parse_announcement, parse_beacon, serialize_announcement, serialize_beacon,
         };
@@ -280,24 +302,24 @@ proptest! {
         use acorn::core::Beacon;
         use acorn::topology::{ApId, Channel20, ChannelAssignment};
         let assignment = ChannelAssignment::Single(Channel20((seed % 12) as u8));
+        let b = Beacon {
+            ap: ApId(3),
+            assignment,
+            n_clients: 2,
+            client_delays_s: vec![0.001, 0.002],
+            atd_s: 0.003,
+            access_share: 0.5,
+        };
+        let a = Announcement {
+            from: ApId(9),
+            assignment,
+            n_clients: 4,
+            seq: 21,
+            sent_at_s: 3.0,
+        };
         let mut frame = if beacon_side {
-            let b = Beacon {
-                ap: ApId(3),
-                assignment,
-                n_clients: 2,
-                client_delays_s: vec![0.001, 0.002],
-                atd_s: 0.003,
-                access_share: 0.5,
-            };
             serialize_beacon(&b, [1; 6], 7).unwrap()
         } else {
-            let a = Announcement {
-                from: ApId(9),
-                assignment,
-                n_clients: 4,
-                seq: 21,
-                sent_at_s: 3.0,
-            };
             serialize_announcement(&a, [2; 6])
         };
         let original = frame.clone();
@@ -306,14 +328,17 @@ proptest! {
             let pos = p % bits;
             frame[pos / 8] ^= 1 << (pos % 8);
         }
+        let intact = frame == original;
         if beacon_side {
-            if let Ok(parsed) = parse_beacon(&frame) {
-                prop_assert_eq!(&frame, &original, "corrupted beacon decoded");
-                prop_assert_eq!(parsed.ap, ApId(3));
+            let parsed = parse_beacon(&frame);
+            prop_assert_eq!(parsed.is_ok(), intact, "flips {n_flips}: {parsed:?}");
+        } else {
+            let parsed = parse_announcement(&frame);
+            if intact {
+                prop_assert_eq!(parsed, Ok(a));
+            } else {
+                prop_assert!(parsed.is_err(), "corrupted announcement decoded: {parsed:?}");
             }
-        } else if let Ok(parsed) = parse_announcement(&frame) {
-            prop_assert_eq!(&frame, &original, "corrupted announcement decoded");
-            prop_assert_eq!(parsed.from, ApId(9));
         }
     }
 

@@ -136,7 +136,8 @@ fn benign_fault_plan_changes_nothing_but_the_bookkeeping() {
     // fails to parse, and no epoch degrades.
     let ctl = AcornController::new(AcornConfig::default());
     let mut sc = faulty_scenario(11);
-    sc.faults = Some(sc.faults.unwrap().benign_twin());
+    let benign = sc.faults.unwrap().benign_twin();
+    sc.faults = Some(benign);
     let report = sc.run(&ctl);
     let r = resilience(&report);
     assert_eq!(r.crashes, 0);
@@ -149,6 +150,39 @@ fn benign_fault_plan_changes_nothing_but_the_bookkeeping() {
     assert_eq!(r.safe_mode_epochs, 0);
     assert!(r.frames_sent > 100, "the wire path still runs: {r:?}");
     assert!(report.realloc.iter().all(|e| !e.degraded));
+
+    // The same plan with corruption alone (no delay, no crash) hands
+    // every copy to its receiver at once, so the books must still
+    // balance: each damaged copy is rejected where it lands and no
+    // intact one is — beacons and IAPP announcements in the exact
+    // world, beacons in the city world.
+    let corrupting = FaultPlan {
+        corruption: 0.05,
+        ..benign
+    };
+    let city = CityScenario {
+        wlan: sc.wlan.clone(),
+        sessions: sc.sessions.clone(),
+        horizon_s: sc.horizon_s,
+        reallocation_period_s: sc.reallocation_period_s,
+        restarts: sc.restarts,
+        candidate_radius_m: 120.0,
+        adapt_widths: sc.adapt_widths,
+        drift: sc.drift,
+        faults: Some(corrupting),
+        seed: sc.seed,
+        record_log: false,
+    };
+    sc.faults = Some(corrupting);
+    let runs = [
+        ("exact", sc.run(&ctl).resilience),
+        ("city", city.run(&ctl).resilience),
+    ];
+    for (world, r) in runs {
+        let r = r.expect("faults were set");
+        assert!(r.frames_corrupted > 0, "{world}: {r:?}");
+        assert_eq!(r.parse_errors, r.frames_corrupted, "{world}: {r:?}");
+    }
 }
 
 #[test]
