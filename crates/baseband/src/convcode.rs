@@ -117,13 +117,22 @@ fn puncture_pattern(rate: CodeRate) -> (&'static [bool], &'static [bool]) {
 /// Punctures a rate-1/2 coded stream (as produced by [`encode`]) down to
 /// the target rate by deleting bits per the standard matrices.
 pub fn puncture(coded: &[bool], rate: CodeRate) -> Vec<bool> {
+    let mut out = Vec::new();
+    puncture_into(coded, rate, &mut out);
+    out
+}
+
+/// Allocation-free [`puncture`]: clears and refills `out`. The one
+/// puncturing loop; [`Codec::encode_into`] runs it too.
+fn puncture_into(coded: &[bool], rate: CodeRate, out: &mut Vec<bool>) {
     assert!(
-        coded.len() % 2 == 0,
+        coded.len().is_multiple_of(2),
         "coded stream must be whole (A,B) pairs"
     );
     let (pa, pb) = puncture_pattern(rate);
     let period = pa.len();
-    let mut out = Vec::with_capacity(coded.len());
+    out.clear();
+    out.reserve(coded.len());
     for (i, pair) in coded.chunks(2).enumerate() {
         let slot = i % period;
         if pa[slot] {
@@ -133,7 +142,6 @@ pub fn puncture(coded: &[bool], rate: CodeRate) -> Vec<bool> {
             out.push(pair[1]);
         }
     }
-    out
 }
 
 /// Re-inflates a punctured stream into `(Option<A>, Option<B>)` pairs, with
@@ -144,29 +152,17 @@ pub fn depuncture(
     rate: CodeRate,
     n_pairs: usize,
 ) -> Vec<(Option<bool>, Option<bool>)> {
-    let mut out = Vec::new();
-    depuncture_into(rx, rate, n_pairs, &mut out);
-    out
-}
-
-/// Allocation-free [`depuncture`]: clears and refills `out`.
-pub fn depuncture_into(
-    rx: &[bool],
-    rate: CodeRate,
-    n_pairs: usize,
-    out: &mut Vec<(Option<bool>, Option<bool>)>,
-) {
     let (pa, pb) = puncture_pattern(rate);
     let period = pa.len();
-    out.clear();
-    out.reserve(n_pairs);
     let mut it = rx.iter();
-    for i in 0..n_pairs {
-        let slot = i % period;
-        let a = if pa[slot] { it.next().copied() } else { None };
-        let b = if pb[slot] { it.next().copied() } else { None };
-        out.push((a, b));
-    }
+    (0..n_pairs)
+        .map(|i| {
+            let slot = i % period;
+            let a = if pa[slot] { it.next().copied() } else { None };
+            let b = if pb[slot] { it.next().copied() } else { None };
+            (a, b)
+        })
+        .collect()
 }
 
 /// Depunctures straight into received-symbol *class* bytes
@@ -612,19 +608,7 @@ impl Codec {
             return;
         }
         encode_into(info, mother);
-        let (pa, pb) = puncture_pattern(self.rate);
-        let period = pa.len();
-        out.clear();
-        out.reserve(mother.len());
-        for (i, pair) in mother.chunks(2).enumerate() {
-            let slot = i % period;
-            if pa[slot] {
-                out.push(pair[0]);
-            }
-            if pb[slot] {
-                out.push(pair[1]);
-            }
-        }
+        puncture_into(mother, self.rate, out);
     }
 
     /// Number of coded (post-puncturing) bits produced for `info_len`

@@ -31,7 +31,8 @@
 //! * **Associative merging.** Workers return per-packet
 //!   [`PacketOutcome`]s; the trial folds them in packet-index order, so
 //!   floating-point accumulation order — and therefore every output bit —
-//!   is identical to the sequential loop at any thread count.
+//!   is identical to the sequential loop at any thread count. One chunked
+//!   fan-out serves [`try_run_trial`] and [`run_trials`] alike.
 
 use crate::channel::{add_awgn, convolve_acc, frequency_response_into, ChannelModel};
 use crate::convcode::Codec;
@@ -40,7 +41,7 @@ use crate::fft::{plan, FftPlan, FFT_BATCH};
 use crate::modem::{demodulate_into, modulate_into};
 use crate::preamble::{build_preamble_into, detect_preamble, preamble_len};
 use crate::prefix::{cp_len_for, extend_with_cp};
-use crate::stbc::{alamouti_combine, Mimo2x2};
+use crate::stbc::{alamouti_combine, alamouti_slot, Mimo2x2};
 pub use acorn_core::par::mix_seed;
 use acorn_core::par::par_map_n;
 use acorn_obs::{names, NullSink, Sink};
@@ -801,14 +802,7 @@ fn build_stbc_streams(config: &FrameConfig, amplitude: f64, cp: usize, ws: &mut 
             for slot in 0..c1.len().max(c2.len()) {
                 let x1 = c1.get(slot).copied().unwrap_or(Cplx::ZERO);
                 let x2 = c2.get(slot).copied().unwrap_or(Cplx::ZERO);
-                let b = bins[slot];
-                if time == 0 {
-                    grid[b] = x1.scale(ka);
-                    grid2[b] = x2.scale(ka);
-                } else {
-                    grid[b] = -x2.conj().scale(ka);
-                    grid2[b] = x1.conj().scale(ka);
-                }
+                [grid[bins[slot]], grid2[bins[slot]]] = alamouti_slot(x1, x2, time, ka);
             }
             fft.inverse_raw(grid);
             fft.inverse_raw(grid2);
@@ -1179,21 +1173,40 @@ pub fn try_run_trial(
     n_packets: usize,
     seed: u64,
 ) -> Result<FrameReport, FrameError> {
-    config.validate()?;
+    fan_out(vec![config.validate().map(|()| (config, seed))], n_packets).remove(0)
+}
+
+/// The one chunked fan-out of the parallel trial paths: job `j` runs
+/// `n_packets` packets of its config on its seed. The
+/// [`PACKET_CHUNK`]-packet chunks of every valid job go through one
+/// `par_map_n`, so worker workspaces warm up once and stay hot across a
+/// whole sweep, and each job's chunks fold in packet-index order. An
+/// invalid job keeps its error.
+fn fan_out(
+    jobs: Vec<Result<(&FrameConfig, u64), FrameError>>,
+    n_packets: usize,
+) -> Vec<Result<FrameReport, FrameError>> {
     let n_chunks = n_packets.div_ceil(PACKET_CHUNK);
-    let chunks = par_map_n(n_chunks, |c| {
-        let lo = c * PACKET_CHUNK;
+    let valid: Vec<(&FrameConfig, u64)> = jobs.iter().filter_map(|j| j.ok()).collect();
+    let chunks = par_map_n(valid.len() * n_chunks, |k| {
+        let (config, seed) = valid[k / n_chunks];
+        let lo = k % n_chunks * PACKET_CHUNK;
         let hi = (lo + PACKET_CHUNK).min(n_packets);
         TRIAL_WS.with(|cell| run_chunk(config, seed, lo, hi, &mut cell.borrow_mut()))
     });
-    let mut fold = ReportFold::new(config);
-    for (outcomes, constellation) in &chunks {
-        for o in outcomes {
-            fold.push(o);
-        }
-        fold.report.constellation.extend_from_slice(constellation);
-    }
-    Ok(fold.finish())
+    let mut chunks = chunks.into_iter();
+    jobs.into_iter()
+        .map(|job| {
+            let mut fold = ReportFold::new(job?.0);
+            for (outcomes, constellation) in chunks.by_ref().take(n_chunks) {
+                for o in &outcomes {
+                    fold.push(o);
+                }
+                fold.report.constellation.extend_from_slice(&constellation);
+            }
+            Ok(fold.finish())
+        })
+        .collect()
 }
 
 /// [`try_run_trial`] for callers that treat a bad config as a bug: panics
@@ -1220,40 +1233,12 @@ pub fn run_trials(
     n_packets: usize,
     seed: u64,
 ) -> Vec<Result<FrameReport, FrameError>> {
-    let n_chunks = n_packets.div_ceil(PACKET_CHUNK);
-    // Flatten (config, chunk) into one work list over the valid configs.
-    let mut items: Vec<(usize, usize)> = Vec::new();
-    for (ci, config) in configs.iter().enumerate() {
-        if config.validate().is_ok() {
-            items.extend((0..n_chunks).map(|c| (ci, c)));
-        }
-    }
-    let chunk_results = par_map_n(items.len(), |k| {
-        let (ci, c) = items[k];
-        let config = &configs[ci];
-        let config_seed = mix_seed(seed, ci as u64);
-        let lo = c * PACKET_CHUNK;
-        let hi = (lo + PACKET_CHUNK).min(n_packets);
-        TRIAL_WS.with(|cell| run_chunk(config, config_seed, lo, hi, &mut cell.borrow_mut()))
-    });
-
-    let mut folds: Vec<Result<ReportFold, FrameError>> = configs
+    let jobs = configs
         .iter()
-        .map(|c| c.validate().map(|()| ReportFold::new(c)))
+        .zip(0u64..)
+        .map(|(c, i)| c.validate().map(|()| (c, mix_seed(seed, i))))
         .collect();
-    for (&(ci, _), (outcomes, constellation)) in items.iter().zip(chunk_results.iter()) {
-        let fold = folds[ci]
-            .as_mut()
-            .expect("only valid configs were fanned out");
-        for o in outcomes {
-            fold.push(o);
-        }
-        fold.report.constellation.extend_from_slice(constellation);
-    }
-    folds
-        .into_iter()
-        .map(|f| f.map(ReportFold::finish))
-        .collect()
+    fan_out(jobs, n_packets)
 }
 
 #[cfg(test)]

@@ -19,31 +19,23 @@
 //! (tx antenna i → rx antenna j) constant over the pair, maximum-ratio
 //! combining at the receiver recovers each symbol with diversity order
 //! `2·N_rx` and effective gain `Σ|h_ij|²/2`.
+//!
+//! [`alamouti_slot`] is the one encoder: the frame layer maps every
+//! subcarrier's symbol pair through it and combines with
+//! [`alamouti_combine`].
 
 use crate::cplx::Cplx;
 
-/// Encodes a symbol stream into the two per-antenna streams. Odd-length
-/// inputs are zero-padded to a whole Alamouti pair.
-pub fn alamouti_encode(symbols: &[Cplx]) -> (Vec<Cplx>, Vec<Cplx>) {
-    let k = std::f64::consts::SQRT_2.recip();
-    let n = symbols.len().div_ceil(2) * 2;
-    let mut ant1 = Vec::with_capacity(n);
-    let mut ant2 = Vec::with_capacity(n);
-    let mut i = 0;
-    while i < symbols.len() {
-        let s1 = symbols[i];
-        let s2 = if i + 1 < symbols.len() {
-            symbols[i + 1]
-        } else {
-            Cplx::ZERO
-        };
-        ant1.push(s1.scale(k));
-        ant2.push(s2.scale(k));
-        ant1.push(-s2.conj().scale(k));
-        ant2.push(s1.conj().scale(k));
-        i += 2;
+/// One symbol time of the Alamouti code: the samples antennas 1 and 2
+/// send for the pair `(s1, s2)` at `t1` (`time == 0`) or `t2`, each
+/// scaled by `k` — the `1/√2` power split times any transmit amplitude.
+/// The frame's STBC transmitter maps every subcarrier's pair through it.
+pub fn alamouti_slot(s1: Cplx, s2: Cplx, time: usize, k: f64) -> [Cplx; 2] {
+    if time == 0 {
+        [s1.scale(k), s2.scale(k)]
+    } else {
+        [-s2.conj().scale(k), s1.conj().scale(k)]
     }
-    (ant1, ant2)
 }
 
 /// Flat channel gains of a 2×2 link: `h[i][j]` is transmit antenna `i+1` →
@@ -84,51 +76,6 @@ pub fn alamouti_combine(ch: &Mimo2x2, r1: [Cplx; 2], r2: [Cplx; 2]) -> (Cplx, Cp
     (s1.scale(k), s2.scale(k))
 }
 
-/// Applies a flat 2×2 channel to the two transmit streams, producing the
-/// two receive streams (noise is added separately by the caller).
-pub fn apply_mimo_channel(ch: &Mimo2x2, ant1: &[Cplx], ant2: &[Cplx]) -> (Vec<Cplx>, Vec<Cplx>) {
-    assert_eq!(ant1.len(), ant2.len());
-    let [h11, h12] = ch.h[0];
-    let [h21, h22] = ch.h[1];
-    let rx1: Vec<Cplx> = ant1
-        .iter()
-        .zip(ant2)
-        .map(|(a, b)| h11 * *a + h21 * *b)
-        .collect();
-    let rx2: Vec<Cplx> = ant1
-        .iter()
-        .zip(ant2)
-        .map(|(a, b)| h12 * *a + h22 * *b)
-        .collect();
-    (rx1, rx2)
-}
-
-/// End-to-end Alamouti transmission of a symbol stream over a flat 2×2
-/// channel with optional per-sample noise callback; returns the combined
-/// symbol estimates. This is the per-subcarrier primitive the OFDM frame
-/// layer invokes once per subcarrier.
-pub fn alamouti_transmit<F>(symbols: &[Cplx], ch: &Mimo2x2, mut noise: F) -> Vec<Cplx>
-where
-    F: FnMut() -> Cplx,
-{
-    let (ant1, ant2) = alamouti_encode(symbols);
-    let (mut rx1, mut rx2) = apply_mimo_channel(ch, &ant1, &ant2);
-    for s in rx1.iter_mut().chain(rx2.iter_mut()) {
-        *s += noise();
-    }
-    let mut out = Vec::with_capacity(symbols.len());
-    let mut t = 0;
-    while t < rx1.len() {
-        let (s1, s2) = alamouti_combine(ch, [rx1[t], rx1[t + 1]], [rx2[t], rx2[t + 1]]);
-        out.push(s1);
-        if out.len() < symbols.len() {
-            out.push(s2);
-        }
-        t += 2;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,6 +90,49 @@ mod tests {
                 [complex_gaussian(rng, 1.0), complex_gaussian(rng, 1.0)],
             ],
         }
+    }
+
+    /// The two antennas' streams of `symbols` under the frame's mapping
+    /// (an odd tail zero-padded to a whole pair) at the `1/√2` split
+    /// alone.
+    fn encode(symbols: &[Cplx]) -> (Vec<Cplx>, Vec<Cplx>) {
+        let k = std::f64::consts::SQRT_2.recip();
+        let (mut ant1, mut ant2) = (Vec::new(), Vec::new());
+        for pair in symbols.chunks(2) {
+            let s2 = pair.get(1).copied().unwrap_or(Cplx::ZERO);
+            for time in 0..2 {
+                let [a1, a2] = alamouti_slot(pair[0], s2, time, k);
+                ant1.push(a1);
+                ant2.push(a2);
+            }
+        }
+        (ant1, ant2)
+    }
+
+    /// `symbols` through [`encode`], a flat 2×2 channel, `noise` added to
+    /// every receive sample, and [`alamouti_combine`].
+    fn transmit(symbols: &[Cplx], ch: &Mimo2x2, mut noise: impl FnMut() -> Cplx) -> Vec<Cplx> {
+        let (ant1, ant2) = encode(symbols);
+        let [[h11, h12], [h21, h22]] = ch.h;
+        let through = |g1: Cplx, g2: Cplx| -> Vec<Cplx> {
+            ant1.iter()
+                .zip(&ant2)
+                .map(|(a, b)| g1 * *a + g2 * *b)
+                .collect()
+        };
+        let (mut rx1, mut rx2) = (through(h11, h21), through(h12, h22));
+        for s in rx1.iter_mut().chain(rx2.iter_mut()) {
+            *s += noise();
+        }
+        let mut out: Vec<Cplx> = (0..rx1.len())
+            .step_by(2)
+            .flat_map(|t| {
+                let (s1, s2) = alamouti_combine(ch, [rx1[t], rx1[t + 1]], [rx2[t], rx2[t + 1]]);
+                [s1, s2]
+            })
+            .collect();
+        out.truncate(symbols.len());
+        out
     }
 
     fn qpsk_symbols(n: usize, seed: u64) -> Vec<Cplx> {
@@ -167,7 +157,7 @@ mod tests {
     #[test]
     fn encode_preserves_total_power() {
         let syms = qpsk_symbols(1000, 3);
-        let (a1, a2) = alamouti_encode(&syms);
+        let (a1, a2) = encode(&syms);
         // Total power per time slot, summed across both antennas, equals
         // the single-antenna symbol power (1.0): the 1/√2 split halves
         // each antenna's share.
@@ -191,7 +181,7 @@ mod tests {
         let ch = Mimo2x2 {
             h: [[Cplx::ONE, Cplx::ZERO], [Cplx::ZERO, Cplx::ONE]],
         };
-        let out = alamouti_transmit(&syms, &ch, || Cplx::ZERO);
+        let out = transmit(&syms, &ch, || Cplx::ZERO);
         for (a, b) in syms.iter().zip(out.iter()) {
             assert!((*a - *b).abs() < 1e-12);
         }
@@ -203,7 +193,7 @@ mod tests {
         for _ in 0..20 {
             let ch = random_channel(&mut rng);
             let syms = qpsk_symbols(32, 11);
-            let out = alamouti_transmit(&syms, &ch, || Cplx::ZERO);
+            let out = transmit(&syms, &ch, || Cplx::ZERO);
             for (a, b) in syms.iter().zip(out.iter()) {
                 assert!((*a - *b).abs() < 1e-9, "{a:?} vs {b:?}");
             }
@@ -215,7 +205,7 @@ mod tests {
         let syms = qpsk_symbols(7, 13);
         let mut rng = StdRng::seed_from_u64(17);
         let ch = random_channel(&mut rng);
-        let out = alamouti_transmit(&syms, &ch, || Cplx::ZERO);
+        let out = transmit(&syms, &ch, || Cplx::ZERO);
         assert_eq!(out.len(), 7);
         for (a, b) in syms.iter().zip(out.iter()) {
             assert!((*a - *b).abs() < 1e-9);
@@ -235,7 +225,7 @@ mod tests {
         assert!(ch.energy() > 1.0);
         let syms = qpsk_symbols(512, 19);
         let mut rng = StdRng::seed_from_u64(23);
-        let out = alamouti_transmit(&syms, &ch, || complex_gaussian(&mut rng, 0.05));
+        let out = transmit(&syms, &ch, || complex_gaussian(&mut rng, 0.05));
         // Hard-decide QPSK and count symbol errors.
         let errors = syms
             .iter()

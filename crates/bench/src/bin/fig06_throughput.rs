@@ -38,12 +38,8 @@ struct Fig06 {
 }
 
 fn goodput(est: &LinkQualityEstimator, snr20: f64, width: ChannelWidth, traffic: Traffic) -> f64 {
-    let e = est.estimate(snr20, ChannelWidth::Ht20);
-    let p = e.rate_point(width);
-    let link = ClientLink {
-        rate_bps: p.mcs.mcs().rate_bps(width, est.gi),
-        per: p.per,
-    };
+    let p = est.predict(snr20, ChannelWidth::Ht20, width);
+    let link = ClientLink::new(p.mcs, p.per, width, est.gi);
     let airtime = CellAirtime::new(&[link], 1500);
     cell_goodput_bps(&airtime, &[link], 1.0, traffic)
 }

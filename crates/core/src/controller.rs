@@ -27,8 +27,8 @@ use crate::association::{choose_ap, Candidate};
 use crate::beacon::Beacon;
 use crate::model::{ClientSnr, NetworkModel, ThroughputModel};
 use crate::par;
+use acorn_mac::airtime::ClientLink;
 use acorn_mac::contention::access_share;
-use acorn_mac::timing::delivery_delay_s;
 use acorn_obs::{names, Sink};
 use acorn_phy::estimator::LinkQualityEstimator;
 use acorn_phy::{ChannelWidth, GoodputTable, McsIndex};
@@ -212,10 +212,12 @@ impl AcornController {
     /// ACORN beacons advertise. The exact pipeline searches only the asked
     /// width; the table path looks up both, as its hit counters record.
     pub fn delay_from_snr(&self, snr20_db: f64, width: ChannelWidth) -> f64 {
-        let e = &self.config.estimator;
         let point = match &self.table {
             Some(t) => t.estimate(snr20_db, ChannelWidth::Ht20).rate_point(width),
-            None => e.best_rate_point(e.calibrate_snr(snr20_db, ChannelWidth::Ht20, width), width),
+            None => self
+                .config
+                .estimator
+                .predict(snr20_db, ChannelWidth::Ht20, width),
         };
         self.delay_at(point.mcs, point.per, width)
     }
@@ -239,8 +241,8 @@ impl AcornController {
     }
 
     fn delay_at(&self, mcs: McsIndex, per: f64, width: ChannelWidth) -> f64 {
-        let rate_bps = mcs.mcs().rate_bps(width, self.config.estimator.gi);
-        delivery_delay_s(self.config.payload_bytes, rate_bps, per)
+        ClientLink::new(mcs, per, width, self.config.estimator.gi)
+            .delay_s(self.config.payload_bytes)
     }
 
     /// The fastest delay any link can have at `width`: the top MCS at

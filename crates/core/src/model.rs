@@ -448,17 +448,12 @@ impl NetworkModel {
     /// through the memoized table when one is attached, the exact §4.2
     /// pipeline otherwise. Either way only the asked width is searched.
     pub fn client_link(&self, snr20_db: f64, width: ChannelWidth) -> ClientLink {
-        let snr = self
-            .estimator
-            .calibrate_snr(snr20_db, ChannelWidth::Ht20, width);
+        let e = &self.estimator;
         let point = match &self.table {
-            Some(t) => t.rate_point(snr, width),
-            None => self.estimator.best_rate_point(snr, width),
+            Some(t) => t.rate_point(e.calibrate_snr(snr20_db, ChannelWidth::Ht20, width), width),
+            None => e.predict(snr20_db, ChannelWidth::Ht20, width),
         };
-        ClientLink {
-            rate_bps: point.mcs.mcs().rate_bps(width, self.estimator.gi),
-            per: point.per,
-        }
+        ClientLink::new(point.mcs, point.per, width, e.gi)
     }
 
     /// The cell's airtime accounting at a width.

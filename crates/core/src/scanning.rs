@@ -140,12 +140,8 @@ impl<S: ChannelSounding> ThroughputModel for ScanningModel<S> {
             .iter()
             .map(|c| {
                 let snr = c.snr20_db + self.assignment_offset_db(ap.0, c.client, a);
-                let e = est.estimate(snr, acorn_phy::ChannelWidth::Ht20);
-                let p = e.rate_point(width);
-                ClientLink {
-                    rate_bps: p.mcs.mcs().rate_bps(width, est.gi),
-                    per: p.per,
-                }
+                let p = est.predict(snr, acorn_phy::ChannelWidth::Ht20, width);
+                ClientLink::new(p.mcs, p.per, width, est.gi)
             })
             .collect();
         let base = CellAirtime::new(&links, self.base.payload_bytes()).cell_throughput_bps(1.0);

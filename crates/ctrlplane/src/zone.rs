@@ -108,16 +108,17 @@ impl ZoneController {
     /// fault gauntlet → schedule delivery of the copy's decode: the
     /// envelope sent when the copy is intact, the parser's verdict on
     /// its bytes when it is damaged. Loss and partition drops are silent
-    /// here; the retransmit timer owns recovery.
-    fn transmit(&mut self, ctx: &mut Ctx<'_, PlaneWorld, PlaneEvent>, env: &CtrlEnvelope) {
+    /// here; the retransmit timer owns recovery. An intact copy's decode
+    /// is `env` itself, moved.
+    fn transmit(&mut self, ctx: &mut Ctx<'_, PlaneWorld, PlaneEvent>, env: CtrlEnvelope) {
         let now = ctx.now();
         let to = env.to as usize;
         if self.partitioned(self.zone, now) || self.partitioned(to, now) {
             ctx.telemetry.inc(names::CTRL_MSGS_PARTITION_DROPPED);
             return;
         }
-        let frame = encode_envelope(env);
-        debug_assert_eq!(parse_envelope(&frame).as_ref(), Ok(env));
+        let frame = encode_envelope(&env);
+        debug_assert_eq!(parse_envelope(&frame).as_ref(), Ok(&env));
         let (frame_id, target) = {
             let w = &mut *ctx.world;
             let id = w.net.next_frame_id;
@@ -130,7 +131,7 @@ impl ZoneController {
             &mut rng,
             &CTRL_GAUNTLET,
             &frame,
-            || Some(env.clone()),
+            || Some(env),
             |f| parse_envelope(f).ok(),
         );
         if let Some((decode, delay)) = rolled {
@@ -157,15 +158,16 @@ impl ZoneController {
             msg_id,
             msgs,
         };
-        self.transmit(ctx, &env);
-        if env.needs_ack() {
+        let unacked = env.needs_ack().then(|| env.msgs.clone());
+        self.transmit(ctx, env);
+        if let Some(msgs) = unacked {
             let rto = backoff_for(0);
             let resend = ctx.schedule_after(rto, PlaneEvent::Resend(msg_id));
             self.unacked.insert(
                 msg_id,
                 Pending {
                     to,
-                    msgs: env.msgs,
+                    msgs,
                     attempt: 0,
                     resend,
                 },
@@ -402,7 +404,7 @@ impl ZoneController {
             msg_id,
             msgs,
         };
-        self.transmit(ctx, &env);
+        self.transmit(ctx, env);
         let rto = backoff_for(attempt + 1);
         let resend = ctx.schedule_after(rto, PlaneEvent::Resend(msg_id));
         let p = self.unacked.get_mut(&msg_id).expect("checked above");

@@ -3,8 +3,9 @@
 //! ACORN (the source paper's Algorithm 2) decides bonding **per epoch**:
 //! the allocator hands every AP a 20 or 40 MHz assignment and the cell
 //! transmits at that width until the next reallocation. The related work
-//! goes further — and this crate reproduces the three pieces ROADMAP
-//! item 3 names:
+//! goes further, and this crate reproduces its three pieces:
+//! per-transmission bonding, an exactly solved CTMC to cross-check it,
+//! and an exact optimal allocator to measure the greedy's gap against:
 //!
 //! 1. **Per-transmission DCB policies** ([`DcbPolicy`]): at every
 //!    transmission opportunity the AP re-decides its width from what it

@@ -4,7 +4,7 @@
 //! The composite and city scenarios treat a cell's width as
 //! epoch-static: whatever the allocator handed out is what every
 //! transmission uses until the next reallocation. This module adds the
-//! per-transmission layer ROADMAP item 3 calls for: each AP runs an
+//! per-transmission bonding layer of the DCB literature: each AP runs an
 //! attempt/transmit loop on the shared virtual clock, carrier-senses its
 //! allocated channels against the transmissions its interference-graph
 //! neighbours currently hold, and asks a [`DcbPolicy`] — always-max,
@@ -354,8 +354,7 @@ impl DcbScenario {
 /// connected component (no district isolation to hide behind), and with
 /// `n_channels = 4` a 3×3 block already cannot colour itself
 /// conflict-free — exactly the high-density overlapping-BSS regime the
-/// DCB papers study, and the substrate ROADMAP item 2's cross-zone
-/// negotiation asked for.
+/// DCB papers study, and a substrate for cross-zone negotiation.
 #[derive(Debug, Clone, Copy)]
 pub struct OverlappingBssGrid {
     /// Grid columns.

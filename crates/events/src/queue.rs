@@ -15,6 +15,7 @@
 //!   scheduled, on every run, on every machine.
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashSet};
 
 /// Handle to a scheduled event, returned by the `schedule_*` methods and
@@ -66,11 +67,11 @@ impl<E> Ord for Entry<E> {
 /// Deterministic event queue with a virtual clock and cancellable timers.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Sequence numbers cancelled while still in the heap (lazily dropped
-    /// on pop — the standard tombstone scheme).
-    cancelled: HashSet<u64>,
     /// Sequence numbers currently pending (scheduled, not yet fired or
-    /// cancelled); never iterated, so the hash order is unobservable.
+    /// cancelled): a heap entry is live exactly when its number is here,
+    /// so a cancelled entry stays in the heap as a tombstone and is
+    /// dropped when it surfaces. Never iterated, so the hash order is
+    /// unobservable.
     pending: HashSet<u64>,
     now: f64,
     next_seq: u64,
@@ -87,7 +88,6 @@ impl<E> EventQueue<E> {
     pub fn new() -> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
             pending: HashSet::new(),
             now: 0.0,
             next_seq: 0,
@@ -148,40 +148,32 @@ impl<E> EventQueue<E> {
     /// Cancels a pending event. Returns `true` if it was still pending
     /// (i.e. this call actually stopped it from firing).
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if self.pending.remove(&id.0) {
-            self.cancelled.insert(id.0);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Firing time of the next pending event, without popping it.
-    pub fn peek_time(&mut self) -> Option<f64> {
-        self.skim_cancelled();
-        self.heap.peek().map(|e| f64::from_bits(e.time_bits))
+        self.pending.remove(&id.0)
     }
 
     /// Pops the next pending event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<Fired<E>> {
-        self.skim_cancelled();
-        let e = self.heap.pop()?;
-        self.pending.remove(&e.seq);
-        self.now = f64::from_bits(e.time_bits);
-        Some(Fired {
-            time: self.now,
-            seq: e.seq,
-            event: e.event,
-        })
+        self.pop_due(f64::INFINITY)
     }
 
-    /// Drops cancelled entries sitting on top of the heap.
-    fn skim_cancelled(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            if self.cancelled.remove(&top.seq) {
-                self.heap.pop();
-            } else {
-                break;
+    /// Pops the next pending event if it fires at or before `horizon`,
+    /// advancing the clock to its time; later events stay queued. One
+    /// pass over the heap top both drops cancelled entries and takes the
+    /// event: each fired event costs one set removal.
+    pub fn pop_due(&mut self, horizon: f64) -> Option<Fired<E>> {
+        loop {
+            let top = self.heap.peek_mut()?;
+            if f64::from_bits(top.time_bits) > horizon {
+                return None;
+            }
+            let e = PeekMut::pop(top);
+            if self.pending.remove(&e.seq) {
+                self.now = f64::from_bits(e.time_bits);
+                return Some(Fired {
+                    time: self.now,
+                    seq: e.seq,
+                    event: e.event,
+                });
             }
         }
     }
@@ -246,12 +238,16 @@ mod tests {
     }
 
     #[test]
-    fn peek_skips_cancelled_heads() {
+    fn pop_due_skips_cancelled_heads_and_keeps_later_events() {
         let mut q = EventQueue::new();
         let a = q.schedule_at(1.0, "a");
         q.schedule_at(2.0, "b");
         q.cancel(a);
-        assert_eq!(q.peek_time(), Some(2.0));
+        assert!(q.pop_due(1.5).is_none());
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.now(), 0.0);
+        assert_eq!(q.pop_due(2.0).map(|f| f.event), Some("b"));
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -277,6 +273,67 @@ mod tests {
         q.schedule_at(2.0, ());
         q.pop();
         q.schedule_at(1.0, ());
+    }
+
+    proptest::proptest! {
+        /// Random schedule / cancel / run sequences against a sorted
+        /// reference of the pending `(time, seq)` pairs. Times are
+        /// quarter-second steps, so ties are common, and cancels draw from
+        /// every id issued, fired and cancelled ones included. Each pop is
+        /// the reference's first entry if it is due, `cancel` reports
+        /// whether the event was pending, and `len` counts the reference.
+        #[test]
+        fn queue_matches_a_sorted_reference(
+            ops in proptest::collection::vec(proptest::any::<u64>(), 1..300)
+        ) {
+            let mut q = EventQueue::new();
+            let mut reference: Vec<(u64, u64)> = Vec::new();
+            let mut issued = 0u64;
+            for op in ops {
+                let arg = op >> 8;
+                match op % 4 {
+                    0 | 1 => {
+                        let t = q.now() + (arg % 8) as f64 * 0.25;
+                        assert_eq!(q.schedule_at(t, issued), EventId(issued));
+                        let key = (t.to_bits(), issued);
+                        let at = reference.partition_point(|&k| k < key);
+                        reference.insert(at, key);
+                        issued += 1;
+                    }
+                    2 if issued > 0 => {
+                        let seq = arg % issued;
+                        let live = reference.iter().position(|&(_, s)| s == seq);
+                        assert_eq!(q.cancel(EventId(seq)), live.is_some(), "cancel {seq}");
+                        if let Some(i) = live {
+                            reference.remove(i);
+                        }
+                    }
+                    _ => {
+                        let horizon = match arg % 9 {
+                            8 => f64::INFINITY,
+                            k => q.now() + k as f64 * 0.25,
+                        };
+                        loop {
+                            let due = reference
+                                .first()
+                                .filter(|&&(t, _)| f64::from_bits(t) <= horizon)
+                                .copied();
+                            let fired = q.pop_due(horizon).map(|f| (f.time.to_bits(), f.seq, f.event));
+                            assert_eq!(fired, due.map(|(t, s)| (t, s, s)), "horizon {horizon}");
+                            if due.is_none() {
+                                break;
+                            }
+                            reference.remove(0);
+                            assert_eq!(q.now().to_bits(), fired.map_or(0, |f| f.0));
+                        }
+                    }
+                }
+                assert_eq!(q.len(), reference.len());
+            }
+            let drained: Vec<(u64, u64)> =
+                std::iter::from_fn(|| q.pop().map(|f| (f.time.to_bits(), f.seq))).collect();
+            assert_eq!(drained, reference);
+        }
     }
 
     #[test]

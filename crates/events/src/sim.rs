@@ -218,11 +218,9 @@ impl<W, E: std::fmt::Debug> Simulation<W, E> {
     pub fn run(&mut self, horizon_s: f64) -> RunStats {
         let mut end_time = self.queue.now();
         while !self.stopped {
-            match self.queue.peek_time() {
-                Some(t) if t <= horizon_s => {}
-                _ => break,
-            }
-            let Fired { time, seq, event } = self.queue.pop().expect("peeked non-empty");
+            let Some(Fired { time, seq, event }) = self.queue.pop_due(horizon_s) else {
+                break;
+            };
             let env: Envelope<E> = event;
             if let Some(log) = &mut self.log {
                 log.entries.push(LogEntry {

@@ -18,8 +18,13 @@
 //! where `M ∈ (0, 1]` is the AP's channel-access share under contention
 //! and `L` the payload size in bits. This is exactly the `X_{w,u} =
 //! M_i / ATD_i` bookkeeping of §4.1, with the payload made explicit.
+//!
+//! [`ClientLink::new`] is the one conversion from a §4.2 rate point to
+//! the MAC's view of a link, and [`ClientLink::delay_s`] the one from a
+//! link to its `d_i`.
 
 use crate::timing::delivery_delay_s;
+use acorn_phy::{ChannelWidth, GuardInterval, McsIndex};
 
 /// One client's link operating point as the MAC sees it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,6 +33,26 @@ pub struct ClientLink {
     pub rate_bps: f64,
     /// Packet error rate at that rate.
     pub per: f64,
+}
+
+impl ClientLink {
+    /// A client served at `mcs` with packet error rate `per` on a `width`
+    /// channel: the MCS's nominal rate under guard interval `gi`. Every
+    /// §4.2 rate point (`RatePoint::mcs`, `RatePoint::per`) becomes a MAC
+    /// operating point here, and through [`delay_s`](ClientLink::delay_s)
+    /// a delivery delay.
+    pub fn new(mcs: McsIndex, per: f64, width: ChannelWidth, gi: GuardInterval) -> ClientLink {
+        ClientLink {
+            rate_bps: mcs.mcs().rate_bps(width, gi),
+            per,
+        }
+    }
+
+    /// The channel time `d_u` this link spends per delivered
+    /// `payload_bytes` packet ([`delivery_delay_s`]).
+    pub fn delay_s(&self, payload_bytes: u32) -> f64 {
+        delivery_delay_s(payload_bytes, self.rate_bps, self.per)
+    }
 }
 
 /// Per-cell airtime accounting for a set of associated clients.
@@ -43,10 +68,7 @@ impl CellAirtime {
     /// Computes the delay vector for a cell's clients at a payload size.
     pub fn new(clients: &[ClientLink], payload_bytes: u32) -> CellAirtime {
         CellAirtime {
-            delays_s: clients
-                .iter()
-                .map(|c| delivery_delay_s(payload_bytes, c.rate_bps, c.per))
-                .collect(),
+            delays_s: clients.iter().map(|c| c.delay_s(payload_bytes)).collect(),
             payload_bytes,
         }
     }

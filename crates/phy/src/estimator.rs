@@ -19,6 +19,12 @@
 //! classification of good and poor links" — that classification is
 //! [`LinkClass`], derived by comparing the link's best achievable goodput
 //! with and without bonding.
+//!
+//! The pipeline is written once. [`LinkQualityEstimator::estimate`] and
+//! the memoized `GoodputTable::estimate` share one body, parameterised by
+//! the search it runs at each width, and an evaluator that needs a
+//! single width calls [`LinkQualityEstimator::predict`], which searches
+//! only that one.
 
 use crate::coding::{per_from_ber_bytes, Crossover};
 use crate::link::cb_snr_shift_db;
@@ -232,14 +238,44 @@ impl LinkQualityEstimator {
         best
     }
 
+    /// §4.2 at one width: the best operating point at `width` of a link
+    /// whose SNR was measured at `measured_at`, bit for bit
+    /// `self.estimate(measured_snr_db, measured_at).rate_point(width)`
+    /// without the search at the other width.
+    pub fn predict(
+        &self,
+        measured_snr_db: f64,
+        measured_at: ChannelWidth,
+        width: ChannelWidth,
+    ) -> RatePoint {
+        self.best_rate_point(
+            self.calibrate_snr(measured_snr_db, measured_at, width),
+            width,
+        )
+    }
+
     /// Runs the full §4.2 pipeline: calibrate the measured SNR to both
     /// widths, predict the best operating point on each, and classify the
     /// link.
     pub fn estimate(&self, measured_snr_db: f64, measured_at: ChannelWidth) -> LinkQualityEstimate {
+        self.estimate_with(measured_snr_db, measured_at, |snr, width| {
+            self.best_rate_point(snr, width)
+        })
+    }
+
+    /// The one body of [`estimate`](LinkQualityEstimator::estimate) and
+    /// the memoized `GoodputTable::estimate`: calibrate to both widths,
+    /// run `search` at 20 MHz and then at 40 MHz, and classify.
+    pub(crate) fn estimate_with(
+        &self,
+        measured_snr_db: f64,
+        measured_at: ChannelWidth,
+        search: impl Fn(f64, ChannelWidth) -> RatePoint,
+    ) -> LinkQualityEstimate {
         let snr20 = self.calibrate_snr(measured_snr_db, measured_at, ChannelWidth::Ht20);
         let snr40 = self.calibrate_snr(measured_snr_db, measured_at, ChannelWidth::Ht40);
-        let best20 = self.best_rate_point(snr20, ChannelWidth::Ht20);
-        let best40 = self.best_rate_point(snr40, ChannelWidth::Ht40);
+        let best20 = search(snr20, ChannelWidth::Ht20);
+        let best40 = search(snr40, ChannelWidth::Ht40);
         let class = if best40.goodput_bps > self.cb_benefit_threshold * best20.goodput_bps {
             LinkClass::Good
         } else {
@@ -439,7 +475,12 @@ mod tests {
         let batched = e.estimate_grid(&grid);
         assert_eq!(batched.len(), grid.len());
         for (i, &(snr, at)) in grid.iter().enumerate() {
-            assert_eq!(batched[i], e.estimate(snr, at), "cell {i}");
+            let est = e.estimate(snr, at);
+            assert_eq!(batched[i], est, "cell {i}");
+            // The one-width search is the two-width estimate at that width.
+            for width in [ChannelWidth::Ht20, ChannelWidth::Ht40] {
+                assert_eq!(e.predict(snr, at, width), est.rate_point(width), "cell {i}");
+            }
         }
         assert!(e.estimate_grid(&[]).is_empty());
     }

@@ -20,7 +20,8 @@
 //!   rate is stored per width.
 //! * Out-of-range SNRs fall back to the exact estimator (counted as
 //!   misses), so the table is never wrong outside its domain — only
-//!   slower.
+//!   slower. [`GoodputTable::estimate`] is the estimator's own
+//!   calibrate–search–classify body with the lookup as its search.
 //! * The build runs a self-check sweep at off-grid SNRs (bin midpoints)
 //!   comparing interpolated vs exact goodput; the observed maximum
 //!   absolute error is recorded and exposed via
@@ -31,7 +32,7 @@
 //!   `acorn-core`.
 
 use crate::estimator::{
-    mode_of, ErrorRatesAt, LinkClass, LinkQualityEstimate, LinkQualityEstimator, RatePoint,
+    mode_of, ErrorRatesAt, LinkQualityEstimate, LinkQualityEstimator, RatePoint,
 };
 use crate::mcs::McsIndex;
 use crate::ofdm::ChannelWidth;
@@ -239,27 +240,14 @@ impl GoodputTable {
     }
 
     /// Memoized equivalent of the full
-    /// [`LinkQualityEstimator::estimate`] pipeline: calibrate the
-    /// measured SNR to both widths, look up the best operating point on
-    /// each, classify.
+    /// [`LinkQualityEstimator::estimate`] pipeline, through its one body:
+    /// calibrate the measured SNR to both widths, look up the best
+    /// operating point on each, classify.
     pub fn estimate(&self, measured_snr_db: f64, measured_at: ChannelWidth) -> LinkQualityEstimate {
-        let e = &self.estimator;
-        let snr20 = e.calibrate_snr(measured_snr_db, measured_at, ChannelWidth::Ht20);
-        let snr40 = e.calibrate_snr(measured_snr_db, measured_at, ChannelWidth::Ht40);
-        let best20 = self.rate_point(snr20, ChannelWidth::Ht20);
-        let best40 = self.rate_point(snr40, ChannelWidth::Ht40);
-        let class = if best40.goodput_bps > e.cb_benefit_threshold * best20.goodput_bps {
-            LinkClass::Good
-        } else {
-            LinkClass::Poor
-        };
-        LinkQualityEstimate {
-            snr20_db: snr20,
-            snr40_db: snr40,
-            best20,
-            best40,
-            class,
-        }
+        self.estimator
+            .estimate_with(measured_snr_db, measured_at, |snr, width| {
+                self.rate_point(snr, width)
+            })
     }
 
     /// Max absolute goodput error (bits/s) recorded by the build-time

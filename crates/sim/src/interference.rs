@@ -96,12 +96,8 @@ pub fn evaluate_analytic_sinr(
                     let sinr = budget.sinr_db(width, interference);
                     // Map the width-specific SINR back through the
                     // estimator (measured at the serving width).
-                    let est = estimator.estimate(sinr, width);
-                    let p = est.rate_point(width);
-                    ClientLink {
-                        rate_bps: p.mcs.mcs().rate_bps(width, estimator.gi),
-                        per: p.per,
-                    }
+                    let p = estimator.predict(sinr, width, width);
+                    ClientLink::new(p.mcs, p.per, width, estimator.gi)
                 })
                 .collect();
             if links.is_empty() {

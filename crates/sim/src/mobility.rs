@@ -9,7 +9,7 @@
 //! times that of a fixed 40 MHz channel."
 
 use acorn_events::{Ctx, Process, Simulation};
-use acorn_mac::airtime::CellAirtime;
+use acorn_mac::airtime::{CellAirtime, ClientLink};
 use acorn_phy::estimator::LinkQualityEstimator;
 use acorn_phy::ChannelWidth;
 use acorn_topology::{ApId, ClientId, Point, Wlan};
@@ -68,12 +68,8 @@ impl MobilityExperiment {
         let links: Vec<_> = (0..wlan.clients.len())
             .map(|c| {
                 let snr20 = wlan.snr_db(ap, ClientId(c), ChannelWidth::Ht20);
-                let est = self.estimator.estimate(snr20, ChannelWidth::Ht20);
-                let p = est.rate_point(width);
-                acorn_mac::airtime::ClientLink {
-                    rate_bps: p.mcs.mcs().rate_bps(width, self.estimator.gi),
-                    per: p.per,
-                }
+                let p = self.estimator.predict(snr20, ChannelWidth::Ht20, width);
+                ClientLink::new(p.mcs, p.per, width, self.estimator.gi)
             })
             .collect();
         CellAirtime::new(&links, self.payload_bytes).cell_throughput_bps(1.0)

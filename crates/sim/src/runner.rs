@@ -49,12 +49,8 @@ pub fn cell_links(
         .filter(|(_, a)| **a == Some(ap))
         .map(|(c, _)| {
             let snr20 = wlan.snr_db(ap, ClientId(c), ChannelWidth::Ht20);
-            let est = estimator.estimate(snr20, ChannelWidth::Ht20);
-            let point = est.rate_point(width);
-            ClientLink {
-                rate_bps: point.mcs.mcs().rate_bps(width, estimator.gi),
-                per: point.per,
-            }
+            let p = estimator.predict(snr20, ChannelWidth::Ht20, width);
+            ClientLink::new(p.mcs, p.per, width, estimator.gi)
         })
         .collect()
 }

@@ -44,6 +44,8 @@
 #   6b. the kernel-equivalence gate, in release: the §4.2 estimator
 #      kernel and the lane-shaped baseband kernels must match their
 #      retained oracles bit for bit,
+#   6c. the figure gate: every figure and table binary runs to exit 0 and
+#      writes JSON byte-identical to its committed record under results/,
 #   7. the determinism + golden suites re-run under ACORN_THREADS = 1, 2
 #      and 8 — the engine's thread-count cap must never move an output
 #      bit, including the hard-coded pre-port fingerprints. The
@@ -63,7 +65,7 @@ cargo fmt --all -- --check
 
 echo
 echo "== panic-path budget (all crates, non-test) =="
-# Two audited baselines. Library crates (22): provably-unreachable
+# Two audited baselines. Library crates (20): provably-unreachable
 # expects (core/par.rs), frame-layout invariants (baseband/frame.rs),
 # static histogram bounds (each registered once, in events/world.rs and
 # the shared fault core in events/faults.rs), and lock-poisoning
@@ -76,7 +78,7 @@ echo "== panic-path budget (all crates, non-test) =="
 # file behind #[cfg(test)], so counting stops at that marker. Both
 # baselines are ratchets: a count above its baseline fails, and so does
 # one below it, until the baseline is lowered to match.
-LIB_PANIC_BASELINE=22
+LIB_PANIC_BASELINE=20
 BIN_PANIC_BASELINE=19
 count_panics() { # $1: newline-separated file list
     local total=0 f hits
@@ -171,6 +173,30 @@ echo "== kernel-equivalence gate (release) =="
 cargo test -q --offline --release -p acorn-phy --test kernel_equivalence
 cargo test -q --offline --release -p acorn-core --test kernel_equivalence
 cargo test -q --offline --release -p acorn-baseband --test kernel_equivalence
+
+echo
+echo "== figure gate (every figure binary against results/) =="
+# The 17 figure and table binaries are deterministic at any thread count,
+# so each must exit 0 and write JSON byte-identical to the record
+# EXPERIMENTS.md cites. They write into a temporary directory, leaving
+# results/ untouched. The bench_* binaries are not run here: they soak
+# for days of simulated time.
+FIGURE_BINS="fig01_psd fig02_constellation fig03_ber fig04_per fig05_sigma \
+    table1_transitions fig06_throughput fig08_channels fig09_durations \
+    fig10_topologies fig11_interference table3_random fig13_mobility \
+    fig14_approx ablations ext_sinr_susceptibility ext_bianchi"
+fig_dir=$(mktemp -d)
+trap 'rm -rf "$fig_dir"' EXIT
+cargo build -q --release --offline -p acorn-bench --bins
+for b in $FIGURE_BINS; do
+    ACORN_RESULTS_DIR="$fig_dir" cargo run -q --release --offline -p acorn-bench \
+        --bin "$b" > "$fig_dir/$b.txt"
+    if ! cmp "$fig_dir/$b.json" "results/$b.json"; then
+        echo "$b: output differs from results/$b.json" >&2
+        exit 1
+    fi
+    echo "  $b: ok"
+done
 
 echo
 echo "== dynamic-channel-bonding gate =="

@@ -4,10 +4,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Preflight: the tier-1 gate (fmt, build, tests, thread-count
-# determinism). Regenerating figures from a broken tree wastes an hour.
-scripts/ci.sh
-
 mkdir -p results/logs
 BINS="fig01_psd fig02_constellation fig03_ber fig04_per fig05_sigma \
       table1_transitions fig06_throughput fig08_channels fig09_durations \
@@ -17,4 +13,10 @@ for b in $BINS; do
     echo "== $b =="
     cargo run --release -q -p acorn-bench --bin "$b" | tee "results/logs/$b.txt"
 done
+
+# Then the tier-1 gate (fmt, build, tests, thread-count determinism). Its
+# figure gate re-runs every binary above and requires the JSON just
+# written, byte for byte, so it runs after the regeneration: before it,
+# any change that moves a figure would fail against the old record.
+scripts/ci.sh
 echo "All experiments regenerated. See EXPERIMENTS.md for the paper-vs-measured record."

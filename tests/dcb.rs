@@ -1,4 +1,5 @@
-//! Release gates for the dynamic-channel-bonding stack (ROADMAP item 3):
+//! Release gates for the dynamic-channel-bonding stack (per-transmission
+//! bonding, its CTMC cross-check and the exact optimal allocator):
 //!
 //! 1. **CTMC cross-check** — the event-driven DCB simulator must land
 //!    within `CTMC_TOLERANCE` of the exactly solved stationary chain on
